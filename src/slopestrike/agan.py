@@ -154,10 +154,10 @@ class TcnGenerator:
         cfg = self.config
         h = z_cond
         for i, dil in enumerate(cfg.gen_dilations):
-            h = ad.conv1d(h, self.params[f"tcn{i}.w"], dilation=dil, causal=True)
+            h = ad.conv1d(h, self.params[f"tcn{i}.w"], dilation=dil)
             h = ad.channel_bias(h, self.params[f"tcn{i}.b"])
             h = ad.leaky_relu(h, cfg.leaky_slope)
-        h = ad.conv1d(h, self.params["head.w"], causal=True)
+        h = ad.conv1d(h, self.params["head.w"])
         h = ad.channel_bias(h, self.params["head.b"])
         B = h.shape[0]
         return ad.reshape(h, (B, cfg.interval_length))

@@ -47,7 +47,6 @@ class AttackConfig:
     mu: float = 0.35             # MI-FGSM decay
     gamma: float | None = None   # TIM margin; None -> epsilon
     lambda_cw: float = 20.0      # C&W trade-off, desk-tuned
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:

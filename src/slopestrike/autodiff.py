@@ -542,6 +542,77 @@ def sort_last(a) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# sliding windows
+# ---------------------------------------------------------------------------
+
+def _window_view(a: np.ndarray, size: int, dilation: int = 1) -> np.ndarray:
+    """Read-only view of every window of ``size`` taps along axis 0: (n, size, ...)."""
+    span = (size - 1) * dilation + 1
+    view = np.lib.stride_tricks.sliding_window_view(a, span, axis=0)[..., ::dilation]
+    return np.moveaxis(view, -1, 1)
+
+
+def _overlap_add(w: np.ndarray, length: int, dilation: int = 1) -> np.ndarray:
+    """Adjoint of ``_window_view``: add tap k of window i back at row i + k*dilation."""
+    n = w.shape[0]
+    out = np.zeros((length,) + w.shape[2:])
+    # highest tap first, so every row sums its windows in window order
+    for k in reversed(range(w.shape[1])):
+        out[k * dilation:k * dilation + n] += w[:, k]
+    return out
+
+
+def unfold(x, size: int) -> Tensor:
+    """Every window of ``size`` consecutive rows: (T, ...) -> (T-size+1, size, ...)."""
+    x = as_tensor(x)
+    T = x.shape[0] if x.ndim else 0
+    if not 1 <= size <= T:
+        raise ShapeError(f"unfold: window {size} does not fit the leading axis of {x.shape}")
+
+    def vjp(g):
+        return (fold(g, T),)
+
+    return _make("unfold", _window_view(x.data, size).copy(), (x,), vjp)
+
+
+def fold(w, length: int) -> Tensor:
+    """Adjoint of ``unfold``: overlap-add (length-size+1, size, ...) windows to (length, ...)."""
+    w = as_tensor(w)
+    if w.ndim < 2 or w.shape[0] != length - w.shape[1] + 1:
+        raise ShapeError(f"fold: windows {w.shape} do not tile length {length}")
+    size = w.shape[1]
+
+    def vjp(g):
+        return (unfold(g, size),)
+
+    return _make("fold", _overlap_add(w.data, length), (w,), vjp)
+
+
+def _decay_scan(x: np.ndarray, gain: float, decay: float) -> np.ndarray:
+    """r_0 = x_0, r_t = gain * x_t + decay * r_{t-1} over a 1-D array."""
+    r = x.tolist()
+    for t in range(1, len(r)):
+        r[t] = gain * r[t] + decay * r[t - 1]
+    return np.array(r)
+
+
+def ema(x, beta: float) -> Tensor:
+    """Exponential moving average of a 1-D tensor: e_0 = x_0, e_t = beta x_t + (1-beta) e_{t-1}."""
+    x = as_tensor(x)
+    if x.ndim != 1:
+        raise ShapeError(f"ema: expected a 1-D tensor, got {x.shape}")
+
+    def vjp(g):
+        # the same recurrence run backwards: a_t = g_t + (1-beta) a_{t+1};
+        # x_t receives beta * a_t, except x_0, which seeds e_0 and receives a_0
+        a = _decay_scan(g.data[::-1], 1.0, 1.0 - beta)[::-1]
+        a[1:] *= beta
+        return (Tensor(a),)
+
+    return _make("ema", _decay_scan(x.data, beta, 1.0 - beta), (x,), vjp)
+
+
+# ---------------------------------------------------------------------------
 # linear algebra and convolution
 # ---------------------------------------------------------------------------
 
@@ -575,12 +646,11 @@ def channel_bias(x, b) -> Tensor:
     raise ShapeError(f"channel_bias: expected 2-D or 3-D input, got {x.shape}")
 
 
-def conv1d(x, w, stride: int = 1, dilation: int = 1, causal: bool = False) -> Tensor:
-    """1-D convolution (cross-correlation), channels-first.
+def conv1d(x, w, dilation: int = 1) -> Tensor:
+    """Causal 1-D convolution (cross-correlation), channels-first.
 
-    x: (C_in, T) or (B, C_in, T); w: (C_out, C_in, K).  ``causal`` left-pads
-    with (K-1)*dilation zeros so the output keeps length T when stride is 1.
-    First-order only.
+    x: (C_in, T) or (B, C_in, T); w: (C_out, C_in, K).  The input is left-padded
+    with (K-1)*dilation zeros, so the output keeps length T.  First-order only.
     """
     x, w = as_tensor(x), as_tensor(w)
     squeeze = x.ndim == 2
@@ -589,83 +659,51 @@ def conv1d(x, w, stride: int = 1, dilation: int = 1, causal: bool = False) -> Te
         raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
     B, Cin, T = xd.shape
     Cout, _, K = w.shape
-    pad = (K - 1) * dilation if causal else 0
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, 0)))
-    span = (K - 1) * dilation + 1
-    if xp.shape[2] < span:
-        raise ShapeError(f"conv1d: input length {T} shorter than kernel span {span}")
-    t_out = (xp.shape[2] - span) // stride + 1
-    idx = np.arange(t_out)[:, None] * stride + np.arange(K)[None, :] * dilation
-    patches = xp[:, :, idx]  # (B, Cin, t_out, K)
-    # contract via BLAS: (B*t_out, Cin*K) @ (Cin*K, Cout)
-    pmat = patches.transpose(0, 2, 1, 3).reshape(B * t_out, Cin * K)
+    pad = (K - 1) * dilation
+    # time-major, so the windows are taken along axis 0 like unfold's
+    xp = np.pad(np.moveaxis(xd, 2, 0), ((pad, 0), (0, 0), (0, 0)))  # (T+pad, B, Cin)
+    taps = _window_view(xp, K, dilation)  # (T, K, B, Cin)
+    # contract via BLAS: (B*T, Cin*K) @ (Cin*K, Cout)
+    pmat = taps.transpose(2, 0, 3, 1).reshape(B * T, Cin * K)
     wmat = w.data.reshape(Cout, Cin * K).T
-    out_data = (pmat @ wmat).reshape(B, t_out, Cout).transpose(0, 2, 1)
+    out_data = (pmat @ wmat).reshape(B, T, Cout).transpose(0, 2, 1)
 
     def vjp(g):
         gd = g.data[None] if squeeze else g.data
-        gmat = gd.transpose(0, 2, 1).reshape(B * t_out, Cout)
+        gmat = gd.transpose(0, 2, 1).reshape(B * T, Cout)
         gw = (gmat.T @ pmat).reshape(Cout, Cin, K)
-        scat = (gmat @ wmat.T).reshape(B, t_out, Cin, K).transpose(0, 2, 1, 3)
-        gx = np.zeros_like(xp)
-        np.add.at(gx, (slice(None), slice(None), idx), scat)
-        gx = gx[:, :, pad:]
-        if squeeze:
-            gx = gx[0]
-        return (Tensor(gx), Tensor(gw))
+        gtaps = (gmat @ wmat.T).reshape(B, T, Cin, K).transpose(1, 3, 0, 2)
+        gx = np.moveaxis(_overlap_add(gtaps, T + pad, dilation)[pad:], 0, 2)
+        return (Tensor(gx[0] if squeeze else gx), Tensor(gw))
 
     return _make("conv1d", out_data[0] if squeeze else out_data, (x, w), vjp)
 
 
-def maxpool1d(x, kernel: int, stride: int | None = None) -> Tensor:
-    """Max pooling along the last axis; trailing remainder windows are dropped.
+def maxpool1d(x, kernel: int) -> Tensor:
+    """Max pooling over non-overlapping windows along the last axis.
 
-    Gradient goes to the first maximum inside each window.
+    A trailing remainder shorter than the kernel is dropped.  Gradient goes to
+    the first maximum inside each window.
     """
     x = as_tensor(x)
     if kernel < 1:
         raise ShapeError(f"maxpool1d: kernel {kernel} < 1")
-    stride = kernel if stride is None else stride
     T = x.shape[-1]
     if T < kernel:
         raise ShapeError(f"maxpool1d: length {T} shorter than kernel {kernel}")
-    t_out = (T - kernel) // stride + 1
-    idx = np.arange(t_out)[:, None] * stride + np.arange(kernel)[None, :]
-    windows = x.data[..., idx]  # (..., t_out, kernel)
-    arg = np.argmax(windows, axis=-1)  # first max
-    out_data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    kept = T // kernel * kernel
+    windows = x.data[..., :kept].reshape(x.shape[:-1] + (T // kernel, kernel))
+    arg = np.argmax(windows, axis=-1)[..., None]  # first max
+    out_data = np.take_along_axis(windows, arg, axis=-1)[..., 0]
 
     def vjp(g):
+        routed = np.zeros(windows.shape)
+        np.put_along_axis(routed, arg, g.data[..., None], axis=-1)
         buf = np.zeros(x.shape)
-        flat = buf.reshape(-1, T)
-        pos = np.arange(t_out)[None, :] * stride + arg.reshape(-1, t_out)
-        rows = np.repeat(np.arange(flat.shape[0])[:, None], t_out, axis=1)
-        np.add.at(flat, (rows, pos), g.data.reshape(-1, t_out))
-        return (Tensor(flat.reshape(x.shape)),)
+        buf[..., :kept] = routed.reshape(x.shape[:-1] + (kept,))
+        return (Tensor(buf),)
 
     return _make("maxpool1d", out_data, (x,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# public forward_op dispatch
-# ---------------------------------------------------------------------------
-
-_OPS = {
-    "add": add, "sub": sub, "mul": mul, "div": div, "matmul": matmul,
-    "conv1d": conv1d, "maxpool1d": maxpool1d, "affine": affine,
-    "relu": relu, "leaky_relu": leaky_relu, "tanh": tanh, "sigmoid": sigmoid,
-    "exp": texp, "log": tlog, "pow": power, "sum": tsum, "mean": tmean,
-    "slice": tslice, "concat": concat, "clamp": clamp, "sign": sign,
-    "sqrt": tsqrt, "abs": tabs, "reshape": reshape, "transpose": transpose,
-    "expand": expand, "sort": sort_last,
-}
-
-
-def forward_op(kind: str, *inputs, **kwargs) -> Tensor:
-    """Apply an operation by name (the string-keyed surface of the op table)."""
-    if kind not in _OPS:
-        raise AutodiffError(f"unknown operation kind '{kind}'")
-    return _OPS[kind](*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +788,10 @@ def _run_backward(root: Tensor, create_graph: bool, sinks: list[Tensor] | None,
                 prev = grads.get(id(p))
                 grads[id(p)] = pg if prev is None else add(prev, pg)
         if accumulate and not create_graph:
+            # tanh/sigmoid/sqrt vjps hold their own output; dropping the vjp breaks
+            # that cycle, so a consumed graph is freed without waiting for the gc
             node.freed = True
+            node.vjp = None
     return out
 
 
@@ -794,8 +835,3 @@ def grad_of_grad(root: Tensor, wrt: Tensor, then, params) -> Tensor | list[Tenso
     plist = [params] if single else list(params)
     res = gradients(scalar, plist)
     return res[0] if single else res
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.grad = None

@@ -208,7 +208,7 @@ def cmd_attack(args) -> int:
         for method in methods:
             for eps in eps_list:
                 acfg = AttackConfig(method, eps_pct=eps, iters=settings["iters"],
-                                    target_dir=settings["direction"], seed=seed)
+                                    target_dir=settings["direction"])
                 result = run_attack(s, model, acfg)
                 if s.ticker not in normal_done:
                     b = result.before
@@ -271,7 +271,7 @@ def cmd_defend_train(args) -> int:
         if len(s) < n_in:
             raise DataError(f"{s.ticker}: need {n_in} days for the discriminator input")
         acfg = AttackConfig(settings["method"], eps_pct=settings["eps_pct"],
-                            iters=settings["attack_iters"], target_dir=1, seed=seed)
+                            iters=settings["attack_iters"], target_dir=1)
         result = run_attack(s.head(n_in), model, acfg)
         real.append(s.adjprc[:n_in])
         attacked.append(result.x_adv.adjprc)

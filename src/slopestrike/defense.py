@@ -102,7 +102,7 @@ class Discriminator:
         B = batch.shape[0]
         h = ad.reshape(batch, (B, 1, self.config.input_length))
         for i in range(3):
-            h = ad.conv1d(h, self.params[f"conv{i}.w"], causal=True)
+            h = ad.conv1d(h, self.params[f"conv{i}.w"])
             h = ad.channel_bias(h, self.params[f"conv{i}.b"])
             h = ad.relu(h)
             h = ad.maxpool1d(h, 2)

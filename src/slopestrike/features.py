@@ -1,10 +1,13 @@
 """Differentiable per-day features derived from the adjusted price.
 
 Every continuous channel is built from autodiff operations so that a loss on
-the forecast differentiates all the way back to the raw prices.  Windowed
-statistics use left-truncated warm-up windows (the first w-1 days average over
-however many days exist), which keeps the feature matrix aligned with the
-price series.
+the forecast differentiates all the way back to the raw prices.  Rolling means
+and standard deviations zero-pad the series with 19 days in front, take every
+20-day window with ``unfold``, sum each window's last w days and divide by
+the number of real days among them.  So the first w-1 days average over
+however many days exist, and the feature matrix stays aligned with the price
+series.  The EMAs run the ``ema`` recurrence (beta = 2 / (w + 1), seeded with
+the first price).  Time and memory are linear in the series length.
 
 Channels, in order:
     adjprc,
@@ -59,45 +62,18 @@ class FeatureMatrix:
         return ad.constant(onehot)
 
 
-_MATRIX_CACHE: dict[tuple[str, int], np.ndarray] = {}
+_WINDOWS = (5, 10, 20)
+_SPAN = max(_WINDOWS)
 
 
-def _rolling_mean_matrix(T: int, w: int) -> np.ndarray:
-    key = (f"mean{w}", T)
-    if key not in _MATRIX_CACHE:
-        M = np.zeros((T, T))
-        for t in range(T):
-            start = max(0, t - w + 1)
-            M[t, start:t + 1] = 1.0 / (t - start + 1)
-        _MATRIX_CACHE[key] = M
-    return _MATRIX_CACHE[key]
-
-
-def _ema_matrix(T: int, w: int) -> np.ndarray:
-    # e_0 = p_0; e_t = beta p_t + (1-beta) e_{t-1}  =>  lower-triangular map
-    key = (f"ema{w}", T)
-    if key not in _MATRIX_CACHE:
-        beta = 2.0 / (w + 1.0)
-        M = np.zeros((T, T))
-        decay = np.power(1.0 - beta, np.arange(T))
-        for t in range(T):
-            M[t, 0] = decay[t]
-            if t >= 1:
-                M[t, 1:t + 1] = beta * decay[:t][::-1]
-        _MATRIX_CACHE[key] = M
-    return _MATRIX_CACHE[key]
-
-
-def _rolling_std(adjprc: Tensor, w: int) -> Tensor:
-    # population variance via E[y^2] - E[y]^2 on globally recentred prices;
-    # recentring kills the catastrophic cancellation of the raw-moment form
-    # (a constant shift changes neither the variance nor its gradient)
-    M = ad.constant(_rolling_mean_matrix(adjprc.shape[0], w))
-    y = ad.sub(adjprc, float(np.mean(adjprc.data)))
-    m1 = ad.matmul(M, y)
-    m2 = ad.matmul(M, ad.mul(y, y))
-    var = ad.clamp(ad.sub(m2, ad.mul(m1, m1)), lo=0.0)
-    return ad.tsqrt(var)
+def _rolling_means(padded: Tensor) -> Tensor:
+    """(T, 3) means over the last 5, 10 and 20 days of a series led by _SPAN-1
+    zeros; each divides by the real days in its window, min(t+1, w)."""
+    T = padded.shape[0] - _SPAN + 1
+    last_w = np.array([[k >= _SPAN - w for w in _WINDOWS] for k in range(_SPAN)], dtype=float)
+    sums = ad.matmul(ad.unfold(padded, _SPAN), ad.constant(last_w))
+    counts = np.minimum(np.arange(1.0, T + 1.0)[:, None], _WINDOWS)
+    return ad.div(sums, ad.constant(counts))
 
 
 def compute_features(adjprc: Tensor, dates: list[dt.date]) -> FeatureMatrix:
@@ -121,11 +97,19 @@ def compute_features(adjprc: Tensor, dates: list[dt.date]) -> FeatureMatrix:
         bad = dates[int(np.argmax(day_of_week > 4))]
         raise ValueError(f"weekend date {bad} in price series")
 
-    cols: list[Tensor] = [adjprc]
-    for w in (5, 10, 20):
-        cols.append(ad.matmul(ad.constant(_rolling_mean_matrix(T, w)), adjprc))
-    for w in (5, 10, 20):
-        cols.append(_rolling_std(adjprc, w))
+    # leading zeros give every day a full 20-day window
+    pad = np.zeros(_SPAN - 1)
+    padded = ad.concat([ad.constant(pad), adjprc])
+    cols: list[Tensor] = [adjprc, _rolling_means(padded)]
+    # population variance via E[y^2] - E[y]^2 on globally recentred prices;
+    # recentring kills the catastrophic cancellation of the raw-moment form
+    # (a constant shift changes neither the variance nor its gradient), and
+    # the mask puts the padding back to zero after the shift
+    real_days = ad.constant(np.concatenate([pad, np.ones(T)]))
+    y = ad.mul(ad.sub(padded, float(np.mean(adjprc.data))), real_days)
+    m1 = _rolling_means(y)
+    m2 = _rolling_means(ad.mul(y, y))
+    cols.append(ad.tsqrt(ad.clamp(ad.sub(m2, ad.mul(m1, m1)), lo=0.0)))
 
     # log_return_t = ln(p_t / p_{t-1}), first day 0
     logp = ad.tlog(adjprc)
@@ -136,8 +120,8 @@ def compute_features(adjprc: Tensor, dates: list[dt.date]) -> FeatureMatrix:
     roc = ad.div(ad.sub(adjprc[5:], adjprc[:-5]), adjprc[:-5])
     cols.append(ad.concat([ad.constant(np.zeros(5)), roc]))
 
-    for w in (5, 10, 20):
-        cols.append(ad.matmul(ad.constant(_ema_matrix(T, w)), adjprc))
+    for w in _WINDOWS:
+        cols.append(ad.ema(adjprc, 2.0 / (w + 1.0)))
 
-    stacked = ad.concat([ad.reshape(c, (T, 1)) for c in cols], axis=1)
+    stacked = ad.concat([c if c.ndim == 2 else ad.reshape(c, (T, 1)) for c in cols], axis=1)
     return FeatureMatrix(stacked, day_of_week)

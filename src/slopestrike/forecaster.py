@@ -110,25 +110,6 @@ def _interp_matrix(knots: int, length: int) -> np.ndarray:
     return M
 
 
-_AVG_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _overlap_average_matrix(n_windows: int, horizon: int) -> np.ndarray:
-    """(n_windows*horizon, n_windows+horizon-1): flattened forecasts -> per-day means."""
-    key = (n_windows, horizon)
-    if key not in _AVG_CACHE:
-        n_days = n_windows + horizon - 1
-        counts = np.zeros(n_days)
-        for w in range(n_windows):
-            counts[w:w + horizon] += 1.0
-        A = np.zeros((n_windows * horizon, n_days))
-        for w in range(n_windows):
-            for j in range(horizon):
-                A[w * horizon + j, w + j] = 1.0 / counts[w + j]
-        _AVG_CACHE[key] = A
-    return _AVG_CACHE[key]
-
-
 class NhitsModel:
     """Parameter container plus the batched forward pass."""
 
@@ -268,16 +249,12 @@ class NhitsModel:
     def _window_tensors(self, fm: FeatureMatrix, n_windows: int):
         cfg = self.config
         E = cfg.encoder_length
-        adj = fm.continuous[:, 0]
-        exo_days = self._exo_from_features(fm) if cfg.use_features else None
-        adj_rows, exo_rows = [], []
-        for w in range(n_windows):
-            adj_rows.append(ad.reshape(adj[w:w + E], (1, E)))
-            if exo_days is not None:
-                exo_rows.append(ad.reshape(exo_days[w:w + E, :], (1, cfg.exo_dim)))
-        adj_w = ad.concat(adj_rows, axis=0)
-        exo = ad.concat(exo_rows, axis=0) if exo_rows else None
-        return adj_w, exo
+        span = n_windows + E - 1
+        adj_w = ad.unfold(fm.continuous[:span, 0], E)  # (N, E)
+        if not cfg.use_features:
+            return adj_w, None
+        exo_days = self._exo_from_features(fm)[:span]
+        return adj_w, ad.reshape(ad.unfold(exo_days, E), (n_windows, cfg.exo_dim))
 
     def forward(self, window: FeatureMatrix) -> ForecastOutput:
         """Forecast from exactly one encoder window of features."""
@@ -293,7 +270,9 @@ class NhitsModel:
         """Overlap-averaged median-quantile path for every day after the encoder.
 
         Windows slide by one day; day d's prediction is the mean of every
-        20-day forecast covering it.  Output length is len(fm) - encoder.
+        20-day forecast covering it: ``fold`` overlap-adds the (N, horizon)
+        median paths onto the days and divides by ``fold`` of ones, the number
+        of forecasts per day.  Output length is len(fm) - encoder.
         """
         cfg = self.config
         T = len(fm)
@@ -304,9 +283,9 @@ class NhitsModel:
         out = self.core(adj_w, exo)  # (N, H*Q)
         med = ad.sort_last(ad.reshape(out, (n_windows, cfg.horizon, cfg.n_quantiles)))
         med = med[:, :, cfg.median_index]  # (N, H)
-        A = ad.constant(_overlap_average_matrix(n_windows, cfg.horizon))
-        flat = ad.reshape(med, (1, n_windows * cfg.horizon))
-        return ad.reshape(ad.matmul(flat, A), (T - cfg.encoder_length,))
+        n_days = T - cfg.encoder_length
+        counts = ad.fold(ad.constant(np.ones(med.shape)), n_days)
+        return ad.div(ad.fold(med, n_days), counts)
 
 
 def quantile_loss(pred: ForecastOutput, truth) -> Tensor:

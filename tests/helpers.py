@@ -77,7 +77,7 @@ def _builders():
 
         def f(ts):
             x = ad.reshape(ts[0], (1, 10))
-            y = ad.conv1d(x, ad.constant(w), dilation=2, causal=True)
+            y = ad.conv1d(x, ad.constant(w), dilation=2)
             return ad.tmean(ad.leaky_relu(y, 0.2))
 
         return [(10,)], f
@@ -107,8 +107,33 @@ def _builders():
 
         return [(7,)], f
 
+    def unfolded(rng):
+        w = rng.uniform(-1, 1, (3, 2))
+
+        def f(ts):
+            windows = ad.unfold(ts[0], 3)  # (5, 3, 2)
+            return ad.tmean(ad.tanh(ad.mul(windows, ad.constant(w))))
+
+        return [(7, 2)], f
+
+    def folded(rng):
+        w = rng.uniform(-1, 1, (4, 3))
+
+        def f(ts):
+            days = ad.fold(ad.mul(ts[0], ad.constant(w)), 6)
+            return ad.tsum(ad.sigmoid(days))
+
+        return [(4, 3)], f
+
+    def smoothed(rng):
+        def f(ts):
+            e = ad.ema(ts[0], 0.4)
+            return ad.tsum(ad.mul(e, e))
+
+        return [(8,)], f
+
     return [mlp, elementwise_chain, log_sqrt, pooled, convnet, sliced,
-            pooled_matmul, clamped]
+            pooled_matmul, clamped, unfolded, folded, smoothed]
 
 
 def random_graph_cases(n, seed=20240501):

@@ -10,7 +10,7 @@ from helpers import finite_diff, max_rel_err, random_graph_cases, graph_gradient
 
 
 def test_add_elementwise():
-    out = ad.forward_op("add", ad.constant([1.0, 2.0]), ad.constant([3.0, 4.0]))
+    out = ad.add(ad.constant([1.0, 2.0]), ad.constant([3.0, 4.0]))
     assert np.array_equal(out.data, [4.0, 6.0])
 
 
@@ -37,7 +37,7 @@ def test_conv1d_dilated_impulse_matches_brute_force():
     x = np.array([1.0, 0.0, 0.0, 0.0])
     w = np.array([1.0, 2.0])
     got = ad.conv1d(ad.constant(x.reshape(1, 4)),
-                    ad.constant(w.reshape(1, 1, 2)), dilation=2, causal=True)
+                    ad.constant(w.reshape(1, 1, 2)), dilation=2)
     expect = brute_conv1d(x, w, dilation=2, causal=True)
     assert got.data.shape == (1, 4)
     assert np.allclose(got.data[0], expect, atol=1e-15)
@@ -118,7 +118,7 @@ def test_clamp_gradient_zero_outside_pass_inside():
 
 def test_maxpool_routes_to_first_argmax_and_conserves_gradient():
     x = ad.Tensor([2.0, 2.0, 1.0, 0.0, 3.0, 3.0], requires_grad=True)
-    out = ad.maxpool1d(x, 3, stride=3)
+    out = ad.maxpool1d(x, 3)
     ad.backward(ad.tsum(ad.mul(out, ad.constant([5.0, 11.0]))))
     assert np.array_equal(x.grad, [5.0, 0.0, 0.0, 0.0, 11.0, 0.0])
     assert x.grad.sum() == 16.0
@@ -197,6 +197,13 @@ def test_shape_mismatch_names_operation():
         ad.add(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
 
 
+def test_window_op_shape_errors_name_operation():
+    with pytest.raises(ad.ShapeError, match="unfold"):
+        ad.unfold(ad.constant(np.ones((4, 2))), 5)
+    with pytest.raises(ad.ShapeError, match="fold"):
+        ad.fold(ad.constant(np.ones((3, 2))), 5)  # 3 windows of 2 tile 4 days
+
+
 def test_log_and_div_domain_errors():
     with pytest.raises(ad.DomainError):
         ad.tlog(ad.constant([1.0, 0.0]))
@@ -246,11 +253,6 @@ def test_product_rule_property(xs, ys):
     ad.backward(ad.tsum(ad.mul(a, b)))
     assert np.allclose(a.grad, b.data, atol=1e-12)
     assert np.allclose(b.grad, a.data, atol=1e-12)
-
-
-def test_forward_op_unknown_kind():
-    with pytest.raises(ad.AutodiffError, match="unknown operation"):
-        ad.forward_op("fft", ad.constant([1.0]))
 
 
 def test_distinct_graphs_on_distinct_threads():

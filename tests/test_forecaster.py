@@ -1,4 +1,5 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,23 @@ def test_rolling_forecast_overlap_averaging_counts():
     assert np.array_equal(counts, [1.0] + [2.0] * 19 + [1.0])
     got = rolling_forecast(series, model)
     assert np.allclose(got, expected, atol=1e-12)
+
+
+def test_rolling_forecast_memory_linear_in_length():
+    # memory must stay linear in the series length: at 2,400 days one dense
+    # T x T operator is 44 MiB and an (N*H) x (N+H-1) one 800 MiB, and
+    # nothing may stay allocated once the call returns
+    model = NhitsModel(NhitsConfig(), seed=0)
+    series = dataio.synth_gbm(1, 2400, 60.0, 0.0, 0.01, seed=6)[0]
+    tracemalloc.start()
+    try:
+        path = rolling_forecast(series, model)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.shape == (2300,)
+    assert peak < 128 * 2**20
+    assert held - path.nbytes < 2**20
 
 
 def test_rolling_average_beats_mean_single_window_mae(toy_model):
