@@ -239,11 +239,11 @@ def gradient_penalty(d_fn, x_hat: np.ndarray) -> Tensor:
     return ad.tmean(ad.power(ad.add(ad.tsqrt(sq), -1.0), 2.0))
 
 
-def _sgd(params: dict[str, Tensor], lr: float) -> None:
-    for p in params.values():
-        if p.grad is not None:
-            p.data = p.data - lr * p.grad
-            p.grad = None
+def _sgd(params: dict[str, Tensor], loss: Tensor, lr: float) -> None:
+    """One gradient-descent step on ``params``; no other gradient is computed."""
+    plist = list(params.values())
+    for p, g in zip(plist, ad.gradients(loss, plist)):
+        p.data = p.data - lr * g.data
 
 
 def _forecaster_slope_loss(model: NhitsModel, fake: Tensor, p0s: np.ndarray,
@@ -252,11 +252,10 @@ def _forecaster_slope_loss(model: NhitsModel, fake: Tensor, p0s: np.ndarray,
     lo, hi = bounds
     B, L = fake.shape
     dates = _PRICE_DATES[:L + 1]
-    tri = ad.constant(np.tril(np.ones((L, L))))
     adj_rows, exo_rows = [], []
     for i in range(B):
         r = ad.add(ad.mul(fake[i, :], hi - lo), lo)   # unscale
-        prices = ad.mul(ad.texp(ad.matmul(tri, r)), float(p0s[i]))
+        prices = ad.mul(ad.texp(ad.cumsum(r)), float(p0s[i]))
         prices = ad.concat([ad.constant([float(p0s[i])]), prices])
         fm = compute_features(prices, dates)
         adj_row, exo_row = model._window_tensors(fm, 1)
@@ -325,8 +324,7 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
                     cval = loss_c.item()
                     if not np.isfinite(cval):
                         raise NumericalError(f"critic loss non-finite (block {block}, epoch {epoch})")
-                    ad.backward(loss_c)
-                    _sgd(crit.params, cfg.lr_c)
+                    _sgd(crit.params, loss_c, cfg.lr_c)
                     c_losses.append(cval)
                     global_step += 1
 
@@ -344,11 +342,7 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
                         if not np.isfinite(gval):
                             raise NumericalError(
                                 f"generator loss non-finite (block {block}, epoch {epoch})")
-                        ad.backward(loss_g)
-                        _sgd(gen.params, cfg.lr_g)
-                        for p in crit.params.values():
-                            p.grad = None
-                        model.zero_grad()
+                        _sgd(gen.params, loss_g, cfg.lr_g)
                         g_losses.append(gval)
                         a_losses.append(aval)
                 log.append((block, epoch,

@@ -227,20 +227,20 @@ def _run_iterative(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
     g_accum = np.zeros_like(adj)
     trace = []
     for i in range(iters):
-        model.zero_grad()
         x_t = ad.Tensor(x, requires_grad=True)
         path = _predict_path(model, x_t, window.dates)
-        if on_iteration is not None:
-            path.retain_grad()
         loss, slope = loss_fn(path)
         lval = loss.item()
         if not np.isfinite(lval):
             raise NumericalError(f"{cfg.method}: loss became non-finite at iteration {i}")
-        ad.backward(loss)
         trace.append((i, lval, slope))
-        if on_iteration is not None:
+        if on_iteration is None:
+            grad = ad.gradient(loss, x_t).data
+        else:
+            gx, gpath = ad.gradients(loss, [x_t, path])
+            grad = x_t.grad = gx.data
+            path.grad = gpath.data
             on_iteration(i, path, x_t)
-        grad = x_t.grad if x_t.grad is not None else np.zeros_like(x)
         with ad.no_record():
             if cfg.method == "MIFGSM":
                 norm1 = np.abs(grad).sum()
@@ -278,7 +278,6 @@ def _run_cw(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
     eta = np.zeros_like(adj)
     trace = []
     for i in range(iters):
-        model.zero_grad()
         eta_t = ad.Tensor(eta, requires_grad=True)
         x = ad.add(ad.constant(adj), eta_t)
         if np.any(x.data <= 0.0):
@@ -290,10 +289,8 @@ def _run_cw(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
         oval = obj.item()
         if not np.isfinite(oval):
             raise NumericalError(f"{cfg.method}: objective became non-finite at iteration {i}")
-        ad.backward(obj)
         trace.append((i, oval, slope))
-        grad = eta_t.grad if eta_t.grad is not None else np.zeros_like(eta)
-        eta = eta - step * grad
+        eta = eta - step * ad.gradient(obj, eta_t).data
     return adj + eta, trace, float(np.linalg.norm(eta))
 
 
@@ -303,6 +300,10 @@ def run_attack(series: PriceSeries, model: NhitsModel, config: AttackConfig,
 
     Every iterative method's output satisfies max|x_adv - adjprc| <= eps; the
     C&W variants are unconstrained and report the L2 norm of their noise.
+    Each iteration differentiates only with respect to the prices, so the
+    forecaster's ``grad`` buffers are never written.  ``on_iteration(i, path,
+    x_t)``, if given, is called after each iteration's gradient, with the loss
+    gradient in ``path.grad`` (median path) and ``x_t.grad`` (prices).
     """
     window = _attack_window(series, model)
     eps = eps_abs(window, config.eps_pct)

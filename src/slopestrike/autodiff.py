@@ -1,9 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 Tensors wrap numpy arrays; every operation that touches a gradient-carrying
-input records a node so that ``backward`` can sweep the graph in reverse
-topological order.  A restricted subset of operations additionally supports
-building the backward pass itself as a differentiable graph
+input records a node so that the backward pass can sweep the graph in reverse
+topological order.  The sweep computes only the vector-Jacobian products that
+reach a requested tensor: ``backward`` requests every requires-grad leaf, while
+``gradient``/``gradients`` request just the tensors they are given, so a caller
+that needs a subset (an attack's price gradient, a generator's parameters)
+skips every other product.  A restricted subset of operations additionally
+supports building the backward pass itself as a differentiable graph
 (``create_graph=True``), which is what the Wasserstein gradient penalty needs.
 
 Subgradient conventions (fixed for deterministic replay):
@@ -87,14 +91,13 @@ class Node:
 class Tensor:
     """Dense float64 tensor with an optional gradient buffer and graph node."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "_retain")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.node: Node | None = None
-        self._retain = False
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -123,11 +126,6 @@ class Tensor:
 
     def requires_grad_(self, flag: bool = True) -> "Tensor":
         self.requires_grad = flag
-        return self
-
-    def retain_grad(self) -> "Tensor":
-        """Keep the gradient of this (possibly interior) tensor during backward."""
-        self._retain = True
         return self
 
     def zero_grad(self) -> None:
@@ -243,13 +241,18 @@ def _reduce_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
+#
+# A vjp of a node with several parents takes ``need``, one flag per parent,
+# and returns None for a parent whose gradient cannot reach a requested
+# tensor.  A single-parent node is only swept when its parent is needed.
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise("add", a, b)
 
-    def vjp(g):
-        return (_reduce_to(g, a.shape), _reduce_to(g, b.shape))
+    def vjp(g, need):
+        return (_reduce_to(g, a.shape) if need[0] else None,
+                _reduce_to(g, b.shape) if need[1] else None)
 
     return _make("add", a.data + b.data, (a, b), vjp)
 
@@ -258,8 +261,9 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise("sub", a, b)
 
-    def vjp(g):
-        return (_reduce_to(g, a.shape), _reduce_to(mul(g, -1.0), b.shape))
+    def vjp(g, need):
+        return (_reduce_to(g, a.shape) if need[0] else None,
+                _reduce_to(mul(g, -1.0), b.shape) if need[1] else None)
 
     return _make("sub", a.data - b.data, (a, b), vjp)
 
@@ -268,8 +272,9 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise("mul", a, b)
 
-    def vjp(g):
-        return (_reduce_to(mul(g, b), a.shape), _reduce_to(mul(g, a), b.shape))
+    def vjp(g, need):
+        return (_reduce_to(mul(g, b), a.shape) if need[0] else None,
+                _reduce_to(mul(g, a), b.shape) if need[1] else None)
 
     return _make("mul", a.data * b.data, (a, b), vjp)
 
@@ -280,10 +285,10 @@ def div(a, b) -> Tensor:
     if np.any(b.data == 0.0):
         raise DomainError("div: division by zero")
 
-    def vjp(g):
-        ga = div(g, b)
-        gb = mul(mul(g, -1.0), div(a, mul(b, b)))
-        return (_reduce_to(ga, a.shape), _reduce_to(gb, b.shape))
+    def vjp(g, need):
+        ga = _reduce_to(div(g, b), a.shape) if need[0] else None
+        gb = _reduce_to(mul(mul(g, -1.0), div(a, mul(b, b))), b.shape) if need[1] else None
+        return (ga, gb)
 
     return _make("div", a.data / b.data, (a, b), vjp)
 
@@ -496,13 +501,17 @@ def transpose(a) -> Tensor:
 
 
 def tslice(a, key) -> Tensor:
+    """Basic indexing (ints and slices); every element is picked at most once."""
     a = as_tensor(a)
     shape = a.shape
+    if not all(isinstance(k, (int, np.integer, slice)) or k is None or k is Ellipsis
+               for k in (key if isinstance(key, tuple) else (key,))):
+        raise ShapeError(f"slice: only int and slice indices are supported, got {key!r}")
     out_data = a.data[key]
 
     def vjp(g):
         buf = np.zeros(shape)
-        np.add.at(buf, key, g.data)
+        buf[key] = g.data
         return (Tensor(buf),)
 
     return _make("slice", np.array(out_data, dtype=np.float64), (a,), vjp)
@@ -515,9 +524,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def vjp(g):
+    def vjp(g, need=(True,)):
         grads = []
         for i in range(len(tensors)):
+            if not need[i]:
+                grads.append(None)
+                continue
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
             grads.append(tslice(g, tuple(idx)))
@@ -612,6 +624,19 @@ def ema(x, beta: float) -> Tensor:
     return _make("ema", _decay_scan(x.data, beta, 1.0 - beta), (x,), vjp)
 
 
+def cumsum(x) -> Tensor:
+    """Running sum of a 1-D tensor: c_t = x_0 + ... + x_t."""
+    x = as_tensor(x)
+    if x.ndim != 1:
+        raise ShapeError(f"cumsum: expected a 1-D tensor, got {x.shape}")
+
+    def vjp(g):
+        # x_t feeds every c_s with s >= t: the running sum taken from the end
+        return (Tensor(_decay_scan(g.data[::-1], 1.0, 1.0)[::-1]),)
+
+    return _make("cumsum", _decay_scan(x.data, 1.0, 1.0), (x,), vjp)
+
+
 # ---------------------------------------------------------------------------
 # linear algebra and convolution
 # ---------------------------------------------------------------------------
@@ -625,8 +650,9 @@ def matmul(a, b) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
 
-    def vjp(g):
-        return (matmul(g, transpose(b)), matmul(transpose(a), g))
+    def vjp(g, need):
+        return (matmul(g, transpose(b)) if need[0] else None,
+                matmul(transpose(a), g) if need[1] else None)
 
     return _make("matmul", a.data @ b.data, (a, b), vjp)
 
@@ -668,13 +694,17 @@ def conv1d(x, w, dilation: int = 1) -> Tensor:
     wmat = w.data.reshape(Cout, Cin * K).T
     out_data = (pmat @ wmat).reshape(B, T, Cout).transpose(0, 2, 1)
 
-    def vjp(g):
+    def vjp(g, need):
         gd = g.data[None] if squeeze else g.data
         gmat = gd.transpose(0, 2, 1).reshape(B * T, Cout)
-        gw = (gmat.T @ pmat).reshape(Cout, Cin, K)
-        gtaps = (gmat @ wmat.T).reshape(B, T, Cin, K).transpose(1, 3, 0, 2)
-        gx = np.moveaxis(_overlap_add(gtaps, T + pad, dilation)[pad:], 0, 2)
-        return (Tensor(gx[0] if squeeze else gx), Tensor(gw))
+        gx = gw = None
+        if need[0]:
+            gtaps = (gmat @ wmat.T).reshape(B, T, Cin, K).transpose(1, 3, 0, 2)
+            gx = np.moveaxis(_overlap_add(gtaps, T + pad, dilation)[pad:], 0, 2)
+            gx = Tensor(gx[0] if squeeze else gx)
+        if need[1]:
+            gw = Tensor((gmat.T @ pmat).reshape(Cout, Cin, K))
+        return (gx, gw)
 
     return _make("conv1d", out_data[0] if squeeze else out_data, (x, w), vjp)
 
@@ -755,8 +785,7 @@ def _run_backward(root: Tensor, create_graph: bool, sinks: list[Tensor] | None,
     if sinks is not None:
         targets = {id(t) for t in sinks}
     else:
-        targets = {id(t) for t in order
-                   if (t.node is None and t.requires_grad) or t._retain}
+        targets = {id(t) for t in order if t.node is None and t.requires_grad}
     matters = _matters_map(order, targets)
 
     grads: dict[int, Tensor] = {id(root): Tensor(np.ones(root.shape))}
@@ -768,7 +797,7 @@ def _run_backward(root: Tensor, create_graph: bool, sinks: list[Tensor] | None,
             continue
         if sinks is not None and id(t) in targets:
             out[id(t)] = g
-        if accumulate and ((t.node is None and t.requires_grad) or t._retain):
+        if accumulate and t.node is None and t.requires_grad:
             if t.grad is None:
                 t.grad = np.zeros(t.shape)
             t.grad = t.grad + g.data
@@ -780,14 +809,16 @@ def _run_backward(root: Tensor, create_graph: bool, sinks: list[Tensor] | None,
         if create_graph and not node.second_order:
             raise SecondOrderError(
                 f"operation '{node.kind}' does not support second-order differentiation")
-        with _record(create_graph):
-            pgrads = node.vjp(g)
-            for p, pg in zip(node.parents, pgrads):
-                if pg is None or id(p) not in matters:
-                    continue
-                prev = grads.get(id(p))
-                grads[id(p)] = pg if prev is None else add(prev, pg)
-        if accumulate and not create_graph:
+        need = tuple(id(p) in matters for p in node.parents)
+        if any(need):
+            with _record(create_graph):
+                pgrads = node.vjp(g, need) if len(need) > 1 else node.vjp(g)
+                for p, pg in zip(node.parents, pgrads):
+                    if pg is None:
+                        continue
+                    prev = grads.get(id(p))
+                    grads[id(p)] = pg if prev is None else add(prev, pg)
+        if not create_graph:
             # tanh/sigmoid/sqrt vjps hold their own output; dropping the vjp breaks
             # that cycle, so a consumed graph is freed without waiting for the gc
             node.freed = True
@@ -799,7 +830,8 @@ def backward(root: Tensor, create_graph: bool = False) -> None:
     """Accumulate d(root)/d(leaf) into ``grad`` of every requires-grad leaf.
 
     Unless ``create_graph`` is set the swept nodes are consumed; a second
-    backward over them raises ``GraphError``.
+    backward over them raises ``GraphError``.  Use ``gradient``/``gradients``
+    when only some tensors' gradients are wanted: nothing else is computed.
     """
     _run_backward(root, create_graph, sinks=None, accumulate=True)
 
@@ -807,8 +839,11 @@ def backward(root: Tensor, create_graph: bool = False) -> None:
 def gradients(root: Tensor, wrt: list[Tensor], create_graph: bool = False) -> list[Tensor]:
     """Return d(root)/d(t) for each tensor in ``wrt`` without touching ``grad`` buffers.
 
-    With ``create_graph=True`` the returned tensors are graph-connected and can
-    be differentiated again (second-order subset only).
+    ``wrt`` may hold interior tensors as well as leaves.  Only the products
+    that reach a tensor in ``wrt`` are computed.  Without ``create_graph`` the
+    swept nodes are consumed, as in ``backward``; with it the returned tensors
+    are graph-connected and can be differentiated again (second-order subset
+    only).
     """
     found = _run_backward(root, create_graph, sinks=list(wrt), accumulate=False)
     res = []

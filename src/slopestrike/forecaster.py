@@ -182,10 +182,6 @@ class NhitsModel:
         for p in self.params.values():
             p.grad = None
 
-    def freeze(self) -> None:
-        for p in self.params.values():
-            p.requires_grad = False
-
     # -- forward ------------------------------------------------------------
 
     def _normalise_windows(self, adj_w: Tensor):

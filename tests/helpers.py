@@ -132,8 +132,15 @@ def _builders():
 
         return [(8,)], f
 
+    def accumulated(rng):
+        def f(ts):
+            c = ad.cumsum(ts[0])
+            return ad.tsum(ad.texp(ad.mul(c, 0.2)))
+
+        return [(7,)], f
+
     return [mlp, elementwise_chain, log_sqrt, pooled, convnet, sliced,
-            pooled_matmul, clamped, unfolded, folded, smoothed]
+            pooled_matmul, clamped, unfolded, folded, smoothed, accumulated]
 
 
 def random_graph_cases(n, seed=20240501):

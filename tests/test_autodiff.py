@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopestrike import autodiff as ad
-from helpers import finite_diff, max_rel_err, random_graph_cases, graph_gradients, eval_scalar
+from helpers import (finite_diff, max_rel_err, random_graph_cases, graph_gradients, eval_scalar,
+                     _builders)
 
 
 def test_add_elementwise():
@@ -195,6 +196,8 @@ def test_shape_mismatch_names_operation():
         ad.matmul(ad.constant(np.ones((3, 4))), ad.constant(np.ones((5, 2))))
     with pytest.raises(ad.ShapeError, match="add"):
         ad.add(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
+    with pytest.raises(ad.ShapeError, match="slice"):
+        ad.constant(np.ones(3))[[0, 0]]  # advanced indexing is not supported
 
 
 def test_window_op_shape_errors_name_operation():
@@ -219,12 +222,36 @@ def test_no_grad_buffer_without_requires_grad():
     assert np.array_equal(y.grad, [1.0, 2.0])
 
 
-def test_retain_grad_exposes_interior_gradient():
+def test_gradients_expose_interior_gradient():
     x = ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)
     mid = ad.mul(x, 2.0)
-    mid.retain_grad()
-    ad.backward(ad.tsum(ad.mul(mid, mid)))
-    assert np.array_equal(mid.grad, 2.0 * mid.data)
+    g_mid, g_x = ad.gradients(ad.tsum(ad.mul(mid, mid)), [mid, x])
+    assert np.array_equal(g_mid.data, 2.0 * mid.data)
+    assert np.array_equal(g_x.data, 4.0 * mid.data)
+    assert mid.grad is None and x.grad is None
+
+
+def test_gradients_equal_accumulated_backward_on_corpus():
+    # every builder once; each leaf alone too, so constant-operand products are skipped
+    for f, arrays in random_graph_cases(len(_builders())):
+        accumulated = graph_gradients(f, arrays)
+        ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        asked = ad.gradients(f(ts), ts)
+        for k, want in enumerate(accumulated):
+            assert np.array_equal(asked[k].data, want)
+            fresh = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+            assert np.array_equal(ad.gradient(f(fresh), fresh[k]).data, want)
+
+
+def test_gradients_consume_the_graph():
+    x = ad.Tensor([0.5, -1.0], requires_grad=True)
+    root = ad.tsum(ad.tanh(ad.mul(x, x)))
+    ad.gradient(root, x)
+    assert root.node.freed and root.node.vjp is None
+    with pytest.raises(ad.GraphError):
+        ad.gradient(root, x)
+    with pytest.raises(ad.GraphError):
+        ad.backward(root)
 
 
 def test_trailing_broadcast_add_and_reduction():
