@@ -4,8 +4,9 @@ The generator is a causal TCN fed noise concatenated with a real (min-max
 scaled) log-return interval as the condition; the critic is a tanh MLP over
 the flattened (interval, condition) pair so that the gradient penalty's
 second-order pass stays inside the supported operation subset.  A frozen
-forecaster acts as a second critic: generated returns are converted back to
-prices, forecast, and pushed toward a positive least-squares slope.  Training
+forecaster acts as a second critic: the whole batch of generated returns is
+converted back to prices and forecast in one graph, and each forecast's
+least-squares slope is pushed positive.  Training
 runs in transfer-learning blocks with a rising adversarial scale.
 """
 
@@ -22,7 +23,7 @@ from .autodiff import Tensor
 from .dataio import PriceSeries, business_days, save_checkpoint, load_checkpoint, CheckpointError
 from .features import compute_features
 from .forecaster import NhitsModel, NumericalError
-from .attacks import ls_slope, slope_loss
+from .attacks import general_slope_value, ls_slope, ls_slope_value, slope_loss
 
 logger = logging.getLogger(__name__)
 
@@ -116,14 +117,19 @@ def sample_intervals(series: PriceSeries, n: int, seed: int,
     return out
 
 
-def to_prices(log_returns: np.ndarray, p0: float) -> np.ndarray:
-    """Prices from raw (unscaled) log returns: p_t = p0 * exp(cumsum(r))."""
-    if p0 <= 0.0:
-        raise ad.DomainError(f"p0 must be positive, got {p0}")
-    csum = np.cumsum(np.asarray(log_returns, dtype=np.float64))
+def to_prices(log_returns: np.ndarray, p0) -> np.ndarray:
+    """Prices from raw (unscaled) log returns: p_t = p0 * exp(cumsum(r)).
+
+    Returns (L,) -> (L+1,) with a float p0, or (n, L) -> (n, L+1) with one p0
+    per row.  Raises if any row has a non-positive p0 or overflows exp.
+    """
+    p0 = np.asarray(p0, dtype=np.float64)[..., None]
+    if np.any(p0 <= 0.0):
+        raise ad.DomainError(f"p0 must be positive, got {float(np.min(p0))}")
+    csum = np.cumsum(np.asarray(log_returns, dtype=np.float64), axis=-1)
     if csum.size and np.max(np.abs(csum)) > 700.0:
         raise ad.DomainError("cumulative log return overflows exp")
-    return np.concatenate([[p0], p0 * np.exp(csum)])
+    return np.concatenate([p0, p0 * np.exp(csum)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +254,19 @@ def _sgd(params: dict[str, Tensor], loss: Tensor, lr: float) -> None:
 
 def _forecaster_slope_loss(model: NhitsModel, fake: Tensor, p0s: np.ndarray,
                            bounds: tuple[float, float], cfg: GanConfig) -> Tensor:
-    """Mean slope objective of the forecaster's median path on generated prices."""
+    """Mean slope objective of the forecaster's median path on generated prices.
+
+    The whole batch is one graph: (B, L) returns -> (B, L+1) prices -> one
+    feature batch -> one forecast -> (B,) least-squares slopes.
+    """
     lo, hi = bounds
     B, L = fake.shape
-    dates = _PRICE_DATES[:L + 1]
-    adj_rows, exo_rows = [], []
-    for i in range(B):
-        r = ad.add(ad.mul(fake[i, :], hi - lo), lo)   # unscale
-        prices = ad.mul(ad.texp(ad.cumsum(r)), float(p0s[i]))
-        prices = ad.concat([ad.constant([float(p0s[i])]), prices])
-        fm = compute_features(prices, dates)
-        adj_row, exo_row = model._window_tensors(fm, 1)
-        adj_rows.append(adj_row)
-        exo_rows.append(exo_row)
-    adj_w = ad.concat(adj_rows, axis=0)
-    exo = ad.concat(exo_rows, axis=0) if exo_rows[0] is not None else None
-    out = model.core(adj_w, exo)
-    H, Q = model.config.horizon, model.config.n_quantiles
-    med = ad.sort_last(ad.reshape(out, (B, H, Q)))[:, :, model.config.median_index]
-    losses = [slope_loss(ls_slope(med[i, :]), 1, cfg.c, cfg.d) for i in range(B)]
-    return ad.tmean(ad.concat([ad.reshape(l, (1,)) for l in losses]))
+    p0 = np.asarray(p0s, dtype=np.float64)[:, None]
+    r = ad.add(ad.mul(fake, hi - lo), lo)   # unscale
+    prices = ad.mul(ad.texp(ad.cumsum(r)), ad.constant(np.broadcast_to(p0, (B, L))))
+    prices = ad.concat([ad.constant(p0), prices], axis=1)
+    med = model.forward(compute_features(prices, _PRICE_DATES[:L + 1])).median_path
+    return ad.tmean(slope_loss(ls_slope(med), 1, cfg.c, cfg.d))
 
 
 def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: int = 0):
@@ -359,17 +358,16 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
 
 def forecast_slopes(model: NhitsModel, scaled: np.ndarray, p0s: np.ndarray,
                     bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Forecaster general and LS slopes on prices rebuilt from scaled intervals."""
-    from .attacks import general_slope_value, ls_slope_value
-    gen_slopes, ls_slopes = [], []
+    """Forecaster general and LS slopes on prices rebuilt from scaled intervals.
+
+    All n intervals go through one feature batch and one forecast; returns two
+    (n,) arrays.
+    """
+    prices = to_prices(unscale(scaled, bounds), p0s)
     with ad.no_record():
-        for row, p0 in zip(scaled, p0s):
-            prices = to_prices(unscale(row, bounds), float(p0))
-            fm = compute_features(ad.constant(prices), _PRICE_DATES[:len(prices)])
-            med = model.forward(fm).median_path.data
-            gen_slopes.append(general_slope_value(med))
-            ls_slopes.append(ls_slope_value(med))
-    return np.array(gen_slopes), np.array(ls_slopes)
+        fm = compute_features(ad.constant(prices), _PRICE_DATES[:prices.shape[1]])
+        med = model.forward(fm).median_path.data
+    return general_slope_value(med), ls_slope_value(med)
 
 
 def evaluate_gan(bundle: GanBundle, series: PriceSeries, model: NhitsModel | None,

@@ -84,35 +84,40 @@ class AttackResult:
 # slope measures and the slope objective
 # ---------------------------------------------------------------------------
 
+def _check_series(kind: str, pred) -> int:
+    if pred.ndim not in (1, 2) or pred.shape[-1] < 2:
+        raise ValueError(f"{kind} needs series (N,) or (B, N) with N >= 2, got {pred.shape}")
+    return pred.shape[-1]
+
+
 def general_slope(pred: Tensor) -> Tensor:
-    """Endpoint slope (y_last - y_first) / (N - 1) with the day index as x."""
-    n = pred.shape[0]
-    if pred.ndim != 1 or n < 2:
-        raise ValueError(f"general_slope needs a 1-D series of length >= 2, got {pred.shape}")
-    return ad.mul(ad.sub(pred[n - 1:n], pred[0:1]), 1.0 / (n - 1))
+    """Endpoint slope (y_last - y_first) / (N - 1) with the day index as x; (B, N) -> (B,)."""
+    n = _check_series("general_slope", pred)
+    return ad.mul(ad.sub(pred[..., n - 1], pred[..., 0]), 1.0 / (n - 1))
 
 
 def ls_slope(pred: Tensor) -> Tensor:
-    """Least-squares regression slope of the series against x = 0..N-1."""
-    n = pred.shape[0]
-    if pred.ndim != 1 or n < 2:
-        raise ValueError(f"ls_slope needs a 1-D series of length >= 2, got {pred.shape}")
+    """Least-squares regression slope against x = 0..N-1; (B, N) -> (B,)."""
+    n = _check_series("ls_slope", pred)
     x = np.arange(n, dtype=np.float64)
     xc = x - x.mean()
-    ybar = ad.tmean(pred)
-    centred = ad.sub(pred, ybar)
-    num = ad.tsum(ad.mul(ad.constant(xc), centred))
+    ybar = ad.expand(ad.tmean(pred, axis=-1), pred.shape, -1)
+    num = ad.tsum(ad.mul(ad.constant(xc), ad.sub(pred, ybar)), axis=-1)
     return ad.mul(num, 1.0 / float(np.sum(xc * xc)))
 
 
-def general_slope_value(pred) -> float:
+def general_slope_value(pred):
+    """``general_slope`` without a graph: a float, or (B,) values for a batch."""
     pred = np.asarray(pred, dtype=np.float64)
-    return float((pred[-1] - pred[0]) / (len(pred) - 1))
+    slope = (pred[..., -1] - pred[..., 0]) / (_check_series("general_slope", pred) - 1)
+    return slope if slope.ndim else float(slope)
 
 
-def ls_slope_value(pred) -> float:
+def ls_slope_value(pred):
+    """``ls_slope`` without a graph: a float, or (B,) values for a batch."""
     with ad.no_record():
-        return ls_slope(ad.constant(pred)).item()
+        slope = ls_slope(ad.constant(pred)).data
+    return slope if slope.ndim else float(slope)
 
 
 def slope_loss(m: Tensor, t: int, c: float, d: float) -> Tensor:

@@ -400,12 +400,11 @@ def relu(a) -> Tensor:
 
 def leaky_relu(a, slope: float = 0.01) -> Tensor:
     a = as_tensor(a)
-    mask = np.where(a.data >= 0.0, 1.0, slope)
 
     def vjp(g):
-        return (mul(g, Tensor(mask)),)
+        return (mul(g, Tensor(np.where(a.data >= 0.0, 1.0, slope))),)
 
-    return _make("leaky_relu", a.data * mask, (a,), vjp)
+    return _make("leaky_relu", np.where(a.data >= 0.0, a.data, a.data * slope), (a,), vjp)
 
 
 def tanh(a) -> Tensor:
@@ -557,84 +556,97 @@ def sort_last(a) -> Tensor:
 # sliding windows
 # ---------------------------------------------------------------------------
 
-def _window_view(a: np.ndarray, size: int, dilation: int = 1) -> np.ndarray:
-    """Read-only view of every window of ``size`` taps along axis 0: (n, size, ...)."""
+def _window_view(a: np.ndarray, size: int, dilation: int = 1, axis: int = 0) -> np.ndarray:
+    """Read-only view of every window of ``size`` taps along ``axis``: (..., n, size, ...)."""
     span = (size - 1) * dilation + 1
-    view = np.lib.stride_tricks.sliding_window_view(a, span, axis=0)[..., ::dilation]
-    return np.moveaxis(view, -1, 1)
+    view = np.lib.stride_tricks.sliding_window_view(a, span, axis=axis)[..., ::dilation]
+    return np.moveaxis(view, -1, axis + 1)
 
 
-def _overlap_add(w: np.ndarray, length: int, dilation: int = 1) -> np.ndarray:
-    """Adjoint of ``_window_view``: add tap k of window i back at row i + k*dilation."""
-    n = w.shape[0]
-    out = np.zeros((length,) + w.shape[2:])
+def _overlap_add(w: np.ndarray, length: int, dilation: int = 1, axis: int = 0) -> np.ndarray:
+    """Adjoint of ``_window_view``: add tap k of window i back at i + k*dilation along ``axis``."""
+    n = w.shape[axis]
+    out = np.zeros(w.shape[:axis] + (length,) + w.shape[axis + 2:])
+    # views with the window and tap axes first, so the adds land in out
+    out_t, w_t = np.moveaxis(out, axis, 0), np.moveaxis(w, (axis, axis + 1), (0, 1))
     # highest tap first, so every row sums its windows in window order
-    for k in reversed(range(w.shape[1])):
-        out[k * dilation:k * dilation + n] += w[:, k]
+    for k in reversed(range(w.shape[axis + 1])):
+        out_t[k * dilation:k * dilation + n] += w_t[:, k]
     return out
 
 
-def unfold(x, size: int) -> Tensor:
-    """Every window of ``size`` consecutive rows: (T, ...) -> (T-size+1, size, ...)."""
+def unfold(x, size: int, axis: int = 0) -> Tensor:
+    """Every window of ``size`` consecutive steps along ``axis``.
+
+    (T, ...) -> (T-size+1, size, ...) for axis 0; a leading batch axis, as in
+    (B, T, ...) with axis 1, is carried through: (B, T-size+1, size, ...).
+    """
     x = as_tensor(x)
-    T = x.shape[0] if x.ndim else 0
+    T = x.shape[axis] if 0 <= axis < x.ndim else 0
     if not 1 <= size <= T:
-        raise ShapeError(f"unfold: window {size} does not fit the leading axis of {x.shape}")
+        raise ShapeError(f"unfold: window {size} does not fit axis {axis} of {x.shape}")
 
     def vjp(g):
-        return (fold(g, T),)
+        return (fold(g, T, axis),)
 
-    return _make("unfold", _window_view(x.data, size).copy(), (x,), vjp)
+    return _make("unfold", _window_view(x.data, size, axis=axis).copy(), (x,), vjp)
 
 
-def fold(w, length: int) -> Tensor:
-    """Adjoint of ``unfold``: overlap-add (length-size+1, size, ...) windows to (length, ...)."""
+def fold(w, length: int, axis: int = 0) -> Tensor:
+    """Adjoint of ``unfold``: overlap-add windows (length-size+1, size) at ``axis`` to length."""
     w = as_tensor(w)
-    if w.ndim < 2 or w.shape[0] != length - w.shape[1] + 1:
-        raise ShapeError(f"fold: windows {w.shape} do not tile length {length}")
-    size = w.shape[1]
+    if (axis < 0 or w.ndim < axis + 2
+            or w.shape[axis] != length - w.shape[axis + 1] + 1):
+        raise ShapeError(f"fold: windows {w.shape} do not tile length {length} at axis {axis}")
+    size = w.shape[axis + 1]
 
     def vjp(g):
-        return (unfold(g, size),)
+        return (unfold(g, size, axis),)
 
-    return _make("fold", _overlap_add(w.data, length), (w,), vjp)
+    return _make("fold", _overlap_add(w.data, length, axis=axis), (w,), vjp)
 
 
 def _decay_scan(x: np.ndarray, gain: float, decay: float) -> np.ndarray:
-    """r_0 = x_0, r_t = gain * x_t + decay * r_{t-1} over a 1-D array."""
-    r = x.tolist()
+    """r_0 = x_0, r_t = gain * x_t + decay * r_{t-1} along the last axis."""
+    if x.ndim == 1:  # Python floats step far faster than numpy scalars
+        r = x.tolist()
+    else:  # time-major rows: each step updates a whole batch of series
+        r = list(np.moveaxis(x, -1, 0))
     for t in range(1, len(r)):
         r[t] = gain * r[t] + decay * r[t - 1]
-    return np.array(r)
+    if x.ndim == 1:
+        return np.array(r)
+    # contiguous, so the ops that follow (exp, say) round as they do on one series
+    return np.ascontiguousarray(np.moveaxis(np.array(r), 0, -1))
 
 
 def ema(x, beta: float) -> Tensor:
-    """Exponential moving average of a 1-D tensor: e_0 = x_0, e_t = beta x_t + (1-beta) e_{t-1}."""
+    """Exponential moving average along the last axis: e_0 = x_0, e_t = beta x_t + (1-beta) e_{t-1}."""
     x = as_tensor(x)
-    if x.ndim != 1:
-        raise ShapeError(f"ema: expected a 1-D tensor, got {x.shape}")
+    if x.ndim < 1:
+        raise ShapeError("ema: expected at least 1-D, got a scalar")
 
     def vjp(g):
         # the same recurrence run backwards: a_t = g_t + (1-beta) a_{t+1};
         # x_t receives beta * a_t, except x_0, which seeds e_0 and receives a_0
-        a = _decay_scan(g.data[::-1], 1.0, 1.0 - beta)[::-1]
-        a[1:] *= beta
+        a = _decay_scan(g.data[..., ::-1], 1.0, 1.0 - beta)[..., ::-1]
+        a[..., 1:] *= beta
         return (Tensor(a),)
 
     return _make("ema", _decay_scan(x.data, beta, 1.0 - beta), (x,), vjp)
 
 
 def cumsum(x) -> Tensor:
-    """Running sum of a 1-D tensor: c_t = x_0 + ... + x_t."""
+    """Running sum along the last axis: c_t = x_0 + ... + x_t."""
     x = as_tensor(x)
-    if x.ndim != 1:
-        raise ShapeError(f"cumsum: expected a 1-D tensor, got {x.shape}")
+    if x.ndim < 1:
+        raise ShapeError("cumsum: expected at least 1-D, got a scalar")
 
     def vjp(g):
         # x_t feeds every c_s with s >= t: the running sum taken from the end
-        return (Tensor(_decay_scan(g.data[::-1], 1.0, 1.0)[::-1]),)
+        return (Tensor(np.cumsum(g.data[..., ::-1], axis=-1)[..., ::-1]),)
 
-    return _make("cumsum", _decay_scan(x.data, 1.0, 1.0), (x,), vjp)
+    return _make("cumsum", np.cumsum(x.data, axis=-1), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -642,17 +654,22 @@ def cumsum(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
+    """a @ b for a 2-D b; the leading axes of a (..., K) are all rows of the product."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim == 1:
         return reshape(matmul(reshape(a, (1, a.shape[0])), b), (-1,))
     if b.ndim == 1:
         return reshape(matmul(a, reshape(b, (b.shape[0], 1))), (-1,))
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
 
     def vjp(g, need):
-        return (matmul(g, transpose(b)) if need[0] else None,
-                matmul(transpose(a), g) if need[1] else None)
+        gb = None
+        if need[1]:
+            rows, grows = (a, g) if a.ndim == 2 else (reshape(a, (-1, b.shape[0])),
+                                                      reshape(g, (-1, b.shape[1])))
+            gb = matmul(transpose(rows), grows)
+        return (matmul(g, transpose(b)) if need[0] else None, gb)
 
     return _make("matmul", a.data @ b.data, (a, b), vjp)
 
@@ -668,7 +685,8 @@ def channel_bias(x, b) -> Tensor:
     if x.ndim == 2:
         return add(x, expand(b, x.shape, 1))
     if x.ndim == 3:
-        return add(x, expand(expand(b, x.shape[1:], 1), x.shape, 0))
+        # (C, T) suffices: add broadcasts it over the batch, _reduce_to sums it back
+        return add(x, expand(b, x.shape[1:], 1))
     raise ShapeError(f"channel_bias: expected 2-D or 3-D input, got {x.shape}")
 
 

@@ -70,7 +70,7 @@ def load_csv(path) -> list[PriceSeries]:
     """Parse a ``ticker,date,adjprc`` CSV into one series per ticker.
 
     Rows are sorted by date per ticker; duplicate (ticker, date) pairs and
-    non-positive prices are rejected with the offending line number.
+    non-finite or non-positive prices are rejected with the offending line number.
     """
     rows: dict[str, list[tuple[dt.date, float]]] = {}
     seen: set[tuple[str, str]] = set()
@@ -97,7 +97,9 @@ def load_csv(path) -> list[PriceSeries]:
                 price = float(price_str)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad price '{price_str}'") from exc
-            if price <= 0.0 or not np.isfinite(price):
+            if not np.isfinite(price):
+                raise DataError(f"{path}:{lineno}: non-finite adjprc {price_str}")
+            if price <= 0.0:
                 raise DataError(f"{path}:{lineno}: non-positive adjprc {price_str}")
             rows.setdefault(ticker, []).append((date, price))
     if not rows:

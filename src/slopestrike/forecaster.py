@@ -85,7 +85,9 @@ class NhitsConfig:
 
 @dataclass
 class ForecastOutput:
-    """Per-day quantile forecasts (sorted along the quantile axis) and the median path."""
+    """Per-day quantile forecasts (sorted along the quantile axis) and the median path.
+
+    A batch of series adds a leading axis to both tensors."""
 
     quantile_paths: Tensor  # (horizon, n_quantiles)
     median_path: Tensor     # (horizon,)
@@ -234,33 +236,39 @@ class NhitsModel:
         return out
 
     def _exo_from_features(self, fm: FeatureMatrix) -> Tensor:
-        """Per-series standardised continuous channels plus the weekday one-hot."""
+        """Per-series standardised continuous channels plus the weekday one-hot: (..., T, 17)."""
         cont = fm.continuous
-        mu = ad.tmean(cont, axis=0)
+        mu = ad.expand(ad.tmean(cont, axis=-2), cont.shape, -2)
         d = ad.sub(cont, mu)
-        sd = ad.tsqrt(ad.tmean(ad.mul(d, d), axis=0))
-        z = ad.div(d, ad.add(sd, NORM_EPS))
-        return ad.concat([z, fm.day_one_hot()], axis=1)  # (T, 17)
+        sd = ad.tsqrt(ad.tmean(ad.mul(d, d), axis=-2))
+        z = ad.div(d, ad.expand(ad.add(sd, NORM_EPS), cont.shape, -2))
+        return ad.concat([z, fm.day_one_hot()], axis=-1)
 
     def _window_tensors(self, fm: FeatureMatrix, n_windows: int):
+        """The first n_windows encoder windows of each series, series-major:
+        prices (rows, E) and exogenous features (rows, E*17)."""
         cfg = self.config
         E = cfg.encoder_length
         span = n_windows + E - 1
-        adj_w = ad.unfold(fm.continuous[:span, 0], E)  # (N, E)
+        days = fm.continuous.ndim - 2  # axis of the days
+        adj_w = ad.unfold(fm.continuous[..., :span, 0], E, days)
+        if days:  # a batch: one row per window of every series
+            adj_w = ad.reshape(adj_w, (-1, E))
         if not cfg.use_features:
             return adj_w, None
-        exo_days = self._exo_from_features(fm)[:span]
-        return adj_w, ad.reshape(ad.unfold(exo_days, E), (n_windows, cfg.exo_dim))
+        exo_days = self._exo_from_features(fm)[..., :span, :]
+        return adj_w, ad.reshape(ad.unfold(exo_days, E, days), (-1, cfg.exo_dim))
 
     def forward(self, window: FeatureMatrix) -> ForecastOutput:
-        """Forecast from exactly one encoder window of features."""
+        """Forecast from exactly one encoder window of features, or one per series of a batch."""
         cfg = self.config
         if len(window) != cfg.encoder_length:
             raise ValueError(f"window has {len(window)} days, need {cfg.encoder_length}")
         adj_w, exo = self._window_tensors(window, 1)
         out = self.core(adj_w, exo)
-        qp = ad.sort_last(ad.reshape(out, (cfg.horizon, cfg.n_quantiles)))
-        return ForecastOutput(qp, qp[:, cfg.median_index], cfg.quantiles)
+        batch = window.continuous.shape[:-2]
+        qp = ad.sort_last(ad.reshape(out, batch + (cfg.horizon, cfg.n_quantiles)))
+        return ForecastOutput(qp, qp[..., cfg.median_index], cfg.quantiles)
 
     def rolling_median_path(self, fm: FeatureMatrix) -> Tensor:
         """Overlap-averaged median-quantile path for every day after the encoder.

@@ -139,8 +139,50 @@ def _builders():
 
         return [(7,)], f
 
+    def unfolded_rows(rng):
+        w = rng.uniform(-1, 1, (5,))
+
+        def f(ts):
+            windows = ad.unfold(ts[0], 5, 1)  # (2, 3, 5)
+            return ad.tmean(ad.tanh(ad.mul(windows, ad.constant(w))))
+
+        return [(2, 7)], f
+
+    def folded_rows(rng):
+        w = rng.uniform(-1, 1, (2, 4, 3))
+
+        def f(ts):
+            days = ad.fold(ad.mul(ts[0], ad.constant(w)), 6, 1)  # (2, 6)
+            return ad.tsum(ad.sigmoid(days))
+
+        return [(2, 4, 3)], f
+
+    def smoothed_rows(rng):
+        def f(ts):
+            e = ad.ema(ts[0], 0.4)  # along the last axis of each row
+            return ad.tsum(ad.mul(e, e))
+
+        return [(2, 7)], f
+
+    def accumulated_rows(rng):
+        w = rng.uniform(-1, 1, (2, 7))
+
+        def f(ts):
+            c = ad.cumsum(ts[0])
+            return ad.tsum(ad.texp(ad.mul(c, ad.constant(w))))
+
+        return [(2, 7)], f
+
+    def batched_matmul(rng):
+        def f(ts):
+            y = ad.matmul(ts[0], ts[1])  # (2, 3, 4) @ (4, 2): leading axes are rows
+            return ad.tmean(ad.tanh(y))
+
+        return [(2, 3, 4), (4, 2)], f
+
     return [mlp, elementwise_chain, log_sqrt, pooled, convnet, sliced,
-            pooled_matmul, clamped, unfolded, folded, smoothed, accumulated]
+            pooled_matmul, clamped, unfolded, folded, smoothed, accumulated,
+            unfolded_rows, folded_rows, smoothed_rows, accumulated_rows, batched_matmul]
 
 
 def random_graph_cases(n, seed=20240501):

@@ -4,10 +4,13 @@ import pytest
 from slopestrike import autodiff as ad
 from slopestrike import dataio
 from slopestrike.agan import (
-    GanBundle, GanConfig, evaluate_gan, generate, gradient_penalty,
+    GanBundle, GanConfig, evaluate_gan, forecast_slopes, generate, gradient_penalty,
     sample_intervals, scale, scale_bounds, series_log_returns, to_prices,
-    train_agan, unscale,
+    train_agan, unscale, _PRICE_DATES, _forecaster_slope_loss,
 )
+from slopestrike.attacks import general_slope_value, ls_slope, ls_slope_value, slope_loss
+from slopestrike.features import compute_features
+from helpers import max_rel_err
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +215,64 @@ def test_gan_config_validation():
         GanConfig(gp_apply_prob=1.5)
     with pytest.raises(ValueError):
         GanConfig(adv_scale_schedule=(0.0, 0.1), epochs_per_block=(1, 1))
+
+
+def _fake_batch(series, n, seed):
+    ivs = sample_intervals(series, n, seed=seed)
+    rng = np.random.default_rng(seed)
+    # perturbed real intervals: a generator-like batch that is not the data itself
+    fake = np.stack([iv.log_returns for iv in ivs]) + rng.normal(0, 0.05, (n, 99))
+    return fake, np.array([iv.p0 for iv in ivs]), ivs[0].scale_bounds
+
+
+def test_second_critic_batch_matches_per_sample_reference(cond_stock, toy_model):
+    cfg = GanConfig()
+    fake, p0s, (lo, hi) = _fake_batch(cond_stock, 6, seed=31)
+    dates = _PRICE_DATES[:100]
+
+    leaf = ad.Tensor(fake.copy(), requires_grad=True)
+    loss = _forecaster_slope_loss(toy_model, leaf, p0s, (lo, hi), cfg)
+    grad = ad.gradient(loss, leaf).data
+
+    ref_leaf = ad.Tensor(fake.copy(), requires_grad=True)
+    per_sample = []
+    for i in range(len(fake)):
+        r = ad.add(ad.mul(ref_leaf[i, :], hi - lo), lo)
+        prices = ad.concat([ad.constant([p0s[i]]), ad.mul(ad.texp(ad.cumsum(r)), p0s[i])])
+        med = toy_model.forward(compute_features(prices, dates)).median_path
+        per_sample.append(ad.reshape(slope_loss(ls_slope(med), 1, cfg.c, cfg.d), (1,)))
+    ref = ad.tmean(ad.concat(per_sample))
+    ref_grad = ad.gradient(ref, ref_leaf).data
+
+    assert max_rel_err([loss.item()], [ref.item()], floor=1e-300) < 1e-12
+    # relative to the largest entry: single entries may nearly cancel
+    assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+    assert all(p.grad is None for p in toy_model.params.values())
+
+
+def test_forecast_slopes_match_per_sample_reference(cond_stock, toy_model):
+    fake, p0s, bounds = _fake_batch(cond_stock, 7, seed=32)
+    gen, ls = forecast_slopes(toy_model, fake, p0s, bounds)
+    assert gen.shape == ls.shape == (7,)
+    for i in range(7):
+        prices = to_prices(unscale(fake[i], bounds), p0s[i])
+        with ad.no_record():
+            fm = compute_features(ad.constant(prices), _PRICE_DATES[:len(prices)])
+            med = toy_model.forward(fm).median_path.data
+        assert max_rel_err([gen[i]], [general_slope_value(med)], floor=1e-300) < 1e-12
+        assert max_rel_err([ls[i]], [ls_slope_value(med)], floor=1e-300) < 1e-12
+
+
+def test_to_prices_batch_matches_rows_and_rejects_any_bad_row():
+    rng = np.random.default_rng(5)
+    r = rng.normal(0, 0.01, (3, 99))
+    p0s = np.array([10.0, 20.0, 30.0])
+    batch = to_prices(r, p0s)
+    assert batch.shape == (3, 100)
+    for i in range(3):
+        assert np.array_equal(batch[i], to_prices(r[i], p0s[i]))
+    with pytest.raises(ad.DomainError, match="p0"):
+        to_prices(r, np.array([10.0, -1.0, 30.0]))
+    r[2, :] = 10.0
+    with pytest.raises(ad.DomainError, match="overflow"):
+        to_prices(r, p0s)

@@ -205,6 +205,10 @@ def test_window_op_shape_errors_name_operation():
         ad.unfold(ad.constant(np.ones((4, 2))), 5)
     with pytest.raises(ad.ShapeError, match="fold"):
         ad.fold(ad.constant(np.ones((3, 2))), 5)  # 3 windows of 2 tile 4 days
+    with pytest.raises(ad.ShapeError, match="unfold"):
+        ad.unfold(ad.constant(np.ones((2, 4))), 5, 1)
+    with pytest.raises(ad.ShapeError, match="fold"):
+        ad.fold(ad.constant(np.ones((2, 3, 2))), 5, 1)
 
 
 def test_log_and_div_domain_errors():

@@ -216,3 +216,33 @@ def test_config_file_with_flag_override(tmp_path, workspace):
     b = tmp_path / "b.csv"
     assert run("--config", cfg, "synth", "--out", b, "--n-series", 1) == 0
     assert sum(1 for _ in open(b)) == 1 + 1 * 150
+
+
+def test_corrupt_inputs_exit_3_with_one_line_message(tmp_path, workspace, capsys):
+    _, data, ckpt = workspace
+    flipped = tmp_path / "flipped.ckpt"
+    blob = bytearray(ckpt.read_bytes())
+    blob[len(blob) // 2] ^= 0x10
+    flipped.write_bytes(bytes(blob))
+
+    lines = data.read_text().splitlines()
+    saturday = tmp_path / "saturday.csv"  # 2020-01-10 is a Friday, the 11th a Saturday
+    saturday.write_text("\n".join(line.replace("SYN000,2020-01-10,", "SYN000,2020-01-11,")
+                                  for line in lines) + "\n")
+    cases = [(flipped, data, "checksum mismatch"), (ckpt, saturday, "weekend date 2020-01-11")]
+    first = next(k for k, line in enumerate(lines) if line.startswith("SYN000,"))
+    for bad in ("nan", "inf"):
+        rows = list(lines)
+        rows[first] = ",".join(rows[first].split(",")[:2] + [bad])
+        path = tmp_path / f"{bad}.csv"
+        path.write_text("\n".join(rows) + "\n")
+        cases.append((ckpt, path, f"non-finite adjprc {bad}"))
+
+    for ckpt_path, data_path, words in cases:
+        code = run("attack", "--data", data_path, "--checkpoint", ckpt_path,
+                   "--outdir", tmp_path / "o", "--methods", "gsa", "--iters", 1,
+                   "--tickers", "SYN000", "--no-plots")
+        err = capsys.readouterr().err
+        assert code == 3, words
+        assert err.startswith("data error:") and words in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

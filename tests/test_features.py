@@ -146,3 +146,34 @@ def test_non_positive_price_rejected():
     prices[10] = 0.0
     with pytest.raises(ad.DomainError):
         compute_features(ad.constant(prices), _dates(25))
+
+
+def test_batch_matches_single_series_values_and_gradients():
+    rng = np.random.default_rng(8)
+    T = 60
+    prices = 30.0 * np.exp(np.cumsum(rng.normal(0, 0.015, (3, T)), axis=1))
+    weights = rng.normal(0, 1, (3, T, len(CHANNELS)))
+    dates = _dates(T)
+
+    batch = ad.Tensor(prices.copy(), requires_grad=True)
+    fm = compute_features(batch, dates)
+    assert fm.continuous.shape == (3, T, len(CHANNELS))
+    assert len(fm) == T and fm.day_one_hot().shape == (3, T, 5)
+    grad = ad.gradient(ad.tsum(ad.mul(fm.continuous, ad.constant(weights))), batch).data
+    for i in range(3):
+        row = ad.Tensor(prices[i].copy(), requires_grad=True)
+        single = compute_features(row, dates)
+        assert max_rel_err(fm.continuous.data[i], single.continuous.data, floor=1e-300) < 1e-12
+        row_grad = ad.gradient(ad.tsum(ad.mul(single.continuous, ad.constant(weights[i]))), row)
+        assert max_rel_err(grad[i], row_grad.data, floor=1e-300) < 1e-12
+
+
+def test_batch_rejects_what_a_single_series_rejects():
+    prices = np.full((2, 25), 3.0)
+    with pytest.raises(ValueError, match="24 dates for 25 prices"):
+        compute_features(ad.constant(prices), _dates(24))
+    prices[1, 10] = -1.0
+    with pytest.raises(ad.DomainError):
+        compute_features(ad.constant(prices), _dates(25))
+    with pytest.raises(ValueError, match="shape"):
+        compute_features(ad.constant(np.full((2, 2, 25), 3.0)), _dates(25))
