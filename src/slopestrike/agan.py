@@ -376,7 +376,8 @@ def evaluate_gan(bundle: GanBundle, series: PriceSeries, model: NhitsModel | Non
 
     Moments are computed on raw (unscaled) log returns; the MMD compares the
     scaled interval vectors; forecast slopes (when a model is given) are taken
-    on prices rebuilt from each interval.
+    on prices rebuilt from each interval.  The report also hands back both
+    scaled samples, (n, L) each, as ``real_scaled`` and ``fake_scaled``.
     """
     from .metrics import MetricsError, MomentReport, mmd, moments
 
@@ -398,6 +399,8 @@ def evaluate_gan(bundle: GanBundle, series: PriceSeries, model: NhitsModel | Non
         "real_moments": _robust_moments(unscale(real_scaled, bounds).reshape(-1)),
         "fake_moments": _robust_moments(unscale(fake_scaled, bounds).reshape(-1)),
         "mmd": mmd(real_scaled, fake_scaled),
+        "real_scaled": real_scaled,
+        "fake_scaled": fake_scaled,
     }
     if model is not None:
         p0s = np.array([iv.p0 for iv in conditions])

@@ -208,12 +208,28 @@ _SECOND_ORDER_KINDS = frozenset(
 )
 
 
+def records(parents) -> bool:
+    """Whether an op over ``parents`` is recorded: recording is on and one requires grad."""
+    return _recording() and any(p.requires_grad for p in parents)
+
+
 def _make(kind, out_data, parents, vjp):
     out = Tensor(out_data)
-    if _recording() and any(p.requires_grad for p in parents):
+    if records(parents):
         out.requires_grad = True
         out.node = Node(kind, tuple(parents), vjp, kind in _SECOND_ORDER_KINDS)
     return out
+
+
+def custom_op(kind: str, out_data, parents, vjp) -> Tensor:
+    """Record a first-order op whose forward and vjp are written elsewhere.
+
+    ``out_data`` is the computed forward value.  ``vjp`` follows the contract
+    of the ops below: ``vjp(g, need)`` for several parents, ``vjp(g)`` for one,
+    returning a gradient Tensor (or None where ``need`` is False) per parent.
+    A forward that keeps arrays for its vjp asks ``records(parents)`` first.
+    """
+    return _make(kind, out_data, parents, vjp)
 
 
 def _check_elementwise(kind, a: Tensor, b: Tensor) -> None:

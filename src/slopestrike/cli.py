@@ -13,8 +13,10 @@ import argparse
 import configparser
 import csv
 import json
+import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +35,27 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+LOG_LEVELS = ("debug", "info", "warning", "error")
+
 
 class UsageError(Exception):
     pass
+
+
+@contextmanager
+def _stderr_logging(level: str):
+    """Show the package's log records at ``level`` and above on stderr while a command runs."""
+    log = logging.getLogger("slopestrike")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    prev = log.level
+    log.addHandler(handler)
+    log.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(prev)
 
 
 def _fmt(v) -> str:
@@ -411,13 +431,9 @@ def cmd_eval(args) -> int:
         _write_csv(outdir / "slopes.csv", ("data", "gen_slope", "ls_slope"),
                    [("Real", report["real_gen_slope"], report["real_ls_slope"]),
                     ("A-GAN", report["fake_gen_slope"], report["fake_ls_slope"])])
-    conditions = agan.sample_intervals(series[0], settings["n"], seed,
-                                       length=bundle.config.interval_length)
-    real_scaled = np.stack([iv.log_returns for iv in conditions])
-    fake_scaled = agan.generate(bundle, conditions, seed + 1)
     svgplot.histogram_chart(outdir / "returns_hist.svg",
-                            [agan.unscale(real_scaled, bundle.scale_bounds).reshape(-1),
-                             agan.unscale(fake_scaled, bundle.scale_bounds).reshape(-1)],
+                            [agan.unscale(report[k], bundle.scale_bounds).reshape(-1)
+                             for k in ("real_scaled", "fake_scaled")],
                             ["real", "generated"],
                             title="log-return distribution: real vs generated")
     _write_run_manifest(outdir, "eval", settings)
@@ -434,6 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="slopestrike",
                                 description="forecaster attack/defense workbench")
     p.add_argument("--config", help="INI config file with per-command sections")
+    p.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                   help="least severe log records shown on stderr (default: warning)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate synthetic GBM price CSV")
@@ -535,7 +553,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _stderr_logging(args.log_level):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

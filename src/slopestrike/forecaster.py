@@ -6,6 +6,16 @@ linearly interpolates those coefficients back up: the backcast part is
 subtracted from the running residual, the forecast parts are summed.  The
 exogenous feature window enters the first stack as a flattened side input.
 
+``NhitsModel.stacks`` records all the blocks as one graph node, kind
+``nhits_stacks``, with a hand-written numpy vjp.  The forward takes the same
+products in the same order as the per-op graph did, so its values are
+bit-identical, and so are the vjp's.  The vjp follows the engine's conventions
+(first-max pooling routes to the lowest-index maximum, the ReLU derivative is 0
+at 0) and computes only what ``need`` asks for: an attack or the GAN's second
+critic, which want price gradients, gets no weight products; training, whose
+windows are constants, gets none of the window or exogenous products, of which
+the (N, hidden) x (hidden, E*17) one is the largest.
+
 Quantile outputs are trained unsorted; at output time the quantile axis is
 sorted so reported quantile paths never cross.
 """
@@ -25,6 +35,7 @@ from .features import FeatureMatrix, compute_features
 logger = logging.getLogger(__name__)
 
 NORM_EPS = 1e-8
+_BLOCK_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 class NumericalError(Exception):
@@ -112,30 +123,56 @@ def _interp_matrix(knots: int, length: int) -> np.ndarray:
     return M
 
 
+def _tc(a: np.ndarray) -> np.ndarray:
+    """a.T in its own contiguous buffer, as ``autodiff.transpose`` makes it, so
+    BLAS sums the products in the same order as the graph ops did."""
+    return np.ascontiguousarray(a.T)
+
+
+def _pool_taps(win: np.ndarray, index: bool):
+    """Max over the short last axis of ``win`` and, with ``index``, where its first
+    maximum is: ``maxpool1d``'s routing for finite values.  A loop over the few
+    taps runs far faster than ``np.max``/``np.argmax`` over so short an axis."""
+    best = win[..., 0]
+    arg = np.zeros(best.shape, dtype=np.intp) if index else None
+    for j in range(1, win.shape[-1]):
+        tap = win[..., j]
+        if index:
+            arg += (tap > best) * (j - arg)  # strictly greater: a tie keeps the earlier tap
+        best = np.maximum(best, tap)
+    return best, arg
+
+
+def _relu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ReLU as ``autodiff.relu`` computes it, and its mask: the derivative is 0 at 0."""
+    mask = z > 0.0
+    return z * mask, mask
+
+
 class NhitsModel:
     """Parameter container plus the batched forward pass."""
 
     def __init__(self, config: NhitsConfig, seed: int = 0):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        self._interp_b: list[np.ndarray] = []
-        self._interp_f: list[np.ndarray] = []
+        # per block: pool kernel, backcast knots, backcast and forecast interpolation
+        self._blocks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         rng = np.random.default_rng(seed)
         E, H, Q = config.encoder_length, config.horizon, config.n_quantiles
-        idx = 0
         for si in range(config.n_stacks):
             k = config.pool_kernels[si]
             r = config.downsample_ratios[si]
             eb_knots, hf_knots = E // r, H // r
-            self._interp_b.append(_interp_matrix(eb_knots, E).T)           # (knots, E)
-            self._interp_f.append(np.kron(_interp_matrix(hf_knots, H), np.eye(Q)).T)
-            for bi in range(config.blocks_per_stack):
+            interp_b = _interp_matrix(eb_knots, E).T                    # (knots, E)
+            interp_f = np.kron(_interp_matrix(hf_knots, H), np.eye(Q)).T
+            for _ in range(config.blocks_per_stack):
+                idx = len(self._blocks)
                 in_dim = E // k
                 if idx == 0:
                     in_dim += config.exo_dim
                 theta_dim = eb_knots + hf_knots * Q
                 self._add_block(idx, in_dim, theta_dim, rng)
-                idx += 1
+                self._blocks.append((k, eb_knots, interp_b, interp_f))
 
     def _add_block(self, idx: int, in_dim: int, theta_dim: int, rng) -> None:
         h = self.config.hidden_size
@@ -187,14 +224,11 @@ class NhitsModel:
     # -- forward ------------------------------------------------------------
 
     def _normalise_windows(self, adj_w: Tensor):
-        N, E = adj_w.shape
-        ones_e = ad.constant(np.ones((1, E)))
         wmean = ad.tmean(adj_w, axis=1)
-        mean_x = ad.matmul(ad.reshape(wmean, (N, 1)), ones_e)
-        diff = ad.sub(adj_w, mean_x)
+        diff = ad.sub(adj_w, ad.expand(wmean, adj_w.shape, 1))
         wstd = ad.tsqrt(ad.tmean(ad.mul(diff, diff), axis=1))
         denom = ad.add(wstd, NORM_EPS)
-        x = ad.div(diff, ad.matmul(ad.reshape(denom, (N, 1)), ones_e))
+        x = ad.div(diff, ad.expand(denom, adj_w.shape, 1))
         return x, wmean, denom
 
     def core(self, adj_w: Tensor, exo: Tensor | None, internals: bool = False):
@@ -204,36 +238,97 @@ class NhitsModel:
         if E != cfg.encoder_length:
             raise ValueError(f"window length {E} != encoder length {cfg.encoder_length}")
         x, wmean, denom = self._normalise_windows(adj_w)
-        residual = x
-        fore: Tensor | None = None
-        blocks: list[tuple[Tensor, Tensor]] = []
-        idx = 0
-        for si in range(cfg.n_stacks):
-            k = cfg.pool_kernels[si]
-            eb_knots = E // cfg.downsample_ratios[si]
-            ib = ad.constant(self._interp_b[si])
-            iff = ad.constant(self._interp_f[si])
-            for bi in range(cfg.blocks_per_stack):
-                pooled = ad.maxpool1d(residual, k) if k > 1 else residual
-                if idx == 0 and exo is not None:
-                    pooled = ad.concat([pooled, exo], axis=1)
-                h = ad.relu(ad.affine(pooled, self.params[f"b{idx}.w1"], self.params[f"b{idx}.b1"]))
-                h = ad.relu(ad.affine(h, self.params[f"b{idx}.w2"], self.params[f"b{idx}.b2"]))
-                theta = ad.affine(h, self.params[f"b{idx}.w3"], self.params[f"b{idx}.b3"])
-                backcast = ad.matmul(theta[:, :eb_knots], ib)
-                forecast = ad.matmul(theta[:, eb_knots:], iff)
-                residual = ad.sub(residual, backcast)
-                fore = forecast if fore is None else ad.add(fore, forecast)
-                if internals:
-                    blocks.append((backcast, forecast))
-                idx += 1
-        HQ = cfg.horizon * cfg.n_quantiles
-        ones_hq = ad.constant(np.ones((1, HQ)))
-        out = ad.add(ad.mul(fore, ad.matmul(ad.reshape(denom, (N, 1)), ones_hq)),
-                     ad.matmul(ad.reshape(wmean, (N, 1)), ones_hq))
         if internals:
-            return out, fore, blocks, residual
+            fore, blocks, residual = self.stacks(x, exo, internals=True)
+        else:
+            fore = self.stacks(x, exo)
+        shape = (N, cfg.horizon * cfg.n_quantiles)
+        out = ad.add(ad.mul(fore, ad.expand(denom, shape, 1)), ad.expand(wmean, shape, 1))
+        if internals:
+            return (out, fore, [(ad.constant(b), ad.constant(f)) for b, f in blocks],
+                    ad.constant(residual))
         return out
+
+    def stacks(self, x: Tensor, exo: Tensor | None, internals: bool = False):
+        """Every block's pooled MLP, recorded as one op (``nhits_stacks``).
+
+        Normalised windows x (N, E), plus exo (N, exo_dim) for the first block,
+        in; the sum of the blocks' forecasts (N, horizon*n_quantiles) out.  With
+        ``internals`` also returns each block's (backcast, forecast) and the
+        final residual, as arrays.
+        """
+        names = [f"b{i}.{p}" for i in range(len(self._blocks)) for p in _BLOCK_PARAMS]
+        weights = [self.params[n] for n in names]
+        parents = (x,) + (() if exo is None else (exo,)) + tuple(weights)
+        keep = ad.records(parents)  # without a node nothing is kept for the vjp
+        ws = [w.data for w in weights]
+        N, E = x.shape
+        residual, fore = x.data, None
+        saved, blocks = [], []
+        for i, (k, eb, ib, iff) in enumerate(self._blocks):
+            w1, b1, w2, b2, w3, b3 = ws[6 * i:6 * i + 6]
+            pooled, arg = residual, None
+            if k > 1:
+                pooled, arg = _pool_taps(residual.reshape(N, E // k, k), keep)
+            inp = pooled if i or exo is None else np.concatenate([pooled, exo.data], axis=1)
+            h1, m1 = _relu(inp @ w1 + b1)
+            h2, m2 = _relu(h1 @ w2 + b2)
+            theta = h2 @ w3 + b3
+            backcast = theta[:, :eb] @ ib
+            forecast = theta[:, eb:] @ iff
+            residual = residual - backcast
+            fore = forecast if fore is None else fore + forecast
+            if keep:
+                saved.append((arg, inp, m1, h1, m2, h2))
+            if internals:
+                blocks.append((backcast, forecast))
+
+        def vjp(g, need):
+            grads = [None] * len(parents)
+            off = len(parents) - len(ws)  # parents before the weights: x and exo
+            need_x, need_exo, need_w = need[0], off > 1 and need[1], need[off:]
+            g = g.data
+            g_res = None  # gradient reaching the residual that leaves block i
+            for i in reversed(range(len(self._blocks))):
+                k, eb, ib, iff = self._blocks[i]
+                arg, inp, m1, h1, m2, h2 = saved[i]
+                w1, _, w2, _, w3, _ = ws[6 * i:6 * i + 6]
+                nw = need_w[6 * i:6 * i + 6]
+                below = need_x or need_exo or any(need_w[:6 * i])  # input gradient wanted
+                if not (below or any(nw)):
+                    break
+                gtheta = np.zeros((N, w3.shape[1]))
+                if g_res is not None:
+                    gtheta[:, :eb] = -g_res @ _tc(ib)
+                gtheta[:, eb:] = g @ _tc(iff)
+                gz1 = gz2 = None
+                if below or any(nw[:4]):
+                    gz2 = (gtheta @ _tc(w3)) * m2
+                if below or any(nw[:2]):
+                    gz1 = (gz2 @ _tc(w2)) * m1
+                for j, (a, gz) in enumerate(((inp, gz1), (h1, gz2), (h2, gtheta))):
+                    if nw[2 * j]:
+                        grads[off + 6 * i + 2 * j] = Tensor(_tc(a) @ gz)
+                    if nw[2 * j + 1]:
+                        grads[off + 6 * i + 2 * j + 1] = Tensor(gz.sum(axis=0))
+                if not below:
+                    continue
+                gin = gz1 @ _tc(w1)  # in block 0 the exo columns follow the pooled ones
+                P = E // k
+                if i == 0 and need_exo:
+                    grads[1] = Tensor(gin[:, P:])
+                gp = gin[:, :P]
+                if arg is not None:  # route to each window's first maximum
+                    routed = np.zeros((arg.size, k))
+                    routed[np.arange(arg.size), arg.ravel()] = gp.ravel()
+                    gp = routed.reshape(N, E)
+                g_res = gp if g_res is None else g_res + gp
+            if need_x:
+                grads[0] = Tensor(g_res)
+            return tuple(grads)
+
+        out = ad.custom_op("nhits_stacks", fore, parents, vjp)
+        return (out, blocks, residual) if internals else out
 
     def _exo_from_features(self, fm: FeatureMatrix) -> Tensor:
         """Per-series standardised continuous channels plus the weekday one-hot: (..., T, 17)."""

@@ -7,6 +7,7 @@ tests stay two-sided.
 import numpy as np
 
 from slopestrike import autodiff as ad
+from slopestrike.forecaster import NhitsConfig, NhitsModel, _interp_matrix
 
 
 def finite_diff(fn, arrays, h=1e-5):
@@ -180,9 +181,23 @@ def _builders():
 
         return [(2, 3, 4), (4, 2)], f
 
+    def nhits_stacks(rng):
+        # a tiny forecaster: its windows, exogenous rows and all 18 parameters are inputs
+        model = NhitsModel(NhitsConfig(encoder_length=8, horizon=4, hidden_size=4,
+                                       quantiles=(0.1, 0.5, 0.9)))
+        names = list(model.params)
+        w = rng.uniform(-1, 1, (2, 12))
+
+        def f(ts):
+            model.params = dict(zip(names, ts[2:]))
+            return ad.tmean(ad.tanh(ad.mul(model.stacks(ts[0], ts[1]), ad.constant(w))))
+
+        return [(2, 8), (2, model.config.exo_dim)] + [model.params[n].shape for n in names], f
+
     return [mlp, elementwise_chain, log_sqrt, pooled, convnet, sliced,
             pooled_matmul, clamped, unfolded, folded, smoothed, accumulated,
-            unfolded_rows, folded_rows, smoothed_rows, accumulated_rows, batched_matmul]
+            unfolded_rows, folded_rows, smoothed_rows, accumulated_rows, batched_matmul,
+            nhits_stacks]
 
 
 def random_graph_cases(n, seed=20240501):
@@ -213,3 +228,39 @@ def graph_gradients(f, arrays):
     root = f(ts)
     ad.backward(root)
     return [t.grad for t in ts]
+
+
+def nhits_stacks_reference(model, x, exo):
+    """``NhitsModel.stacks`` built from primitive ops: the per-block graph loop.
+
+    Returns the summed forecast (N, H*Q), each block's (backcast, forecast) and
+    the final residual, all as graph-connected tensors.
+    """
+    cfg = model.config
+    E = cfg.encoder_length
+    residual, fore = x, None
+    blocks = []
+    idx = 0
+    for si in range(cfg.n_stacks):
+        k = cfg.pool_kernels[si]
+        r = cfg.downsample_ratios[si]
+        eb_knots, hf_knots = E // r, cfg.horizon // r
+        ib = ad.constant(_interp_matrix(eb_knots, E).T)
+        iff = ad.constant(np.kron(_interp_matrix(hf_knots, cfg.horizon),
+                                  np.eye(cfg.n_quantiles)).T)
+        for _ in range(cfg.blocks_per_stack):
+            p = {name: model.params[f"b{idx}.{name}"]
+                 for name in ("w1", "b1", "w2", "b2", "w3", "b3")}
+            pooled = ad.maxpool1d(residual, k) if k > 1 else residual
+            if idx == 0 and exo is not None:
+                pooled = ad.concat([pooled, exo], axis=1)
+            h = ad.relu(ad.affine(pooled, p["w1"], p["b1"]))
+            h = ad.relu(ad.affine(h, p["w2"], p["b2"]))
+            theta = ad.affine(h, p["w3"], p["b3"])
+            backcast = ad.matmul(theta[:, :eb_knots], ib)
+            forecast = ad.matmul(theta[:, eb_knots:], iff)
+            residual = ad.sub(residual, backcast)
+            fore = forecast if fore is None else ad.add(fore, forecast)
+            blocks.append((backcast, forecast))
+            idx += 1
+    return fore, blocks, residual

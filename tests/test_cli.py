@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import shutil
 from pathlib import Path
 
@@ -117,6 +118,45 @@ def test_attack_aggregate_means_match_report(tmp_path, workspace):
     agg = [l.split(",") for l in (outdir / "attack_aggregate.csv").read_text().splitlines()[1:]]
     agg_gsa = [r for r in agg if r[0] == "GSA"][0]
     assert abs(float(agg_gsa[2]) - np.mean(gsa_mae)) < 1e-9
+
+
+def test_log_level_info_shows_early_stop(tmp_path, workspace, capsys):
+    # lr 0 keeps the validation loss flat, so patience 1 stops at epoch 2
+    _, data, _ = workspace
+    argv = ("train", "--data", data, "--outdir", tmp_path / "o", "--epochs", 3,
+            "--min-length", 300, "--lr", 0, "--patience", 1, "--seed", 5)
+    assert run(*argv) == 0
+    assert "early stop" not in capsys.readouterr().err
+    log = logging.getLogger("slopestrike")
+    before = (log.level, list(log.handlers))
+    assert run("--log-level", "info", *argv) == 0
+    assert "INFO slopestrike.forecaster: early stop at epoch 2" in capsys.readouterr().err
+    assert (log.level, log.handlers) == before  # the command's logging set-up is undone
+
+
+def test_unknown_log_level_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("--log-level", "verbose", "synth", "--out", tmp_path / "a.csv")
+    assert exc.value.code == 2
+    assert "--log-level" in capsys.readouterr().err
+
+
+def test_eval_generates_once(tmp_path, workspace, monkeypatch):
+    from slopestrike import agan
+    _, data, ckpt = workspace
+    gan_dir = tmp_path / "gan"
+    assert run("gan", "train", "--data", data, "--checkpoint", ckpt, "--outdir", gan_dir,
+               "--ticker", "SYN001", "--samples-per-epoch", 32, "--epochs-per-block", "1",
+               "--alpha", "0.25", "--seed", 3) == 0
+    calls = []
+    real_generate = agan.generate
+    monkeypatch.setattr(agan, "generate",
+                        lambda *a, **k: calls.append(a) or real_generate(*a, **k))
+    assert run("eval", "--data", data, "--bundle", gan_dir / "gan.ckpt",
+               "--checkpoint", ckpt, "--outdir", tmp_path / "eval", "--ticker", "SYN001",
+               "--n", 20, "--seed", 6) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "eval" / "returns_hist.svg").exists()
 
 
 def test_attack_unknown_method_usage_error(tmp_path, workspace, capsys):

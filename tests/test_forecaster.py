@@ -11,7 +11,7 @@ from slopestrike.forecaster import (
     EarlyStopper, ForecastOutput, NhitsConfig, NhitsModel,
     _interp_matrix, evaluate, quantile_loss, rolling_forecast, train,
 )
-from helpers import max_rel_err
+from helpers import max_rel_err, nhits_stacks_reference
 
 
 def _fm(prices, start=dt.date(2021, 3, 1), grad=False):
@@ -118,6 +118,82 @@ def test_backcast_residual_telescoping_single_block():
     std = np.sqrt(((adj - mean) ** 2).mean(axis=1, keepdims=True))
     x1 = (adj - mean) / (std + 1e-8)
     assert np.array_equal(residual.data, x1 - blocks[0][0].data)
+
+
+def _random_stack_inputs(use_features, seed=21, n=6, ties=False):
+    cfg = NhitsConfig(use_features=use_features)
+    model = NhitsModel(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.params.values():
+        p.data = rng.normal(0, 0.3, p.data.shape)
+    x = rng.normal(size=(n, cfg.encoder_length))
+    if ties:  # whole numbers: most pooling windows hold a tied maximum
+        x = np.round(2.0 * x)
+    exo = rng.normal(size=(n, cfg.exo_dim)) if use_features else None
+    weights = rng.normal(size=(n, cfg.horizon * cfg.n_quantiles))
+    return model, x, exo, weights
+
+
+def _stack_loss(fore, weights):
+    return ad.tsum(ad.tanh(ad.mul(fore, ad.constant(weights))))
+
+
+def _record_vjp_results(out):
+    """Wrap the vjp of out's node; the returned list collects each result tuple."""
+    results, vjp = [], out.node.vjp
+    out.node.vjp = lambda g, need: results.append(vjp(g, need)) or results[-1]
+    return results
+
+
+@pytest.mark.parametrize("use_features,ties", [(True, False), (False, False), (True, True)])
+def test_stacks_op_matches_primitive_reference(use_features, ties):
+    model, xa, ea, weights = _random_stack_inputs(use_features, ties=ties)
+    runs = []
+    for build in (lambda x, e: model.stacks(x, e, internals=True),
+                  lambda x, e: nhits_stacks_reference(model, x, e)):
+        x = ad.Tensor(xa.copy(), requires_grad=True)
+        exo = None if ea is None else ad.Tensor(ea.copy(), requires_grad=True)
+        fore, blocks, residual = build(x, exo)
+        model.zero_grad()
+        ad.backward(_stack_loss(fore, weights))
+        # the op returns blocks and residual as arrays, the reference as tensors
+        values = [getattr(a, "data", a) for a in [fore, residual, *sum(blocks, ())]]
+        grads = [x.grad] + ([] if exo is None else [exo.grad])
+        grads += [p.grad for p in model.params.values()]
+        runs.append((values, grads))
+    (values, grads), (ref_values, ref_grads) = runs
+    assert len(model.params) == 18 and len(blocks) == 3
+    for got, want in zip(values, ref_values):
+        assert max_rel_err(got, want) < 1e-12
+    assert all(g is not None for g in grads)
+    for got, want in zip(grads, ref_grads):
+        assert max_rel_err(got, want) < 1e-12
+
+
+def test_stacks_gradient_wrt_x_skips_weight_products():
+    model, xa, ea, weights = _random_stack_inputs(True)
+    x = ad.Tensor(xa.copy(), requires_grad=True)
+    exo = ad.Tensor(ea.copy(), requires_grad=True)
+    fore = model.stacks(x, exo)
+    returned = _record_vjp_results(fore)
+    gx = ad.gradient(_stack_loss(fore, weights), x)
+    assert all(p.grad is None for p in model.params.values())
+    # exo is not asked for either, so only x's gradient comes back
+    assert returned[0][0] is not None
+    assert all(g is None for g in returned[0][1:])
+    x2 = ad.Tensor(xa.copy(), requires_grad=True)
+    ad.backward(_stack_loss(model.stacks(x2, ad.Tensor(ea.copy(), requires_grad=True)), weights))
+    assert np.array_equal(gx.data, x2.grad)
+
+
+def test_stacks_training_pass_skips_input_products():
+    model, xa, ea, weights = _random_stack_inputs(True)
+    _, fore, _, _ = model.core(ad.constant(50.0 + xa), ad.constant(ea), internals=True)
+    returned = _record_vjp_results(fore)
+    ad.backward(_stack_loss(fore, weights))
+    assert returned[0][0] is None and returned[0][1] is None
+    assert all(g is not None for g in returned[0][2:])
+    assert all(p.grad is not None for p in model.params.values())
 
 
 def test_training_on_constant_prices_converges_fast():
