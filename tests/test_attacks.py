@@ -187,7 +187,8 @@ def test_gsa_gradient_zero_at_interior_predictions(toy_model, eval_series):
 
 def test_attack_leaves_forecaster_grads_unset(toy_model, eval_series):
     s = _short(eval_series[8])
-    toy_model.zero_grad()
+    for p in toy_model.params.values():
+        p.grad = None
     for method in ("GSA", "CW_GSA"):
         run_attack(s, toy_model, AttackConfig(method, eps_pct=2.0, iters=2, target_dir=1))
         assert all(p.grad is None for p in toy_model.params.values()), method

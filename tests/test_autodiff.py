@@ -134,7 +134,8 @@ def test_double_backward_linear_critic_closed_form():
     def penalty(g):
         return ad.power(ad.add(ad.tsqrt(ad.tsum(ad.mul(g, g))), -1.0), 2.0)
 
-    dw = ad.grad_of_grad(root, x, penalty, w)
+    g = ad.gradient(root, x, create_graph=True)
+    dw = ad.gradients(penalty(g), [w])[0]
     assert abs(dw.item() - 4.0) < 1e-12
 
 
@@ -164,8 +165,9 @@ def test_penalty_zero_at_unit_gradient_norm():
         return ad.power(ad.add(ad.tsqrt(ad.tsum(ad.mul(g, g))), -1.0), 2.0)
 
     g = ad.gradient(root, x, create_graph=True)
-    assert penalty(g).item() == 0.0
-    dw = ad.grad_of_grad(root, x, penalty, w)
+    pen = penalty(g)
+    assert pen.item() == 0.0
+    dw = ad.gradients(pen, [w])[0]
     assert dw.item() == 0.0
 
 
@@ -256,6 +258,19 @@ def test_gradients_consume_the_graph():
         ad.gradient(root, x)
     with pytest.raises(ad.GraphError):
         ad.backward(root)
+
+
+def test_sgd_step_decays_matrices_and_leaves_biases_undecayed():
+    w0, b0 = np.array([[1.0, -2.0], [0.5, 4.0]]), np.array([3.0, -1.0])
+    params = {"w": ad.Tensor(w0.copy(), requires_grad=True),
+              "b": ad.Tensor(b0.copy(), requires_grad=True)}
+    loss = ad.tsum(ad.affine(ad.constant([[1.0, 2.0]]), params["w"], params["b"]))
+    ad.sgd_step(params, loss, lr=0.1, weight_decay=0.5)
+    # d loss / dw = x^T 1 and d loss / db = 1; only w is shrunk by 1 - lr * decay
+    gw = np.array([[1.0, 1.0], [2.0, 2.0]])
+    assert np.array_equal(params["w"].data, w0 * (1.0 - 0.1 * 0.5) - 0.1 * gw)
+    assert np.array_equal(params["b"].data, b0 - 0.1 * np.ones(2))
+    assert all(p.grad is None for p in params.values())
 
 
 def test_trailing_broadcast_add_and_reduction():

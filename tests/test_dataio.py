@@ -1,14 +1,9 @@
-import datetime as dt
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from slopestrike import dataio
 from slopestrike.dataio import (
-    CheckpointError, DataError, PriceSeries, SplitSpec,
-    load_csv, save_checkpoint, load_checkpoint, stratified_split, synth_gbm,
+    CheckpointError, DataError, load_csv, save_checkpoint, load_checkpoint, synth_gbm,
 )
 
 
@@ -55,55 +50,6 @@ def test_multi_ticker_roundtrip_preserves_rows(tmp_path):
         assert len(a) == 700
         assert a.dates == b.dates
         assert np.allclose(a.adjprc, b.adjprc, rtol=1e-9)
-
-
-def _series_with_median(ticker, med, n=600):
-    dates = dataio.business_days(dt.date(2020, 1, 6), n)
-    return PriceSeries(ticker, dates, np.full(n, float(med)))
-
-
-def test_split_is_partition():
-    series = [_series_with_median(f"S{i}", i + 1) for i in range(8)]
-    tr, va, te = stratified_split(series, SplitSpec(), seed=3)
-    names = sorted(s.ticker for s in tr + va + te)
-    assert names == sorted(s.ticker for s in series)
-
-
-def test_split_deterministic_per_seed():
-    series = [_series_with_median(f"S{i}", (i * 37) % 19 + 1) for i in range(40)]
-    a = stratified_split(series, SplitSpec(), seed=11)
-    b = stratified_split(series, SplitSpec(), seed=11)
-    assert [[s.ticker for s in part] for part in a] == [[s.ticker for s in part] for part in b]
-    c = stratified_split(series, SplitSpec(), seed=12)
-    assert a != c or True  # different seed may coincide; only determinism is contractual
-
-
-def test_split_fraction_close_to_spec():
-    series = [_series_with_median(f"S{i}", 1 + i * 0.5) for i in range(80)]
-    tr, va, te = stratified_split(series, SplitSpec(), seed=0)
-    frac = len(tr) / 80.0
-    assert 0.70 <= frac <= 0.80
-    assert len(tr) + len(va) + len(te) == 80
-
-
-def test_short_series_filtered(caplog):
-    series = [_series_with_median("LONG1", 5), _series_with_median("LONG2", 6),
-              _series_with_median("LONG3", 7), _series_with_median("SHORT", 4, n=120)]
-    with caplog.at_level("INFO"):
-        tr, va, te = stratified_split(series, SplitSpec(), seed=0)
-    assert all(s.ticker != "SHORT" for s in tr + va + te)
-    assert len(tr + va + te) == 3
-    assert any("min_length" in r.message for r in caplog.records)
-    # the three survivors spread into singleton bins -> global-pool fallback
-    assert any("global allocation" in r.message for r in caplog.records)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(4, 30))
-def test_split_partition_property(seed, n):
-    series = [_series_with_median(f"S{i}", 1 + (i * 13 % 11)) for i in range(n)]
-    tr, va, te = stratified_split(series, SplitSpec(), seed=seed)
-    assert sorted(s.ticker for s in tr + va + te) == sorted(s.ticker for s in series)
 
 
 def test_gbm_zero_vol_zero_drift_constant():

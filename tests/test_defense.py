@@ -6,6 +6,7 @@ from slopestrike.defense import (
     discriminator_accuracy, read_manifest, train_discriminator,
     verify_manifest, write_manifest,
 )
+from slopestrike.forecaster import NhitsConfig, NhitsModel
 from slopestrike.metrics import confusion
 
 
@@ -119,6 +120,14 @@ def test_heldout_accuracy_at_least_90(separable_task, toy_classifier):
     real, adv = separable_task
     clf, _ = toy_classifier
     assert discriminator_accuracy(clf, real[30:], adv[30:]) >= 0.90
+
+
+def test_weight_decay_reaches_exactly_the_weight_tensors():
+    # sgd_step decays every parameter with ndim > 1: for both trained models
+    # these are exactly the ".w*" entries, and no bias
+    for params in (Discriminator(DiscriminatorConfig()).params, NhitsModel(NhitsConfig()).params):
+        decayed = {k for k, p in params.items() if p.ndim > 1}
+        assert decayed == {k for k in params if k.rsplit(".", 1)[1].startswith("w")}
 
 
 def test_probability_bounds_on_random_inputs(toy_classifier):

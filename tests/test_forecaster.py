@@ -9,7 +9,7 @@ from slopestrike import dataio
 from slopestrike.features import compute_features
 from slopestrike.forecaster import (
     EarlyStopper, ForecastOutput, NhitsConfig, NhitsModel,
-    _interp_matrix, evaluate, quantile_loss, rolling_forecast, train,
+    _assemble_batch, _interp_matrix, _series_days, evaluate, quantile_loss, rolling_forecast, train,
 )
 from helpers import max_rel_err, nhits_stacks_reference
 
@@ -112,12 +112,13 @@ def test_backcast_residual_telescoping_single_block():
     _randomise_heads(model, seed=9, scale=0.2)
     rng = np.random.default_rng(10)
     adj = 70.0 * np.exp(np.cumsum(rng.normal(0, 0.01, (1, 100)), axis=1))
-    _, _, blocks, residual = model.core(ad.constant(adj), None, internals=True)
+    x, _, _ = model._normalise_windows(ad.constant(adj))
+    _, blocks, residual = model.stacks(x, None, internals=True)
     # recompute x1 independently
     mean = adj.mean(axis=1, keepdims=True)
     std = np.sqrt(((adj - mean) ** 2).mean(axis=1, keepdims=True))
     x1 = (adj - mean) / (std + 1e-8)
-    assert np.array_equal(residual.data, x1 - blocks[0][0].data)
+    assert np.array_equal(residual, x1 - blocks[0][0])
 
 
 def _random_stack_inputs(use_features, seed=21, n=6, ties=False):
@@ -154,7 +155,8 @@ def test_stacks_op_matches_primitive_reference(use_features, ties):
         x = ad.Tensor(xa.copy(), requires_grad=True)
         exo = None if ea is None else ad.Tensor(ea.copy(), requires_grad=True)
         fore, blocks, residual = build(x, exo)
-        model.zero_grad()
+        for p in model.params.values():
+            p.grad = None
         ad.backward(_stack_loss(fore, weights))
         # the op returns blocks and residual as arrays, the reference as tensors
         values = [getattr(a, "data", a) for a in [fore, residual, *sum(blocks, ())]]
@@ -188,7 +190,8 @@ def test_stacks_gradient_wrt_x_skips_weight_products():
 
 def test_stacks_training_pass_skips_input_products():
     model, xa, ea, weights = _random_stack_inputs(True)
-    _, fore, _, _ = model.core(ad.constant(50.0 + xa), ad.constant(ea), internals=True)
+    x, _, _ = model._normalise_windows(ad.constant(50.0 + xa))
+    fore = model.stacks(x, ad.constant(ea))
     returned = _record_vjp_results(fore)
     ad.backward(_stack_loss(fore, weights))
     assert returned[0][0] is None and returned[0][1] is None
@@ -217,6 +220,39 @@ def test_resume_from_checkpoint_matches_recorded_loss(tmp_path, train_series, va
     # reproduce bit-for-bit at the epoch boundary
     best_val = min(row[2] for row in log)
     assert evaluate(loaded, val_series[:1]) == best_val
+
+
+def test_training_batch_rows_equal_inference_windows():
+    # the second series of a pool, so the gather has to offset into the concatenated days
+    cfg = NhitsConfig()
+    model = NhitsModel(cfg, seed=0)
+    pool = dataio.synth_gbm(2, 150, 60.0, 3e-4, 0.01, seed=8)
+    s = pool[1]
+    n = len(s) - cfg.min_series_length + 1
+    first = len(pool[0]) - cfg.min_series_length + 1  # the windows of pool[0] come first
+    prices, exo, (starts,) = _series_days(model, [pool])
+    with ad.no_record():
+        fm = compute_features(ad.constant(s.adjprc), s.dates)
+        adj_w, exo_w = model._window_tensors(fm, n)
+    for w in (0, 7, n - 1):
+        adj, truth, exo_b = _assemble_batch(starts[[first + w]], prices, exo, cfg)
+        assert np.array_equal(adj[0], adj_w.data[w])
+        assert np.array_equal(exo_b[0], exo_w.data[w])
+        assert np.array_equal(truth[0], s.adjprc[w + cfg.encoder_length:w + cfg.min_series_length])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="train keys series by ticker, so a val series replaces the "
+                   "train series that has its ticker")
+def test_colliding_tickers_train_like_distinct_ones():
+    kw = dict(n_series=2, n_days=140, s0=80.0, mu=4e-4, sigma=0.01)
+    tr = dataio.synth_gbm(seed=1, **kw)
+    va = dataio.synth_gbm(seed=2, **kw)[:1]  # SYN000, as is tr[0]
+    renamed = [dataio.PriceSeries("VAL" + s.ticker, s.dates, s.adjprc) for s in va]
+    cfg = NhitsConfig(epochs=2, batch_size=32, early_stop_patience=5)
+    m1, log1 = train(tr, va, cfg, seed=0)
+    m2, log2 = train(tr, renamed, cfg, seed=0)
+    assert log1 == log2 and m1.param_bytes() == m2.param_bytes()
 
 
 def test_checkpoint_roundtrip_reproduces_forecasts(tmp_path, toy_model, eval_series):
