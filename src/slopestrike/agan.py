@@ -1,13 +1,19 @@
 """Adversarial conditional WGAN-GP over 99-day log-return intervals.
 
-The generator is a causal TCN fed noise concatenated with a real (min-max
-scaled) log-return interval as the condition; the critic is a tanh MLP over
-the flattened (interval, condition) pair so that the gradient penalty's
-second-order pass stays inside the supported operation subset.  A frozen
-forecaster acts as a second critic: the whole batch of generated returns is
-converted back to prices and forecast in one graph, and each forecast's
-least-squares slope is pushed positive.  Training
-runs in transfer-learning blocks with a rising adversarial scale.
+The generator is a dilated causal TCN (Bai et al., arXiv:1803.01271) fed noise
+concatenated with a real (min-max scaled) log-return interval as the
+condition.  ``TcnGenerator.forward`` records the whole network as one graph
+node, kind ``tcn_generator``, with a numpy forward over time-major rows (one
+GEMM per tap, bias and leaky ReLU fused in) and a hand-written vjp that
+computes only what ``need`` asks for: the generator step asks for the
+parameters alone, so the vjp never forms the input gradient of the first
+layer, and a critic step, run under ``no_record``, keeps nothing for it.  The
+critic is a tanh MLP over the flattened (interval, condition) pair so that the
+gradient penalty's second-order pass stays inside the supported operation
+subset.  A frozen forecaster acts as a second critic: the whole batch of
+generated returns is converted back to prices and forecast in one graph, and
+each forecast's least-squares slope is pushed positive.  Training runs in
+transfer-learning blocks with a rising adversarial scale.
 """
 
 from __future__ import annotations
@@ -62,6 +68,17 @@ class GanConfig:
             raise ValueError("adversarial scales must be positive")
         if not (len(self.gen_hidden) == len(self.gen_kernels) == len(self.gen_dilations)):
             raise ValueError("generator layer specs must have equal lengths")
+        for name in ("gen_hidden", "gen_kernels", "gen_dilations"):
+            if not all(_positive_int(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} must hold positive ints, got {getattr(self, name)}")
+        if not (_positive_int(self.interval_length) and self.interval_length >= 2):
+            raise ValueError(f"interval_length must be an int >= 2, got {self.interval_length}")
+        if not (0.0 <= self.leaky_slope <= 1.0):
+            raise ValueError(f"leaky_slope must be in [0,1], got {self.leaky_slope}")
+
+
+def _positive_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
 
 
 @dataclass
@@ -156,17 +173,78 @@ class TcnGenerator:
         self.params["head.b"] = ad.Tensor(np.full(1, 0.5), requires_grad=True)
 
     def forward(self, z_cond: Tensor) -> Tensor:
-        """(B, 2, L) noise+condition -> (B, L) scaled log returns."""
+        """(B, 2, L) noise+condition -> (B, L) scaled log returns, as one op.
+
+        Recorded as ``tcn_generator`` with z_cond and every parameter as
+        parents.  Rows are time-major, row t*B + b, so a causal tap that looks
+        d steps back is the row block shifted by d*B: each layer is one GEMM per
+        tap added into the output in place, with no padding and no im2col copy.
+        """
         cfg = self.config
-        h = z_cond
-        for i, dil in enumerate(cfg.gen_dilations):
-            h = ad.conv1d(h, self.params[f"tcn{i}.w"], dilation=dil)
-            h = ad.channel_bias(h, self.params[f"tcn{i}.b"])
-            h = ad.leaky_relu(h, cfg.leaky_slope)
-        h = ad.conv1d(h, self.params["head.w"])
-        h = ad.channel_bias(h, self.params["head.b"])
-        B = h.shape[0]
-        return ad.reshape(h, (B, cfg.interval_length))
+        L = cfg.interval_length
+        if z_cond.ndim != 3 or z_cond.shape[1:] != (2, L):
+            raise ad.ShapeError(f"tcn_generator: expected (B, 2, {L}) input, got {z_cond.shape}")
+        B = z_cond.shape[0]
+        n = L * B
+        names = [f"tcn{i}.{p}" for i in range(len(cfg.gen_kernels)) for p in "wb"]
+        weights = [self.params[k] for k in names + ["head.w", "head.b"]]
+        parents = (z_cond,) + tuple(weights)
+        keep = ad.records(parents)  # without a node nothing is kept for the vjp
+        layers = [_tap_shifts(k, d, B, L) for k, d in zip(cfg.gen_kernels, cfg.gen_dilations)]
+        layers.append(_tap_shifts(1, 1, B, L))  # the 1x1 head
+        slope = cfg.leaky_slope
+        h = np.ascontiguousarray(z_cond.data.transpose(2, 0, 1)).reshape(n, 2)
+        inputs, factors = [], []
+        for i, taps in enumerate(layers):
+            w, b = weights[2 * i].data, weights[2 * i + 1].data
+            wt = np.ascontiguousarray(w.transpose(2, 1, 0))  # (K, Cin, Cout)
+            z = np.zeros((n, w.shape[0]))
+            for k, s in taps:
+                z[s:] += h[:n - s] @ wt[k]
+            z += b
+            if keep:
+                inputs.append(h)
+            if i < len(layers) - 1:
+                if keep:
+                    factors.append(np.where(z >= 0.0, 1.0, slope))
+                np.maximum(z, slope * z, out=z)  # leaky ReLU, as 0 <= slope <= 1
+            h = z
+
+        def vjp(g, need):
+            grads = [None] * len(parents)
+            gz = np.ascontiguousarray(g.data.T).reshape(n, 1)
+            for i in reversed(range(len(layers))):
+                w, x = weights[2 * i].data, inputs[i]
+                if need[1 + 2 * i]:
+                    gw = np.zeros(w.shape)
+                    for k, s in layers[i]:
+                        gw[:, :, k] = gz[s:].T @ x[:n - s]
+                    grads[1 + 2 * i] = Tensor(gw)
+                if need[2 + 2 * i]:
+                    grads[2 + 2 * i] = Tensor(gz.sum(axis=0))
+                if not any(need[:1 + 2 * i]):
+                    break  # nothing below this layer is asked for
+                wk = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, Cout, Cin)
+                gx = np.zeros(x.shape)
+                for k, s in layers[i]:
+                    gx[:n - s] += gz[s:] @ wk[k]
+                if i == 0:
+                    grads[0] = Tensor(gx.reshape(L, B, 2).transpose(1, 2, 0))
+                else:
+                    gz = gx * factors[i - 1]
+            return tuple(grads)
+
+        out = np.ascontiguousarray(h.reshape(L, B).T)
+        return ad.custom_op("tcn_generator", out, parents, vjp)
+
+
+def _tap_shifts(K: int, dilation: int, B: int, L: int) -> list[tuple[int, int]]:
+    """(k, s) for each tap k of a causal kernel over L time-major rows of B series.
+
+    Tap k looks (K-1-k)*dilation steps back, s rows; a tap that looks L or more
+    steps back reads only the zero history before the first step and is left out.
+    """
+    return [(k, (K - 1 - k) * dilation * B) for k in range(K) if (K - 1 - k) * dilation < L]
 
 
 class MlpCritic:
@@ -213,12 +291,16 @@ class GanBundle:
         arrays, arch = load_checkpoint(path)
         if arch.get("model") != "agan":
             raise CheckpointError(f"{path}: not a GAN checkpoint")
-        config = GanConfig(**arch["config"])
+        try:
+            config = GanConfig(**arch["config"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: bad GAN config: {exc}") from exc
         gen = TcnGenerator(config)
         crit = MlpCritic(config)
-        expected = {f"g.{k}" for k in gen.params} | {f"c.{k}" for k in crit.params}
-        if set(arrays) != expected:
-            raise CheckpointError(f"{path}: parameter names do not match architecture")
+        expected = {f"g.{k}": p.shape for k, p in gen.params.items()}
+        expected.update({f"c.{k}": p.shape for k, p in crit.params.items()})
+        if {k: a.shape for k, a in arrays.items()} != expected:
+            raise CheckpointError(f"{path}: parameter names or shapes do not match architecture")
         for k in gen.params:
             gen.params[k] = ad.Tensor(arrays[f"g.{k}"], requires_grad=True)
         for k in crit.params:
@@ -304,7 +386,7 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
                     # critic step on detached generator output
                     with ad.no_record():
                         zc = np.stack([z, cond], axis=1)
-                        fake_np = gen.forward(ad.constant(zc)).data.copy()
+                        fake_np = gen.forward(ad.constant(zc)).data
                     real_flat = np.concatenate([real, cond], axis=1)
                     fake_flat = np.concatenate([fake_np, cond], axis=1)
                     loss_c = ad.sub(ad.tmean(crit.forward(ad.constant(fake_flat))),
@@ -418,4 +500,4 @@ def generate(bundle: GanBundle, conditions: list[ScaledInterval], seed: int) -> 
     z = rng.standard_normal(cond.shape)
     with ad.no_record():
         out = bundle.generator.forward(ad.constant(np.stack([z, cond], axis=1)))
-    return out.data.copy()
+    return out.data

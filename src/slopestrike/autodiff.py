@@ -16,7 +16,6 @@ Subgradient conventions (fixed for deterministic replay):
   * ``maxpool1d``      -> gradient routed to the first (lowest-index) maximum
   * ``sqrt`` at 0      -> derivative 0 (stabilising convention)
   * ``abs`` at 0       -> derivative 0
-  * ``leaky_relu``     -> second derivative treated as 0 almost everywhere
 """
 
 from __future__ import annotations
@@ -192,7 +191,7 @@ def constant(x) -> Tensor:
 _SECOND_ORDER_KINDS = frozenset(
     {
         "add", "sub", "mul", "matmul", "affine", "tanh", "sigmoid",
-        "leaky_relu", "sum", "mean", "sqrt", "pow",
+        "sum", "mean", "sqrt", "pow",
         "expand", "reshape", "transpose",
     }
 )
@@ -402,15 +401,6 @@ def relu(a) -> Tensor:
         return (mul(g, Tensor(mask)),)
 
     return _make("relu", a.data * mask, (a,), vjp)
-
-
-def leaky_relu(a, slope: float = 0.01) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (mul(g, Tensor(np.where(a.data >= 0.0, 1.0, slope))),)
-
-    return _make("leaky_relu", np.where(a.data >= 0.0, a.data, a.data * slope), (a,), vjp)
 
 
 def tanh(a) -> Tensor:

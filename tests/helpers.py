@@ -79,7 +79,7 @@ def _builders():
         def f(ts):
             x = ad.reshape(ts[0], (1, 10))
             y = ad.conv1d(x, ad.constant(w), dilation=2)
-            return ad.tmean(ad.leaky_relu(y, 0.2))
+            return ad.tmean(leaky(y, 0.2))
 
         return [(10,)], f
 
@@ -228,6 +228,22 @@ def graph_gradients(f, arrays):
     root = f(ts)
     ad.backward(root)
     return [t.grad for t in ts]
+
+
+def leaky(h, slope):
+    """Leaky ReLU from primitive ops: relu(h) - slope * relu(-h)."""
+    return ad.sub(ad.relu(h), ad.mul(ad.relu(ad.mul(h, -1.0)), slope))
+
+
+def tcn_generator_reference(gen, z_cond):
+    """``TcnGenerator.forward`` built from primitive ops: conv1d, channel_bias, leaky."""
+    cfg = gen.config
+    h = z_cond
+    for i, dil in enumerate(cfg.gen_dilations):
+        h = ad.conv1d(h, gen.params[f"tcn{i}.w"], dilation=dil)
+        h = leaky(ad.channel_bias(h, gen.params[f"tcn{i}.b"]), cfg.leaky_slope)
+    h = ad.channel_bias(ad.conv1d(h, gen.params["head.w"]), gen.params["head.b"])
+    return ad.reshape(h, (h.shape[0], cfg.interval_length))
 
 
 def nhits_stacks_reference(model, x, exo):

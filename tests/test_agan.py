@@ -4,13 +4,13 @@ import pytest
 from slopestrike import autodiff as ad
 from slopestrike import dataio
 from slopestrike.agan import (
-    GanBundle, GanConfig, evaluate_gan, forecast_slopes, generate, gradient_penalty,
-    sample_intervals, scale, scale_bounds, series_log_returns, to_prices,
+    GanBundle, GanConfig, TcnGenerator, evaluate_gan, forecast_slopes, generate,
+    gradient_penalty, sample_intervals, scale, scale_bounds, series_log_returns, to_prices,
     train_agan, unscale, _PRICE_DATES, _forecaster_slope_loss,
 )
 from slopestrike.attacks import general_slope_value, ls_slope, ls_slope_value, slope_loss
 from slopestrike.features import compute_features
-from helpers import max_rel_err
+from helpers import finite_diff, max_rel_err, tcn_generator_reference
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +215,104 @@ def test_gan_config_validation():
         GanConfig(gp_apply_prob=1.5)
     with pytest.raises(ValueError):
         GanConfig(adv_scale_schedule=(0.0, 0.1), epochs_per_block=(1, 1))
+    for field, value in [("gen_kernels", (3, 0, 5, 3)), ("gen_kernels", (3, 2.0, 5, 3)),
+                         ("gen_dilations", (1, 0, 4, 8)), ("gen_dilations", (1, -2, 4, 8)),
+                         ("gen_hidden", (64, 0, 64, 32)), ("gen_hidden", (64, True, 64, 32)),
+                         ("interval_length", 1), ("interval_length", 9.0),
+                         ("leaky_slope", -0.1), ("leaky_slope", 1.5)]:
+        with pytest.raises(ValueError, match=field):
+            GanConfig(**{field: value})
+    GanConfig(leaky_slope=0.0, interval_length=2, gen_kernels=(1, 1, 1, 1))
+
+
+def _generator_inputs(cfg, B, seed):
+    """A generator with every parameter random (head and biases included) and a z_cond."""
+    gen = TcnGenerator(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in gen.params.values():
+        p.data = rng.uniform(-0.6, 0.6, p.shape)
+    return gen, rng.standard_normal((B, 2, cfg.interval_length)), rng.normal(size=(B, cfg.interval_length))
+
+
+def _generator_run(forward, gen, z, weights, with_z=True):
+    """Outputs and the gradients of sum(out * weights) for the parameters (and z_cond)."""
+    zt = ad.Tensor(z.copy(), requires_grad=True)
+    out = forward(zt)
+    wrt = list(gen.params.values()) + ([zt] if with_z else [])
+    grads = ad.gradients(ad.tsum(ad.mul(out, ad.constant(weights))), wrt)
+    return out.data, [g.data for g in grads]
+
+
+def test_generator_op_matches_primitive_reference():
+    gen, z, weights = _generator_inputs(GanConfig(), 32, seed=41)
+    out, grads = _generator_run(gen.forward, gen, z, weights)
+    ref_out, ref_grads = _generator_run(lambda t: tcn_generator_reference(gen, t), gen, z, weights)
+    assert out.shape == (32, 99) and len(grads) == 11
+    # relative to the largest entry: single entries may nearly cancel
+    assert np.max(np.abs(out - ref_out)) < 1e-12 * np.max(np.abs(ref_out))
+    for got, want in zip(grads, ref_grads):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_generator_op_matches_finite_differences():
+    cfg = GanConfig(gen_hidden=(3, 2), gen_kernels=(2, 3), gen_dilations=(1, 2),
+                    interval_length=7)
+    gen, z, weights = _generator_inputs(cfg, 2, seed=42)
+    names = list(gen.params)
+
+    def loss(arrays):
+        for name, a in zip(names, arrays[1:]):
+            gen.params[name] = ad.Tensor(a, requires_grad=True)
+        with ad.no_record():
+            return float(np.sum(gen.forward(ad.constant(arrays[0])).data * weights))
+
+    arrays = [z] + [gen.params[n].data.copy() for n in names]
+    fd = finite_diff(loss, [a.copy() for a in arrays])
+    for name, a in zip(names, arrays[1:]):
+        gen.params[name] = ad.Tensor(a.copy(), requires_grad=True)
+    _, grads = _generator_run(gen.forward, gen, z, weights)
+    for got, want in zip(grads, fd[1:] + fd[:1]):
+        assert max_rel_err(got, want) < 1e-6
+
+
+def test_generator_records_nothing_under_no_record():
+    gen, z, _ = _generator_inputs(GanConfig(), 4, seed=43)
+    with ad.no_record():
+        out = gen.forward(ad.Tensor(z, requires_grad=True))
+    assert out.node is None and not out.requires_grad
+    assert gen.forward(ad.constant(z)).node.kind == "tcn_generator"
+
+
+def test_generator_parameter_gradients_skip_input_gradient():
+    gen, z, weights = _generator_inputs(GanConfig(), 8, seed=44)
+    _, with_z = _generator_run(gen.forward, gen, z, weights)
+    zt = ad.Tensor(z.copy(), requires_grad=True)
+    out = gen.forward(zt)
+    results, vjp = [], out.node.vjp
+    out.node.vjp = lambda g, need: results.append(vjp(g, need)) or results[-1]
+    grads = ad.gradients(ad.tsum(ad.mul(out, ad.constant(weights))), list(gen.params.values()))
+    assert results[0][0] is None  # z_cond's gradient is never formed
+    for got, want in zip(grads, with_z[:-1]):
+        assert np.array_equal(got.data, want)
+
+
+def test_generator_rejects_wrong_input_shape():
+    gen = TcnGenerator(GanConfig())
+    for shape in [(4, 3, 99), (4, 2, 98), (2, 99), (4, 2, 99, 1)]:
+        with pytest.raises(ad.ShapeError, match="tcn_generator"):
+            gen.forward(ad.constant(np.zeros(shape)))
+
+
+def test_generate_matches_reference_graph(tiny_bundle, cond_stock):
+    bundle, _, _ = tiny_bundle
+    conds = sample_intervals(cond_stock, 6, seed=8)
+    cond = np.stack([iv.condition for iv in conds])
+    z = np.random.default_rng(9).standard_normal(cond.shape)
+    with ad.no_record():
+        ref = tcn_generator_reference(bundle.generator, ad.constant(np.stack([z, cond], axis=1)))
+    got = generate(bundle, conds, seed=9)
+    assert np.max(np.abs(got - ref.data)) < 1e-12 * np.max(np.abs(ref.data))
 
 
 def _fake_batch(series, n, seed):

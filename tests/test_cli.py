@@ -286,3 +286,32 @@ def test_corrupt_inputs_exit_3_with_one_line_message(tmp_path, workspace, capsys
         assert code == 3, words
         assert err.startswith("data error:") and words in err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_gan_checkpoint_with_bad_generator_exits_3(tmp_path, workspace, capsys):
+    from slopestrike import agan, dataio
+    _, data, ckpt = workspace
+    cfg = agan.GanConfig()
+    bundle = agan.GanBundle(agan.TcnGenerator(cfg), agan.MlpCritic(cfg), cfg, (-0.05, 0.05))
+    good = tmp_path / "gan.ckpt"
+    bundle.save(good)
+    arrays, arch = dataio.load_checkpoint(good)
+    zero_kernel = tmp_path / "zero_kernel.ckpt"
+    dataio.save_checkpoint(arrays, zero_kernel,
+                           {**arch, "config": {**arch["config"], "gen_kernels": [3, 0, 5, 3]}})
+    unknown_key = tmp_path / "unknown_key.ckpt"
+    dataio.save_checkpoint(arrays, unknown_key,
+                           {**arch, "config": {**arch["config"], "gen_width": 3}})
+    wrong_shape = tmp_path / "wrong_shape.ckpt"
+    dataio.save_checkpoint({**arrays, "g.tcn1.w": arrays["g.tcn1.w"][:, :, :3]}, wrong_shape, arch)
+    cases = [(zero_kernel, "gen_kernels"), (unknown_key, "gen_width"), (wrong_shape, "shapes")]
+    for bad, words in cases:
+        for argv in (("gan", "generate", "--bundle", bad, "--data", data, "--ticker", "SYN000",
+                      "--n", 2, "--out", tmp_path / "x.csv"),
+                     ("eval", "--data", data, "--bundle", bad, "--checkpoint", ckpt,
+                      "--outdir", tmp_path / "eval", "--ticker", "SYN000", "--n", 5)):
+            code = run(*argv)
+            err = capsys.readouterr().err
+            assert code == 3, words
+            assert err.startswith("data error:") and words in err
+            assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
