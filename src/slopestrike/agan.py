@@ -26,7 +26,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dataio import PriceSeries, business_days, save_checkpoint, load_checkpoint, CheckpointError
+from .dataio import (PriceSeries, business_days, save_checkpoint, load_model_checkpoint,
+                     CheckpointError)
 from .features import compute_features
 from .forecaster import NhitsModel, NumericalError
 from .attacks import general_slope_value, ls_slope, ls_slope_value, slope_loss
@@ -288,24 +289,17 @@ class GanBundle:
 
     @classmethod
     def load(cls, path) -> "GanBundle":
-        arrays, arch = load_checkpoint(path)
-        if arch.get("model") != "agan":
-            raise CheckpointError(f"{path}: not a GAN checkpoint")
+        def build(config):
+            gen, crit = TcnGenerator(config), MlpCritic(config)
+            return (gen, crit, config), {"g.": gen.params, "c.": crit.params}
+
+        (gen, crit, config), arch = load_model_checkpoint(path, "agan", "GAN", GanConfig, build)
+        bounds = arch.get("scale_bounds")
         try:
-            config = GanConfig(**arch["config"])
+            lo, hi = (float(b) for b in bounds)
         except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"{path}: bad GAN config: {exc}") from exc
-        gen = TcnGenerator(config)
-        crit = MlpCritic(config)
-        expected = {f"g.{k}": p.shape for k, p in gen.params.items()}
-        expected.update({f"c.{k}": p.shape for k, p in crit.params.items()})
-        if {k: a.shape for k, a in arrays.items()} != expected:
-            raise CheckpointError(f"{path}: parameter names or shapes do not match architecture")
-        for k in gen.params:
-            gen.params[k] = ad.Tensor(arrays[f"g.{k}"], requires_grad=True)
-        for k in crit.params:
-            crit.params[k] = ad.Tensor(arrays[f"c.{k}"], requires_grad=True)
-        return cls(gen, crit, config, tuple(arch["scale_bounds"]))
+            raise CheckpointError(f"{path}: bad GAN scale bounds {bounds!r}") from exc
+        return cls(gen, crit, config, (lo, hi))
 
 
 # ---------------------------------------------------------------------------

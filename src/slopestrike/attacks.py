@@ -1,12 +1,15 @@
 """White-box attacks on the forecaster.
 
-All iterative attacks share one loop: recompute the features from the current
-adversarial prices (so gradients reach the raw series), run the rolling
-forecast, take a loss on the averaged median path, backpropagate, then move
-each price by ``step * sign(gradient)`` and clamp back into the epsilon ball
-around the original series.  The slope attacks replace the error loss with an
-objective on the forecast's slope; the C&W variants instead optimise an
-additive noise vector under an L2-norm penalty with no epsilon clamp.
+All ten methods share one loop: recompute the features from the current
+prices (so gradients reach the raw series), run the rolling forecast, take a
+loss on the averaged median path and backpropagate to the loop's leaf.  The
+sign methods step the prices by ``step * sign(gradient)`` and clamp them into
+the epsilon ball around the original series; the C&W variants take plain
+gradient steps on an additive noise vector under an L2-norm penalty, with no
+clamp.  The L1 methods measure the distance to a target path and the slope
+methods (GSA, LSSA, CW_GSA, CW_LSSA) take an objective on the forecast's
+slope.  The first iteration runs on the clean prices: its forecast is the
+unattacked path.
 
 Methods: FGSM, BIM, MIFGSM, SIM, TIM, GSA, LSSA, CW, CW_GSA, CW_LSSA.
 """
@@ -28,6 +31,7 @@ from .metrics import error_metrics
 logger = logging.getLogger(__name__)
 
 METHODS = ("FGSM", "BIM", "MIFGSM", "SIM", "TIM", "CW", "GSA", "LSSA", "CW_GSA", "CW_LSSA")
+UNTARGETED = ("FGSM", "BIM", "MIFGSM", "SIM")   # ascend the error; the others descend
 
 ATTACK_WINDOW = 300          # attacks run on the first 300 days of a recording
 DEFAULT_ITERS = 30
@@ -183,120 +187,94 @@ def _predict_path(model: NhitsModel, prices: Tensor, dates) -> Tensor:
     return model.rolling_median_path(fm)
 
 
-def _clean_path(model: NhitsModel, window: PriceSeries) -> np.ndarray:
-    with ad.no_record():
-        return _predict_path(model, ad.constant(window.adjprc), window.dates).data.copy()
-
-
 def _loss_builder(cfg: AttackConfig, window: PriceSeries, eps: float, encoder: int):
-    """Returns (loss_fn, descent) where loss_fn(path) -> (loss, slope_value)."""
-    horizon_truth = window.adjprc[encoder:]
+    """loss_fn(path) -> (loss, slope_value) for every method.
 
-    def l1_untargeted(path: Tensor):
-        loss = ad.tmean(ad.tabs(ad.sub(path, ad.constant(horizon_truth))))
-        return loss, general_slope_value(path.data)
+    GSA, LSSA and their C&W variants take the slope objective.  The others
+    take the mean L1 distance to a target path: the truth, shifted by
+    ``target_dir * gamma`` for TIM and by ``-gamma`` for CW (gamma defaults
+    to eps).
+    """
+    objective = cfg.method.removeprefix("CW_")
+    if objective in ("GSA", "LSSA"):
+        measure = general_slope if objective == "GSA" else ls_slope
 
-    if cfg.method in ("FGSM", "BIM", "MIFGSM", "SIM"):
-        return l1_untargeted, False  # ascent maximises the error
-
-    if cfg.method == "TIM":
-        gamma = eps if cfg.gamma is None else cfg.gamma
-        target = horizon_truth + cfg.target_dir * gamma
-
-        def tim_loss(path: Tensor):
-            loss = ad.tmean(ad.tabs(ad.sub(path, ad.constant(target))))
-            return loss, general_slope_value(path.data)
-
-        return tim_loss, True  # descent minimises distance to the target
-
-    if cfg.method in ("GSA", "LSSA"):
-        measure = general_slope if cfg.method == "GSA" else ls_slope
-
-        def sl(path: Tensor):
+        def slope_objective(path: Tensor):
             m = measure(path)
             loss = slope_loss(m, cfg.target_dir, cfg.c, cfg.d)
             return ad.tmean(loss), float(m.data.reshape(-1)[0])
 
-        return sl, True  # descent minimises the slope objective
+        return slope_objective
 
-    raise ValueError(f"no iterative loss for method {cfg.method}")
+    target = window.adjprc[encoder:]
+    shift = {"TIM": cfg.target_dir, "CW": -1}.get(cfg.method)
+    if shift is not None:
+        gamma = eps if cfg.gamma is None else cfg.gamma
+        target = target + shift * gamma
+
+    def l1_distance(path: Tensor):
+        loss = ad.tmean(ad.tabs(ad.sub(path, ad.constant(target))))
+        return loss, general_slope_value(path.data)
+
+    return l1_distance
 
 
 def _run_iterative(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
-                   loss_fn, descent: bool, eps: float, iters: int,
-                   on_iteration=None) -> tuple[np.ndarray, list]:
+                   loss_fn, eps: float, iters: int, on_iteration=None):
+    """Returns (x_adv, trace, path_before, l2_norm); the C&W leaf is the noise
+    eta (prices = adj + eta) and its loss ||eta||_2 + lambda * loss_fn."""
     adj = window.adjprc
+    cw = cfg.method.startswith("CW")
+    ascend = cfg.method in UNTARGETED
     alpha = eps if cfg.method == "FGSM" else attack_step(eps, iters)
+    cw_step = CW_STEP_FACTOR * float(np.median(adj))
     lo, hi = adj - eps, adj + eps
     x = adj.copy()
+    eta = np.zeros_like(adj)
     g_accum = np.zeros_like(adj)
     trace = []
     for i in range(iters):
-        x_t = ad.Tensor(x, requires_grad=True)
+        if cw:
+            leaf = ad.Tensor(eta, requires_grad=True)
+            x_t = ad.add(ad.constant(adj), leaf)
+        else:
+            leaf = x_t = ad.Tensor(x, requires_grad=True)
+        if np.any(x_t.data <= 0.0):
+            raise NumericalError(f"{cfg.method}: prices became non-positive at iteration {i}")
         path = _predict_path(model, x_t, window.dates)
+        if i == 0:
+            path_before = path.data.copy()
         loss, slope = loss_fn(path)
+        if cw:
+            norm = ad.tsqrt(ad.tsum(ad.mul(leaf, leaf)))
+            loss = ad.add(norm, ad.mul(loss, cfg.lambda_cw))
         lval = loss.item()
         if not np.isfinite(lval):
             raise NumericalError(f"{cfg.method}: loss became non-finite at iteration {i}")
         trace.append((i, lval, slope))
         if on_iteration is None:
-            grad = ad.gradient(loss, x_t).data
+            grad = ad.gradient(loss, leaf).data
         else:
-            gx, gpath = ad.gradients(loss, [x_t, path])
-            grad = x_t.grad = gx.data
+            gleaf, gpath = ad.gradients(loss, [leaf, path])
+            grad = leaf.grad = gleaf.data
             path.grad = gpath.data
-            on_iteration(i, path, x_t)
-        with ad.no_record():
-            if cfg.method == "MIFGSM":
-                norm1 = np.abs(grad).sum()
-                if norm1 > 0.0:
-                    g_accum = cfg.mu * g_accum + grad / norm1
-                else:
-                    g_accum = cfg.mu * g_accum
-                step_dir = np.sign(g_accum)
-            else:
-                step_dir = np.sign(grad)
-            x = x - alpha * step_dir if descent else x + alpha * step_dir
-            x = np.clip(x, lo, hi)
-            if cfg.method == "SIM":
-                x = _sim_guard(x, adj, eps)
-    return x, trace
-
-
-def _run_cw(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
-            iters: int) -> tuple[np.ndarray, list, float]:
-    adj = window.adjprc
-    horizon_truth = adj[model.config.encoder_length:]
-    med = float(np.median(adj))
-    step = CW_STEP_FACTOR * med
-    gamma = eps_abs(window, cfg.eps_pct) if cfg.gamma is None else cfg.gamma
-    target = horizon_truth - gamma  # targeted below the original series
-
-    def objective(path: Tensor):
-        if cfg.method == "CW":
-            f = ad.tmean(ad.tabs(ad.sub(path, ad.constant(target))))
-            return f, general_slope_value(path.data)
-        measure = general_slope if cfg.method == "CW_GSA" else ls_slope
-        m = measure(path)
-        return ad.tmean(slope_loss(m, cfg.target_dir, cfg.c, cfg.d)), float(m.data.reshape(-1)[0])
-
-    eta = np.zeros_like(adj)
-    trace = []
-    for i in range(iters):
-        eta_t = ad.Tensor(eta, requires_grad=True)
-        x = ad.add(ad.constant(adj), eta_t)
-        if np.any(x.data <= 0.0):
-            raise NumericalError(f"{cfg.method}: noise drove prices non-positive at iteration {i}")
-        path = _predict_path(model, x, window.dates)
-        f, slope = objective(path)
-        norm = ad.tsqrt(ad.tsum(ad.mul(eta_t, eta_t)))
-        obj = ad.add(norm, ad.mul(f, cfg.lambda_cw))
-        oval = obj.item()
-        if not np.isfinite(oval):
-            raise NumericalError(f"{cfg.method}: objective became non-finite at iteration {i}")
-        trace.append((i, oval, slope))
-        eta = eta - step * ad.gradient(obj, eta_t).data
-    return adj + eta, trace, float(np.linalg.norm(eta))
+            on_iteration(i, path, leaf)
+        if cw:
+            eta = eta - cw_step * grad
+            continue
+        if cfg.method == "MIFGSM":
+            norm1 = np.abs(grad).sum()
+            g_accum = cfg.mu * g_accum + grad / norm1 if norm1 > 0.0 else cfg.mu * g_accum
+            step_dir = np.sign(g_accum)
+        else:
+            step_dir = np.sign(grad)
+        x = x + alpha * step_dir if ascend else x - alpha * step_dir
+        x = np.clip(x, lo, hi)
+        if cfg.method == "SIM":
+            x = _sim_guard(x, adj, eps)
+    if cw:
+        return adj + eta, trace, path_before, float(np.linalg.norm(eta))
+    return x, trace, path_before, None
 
 
 def run_attack(series: PriceSeries, model: NhitsModel, config: AttackConfig,
@@ -305,28 +283,23 @@ def run_attack(series: PriceSeries, model: NhitsModel, config: AttackConfig,
 
     Every iterative method's output satisfies max|x_adv - adjprc| <= eps; the
     C&W variants are unconstrained and report the L2 norm of their noise.
-    Each iteration differentiates only with respect to the prices, so the
-    forecaster's ``grad`` buffers are never written.  ``on_iteration(i, path,
-    x_t)``, if given, is called after each iteration's gradient, with the loss
-    gradient in ``path.grad`` (median path) and ``x_t.grad`` (prices).
+    Each iteration differentiates only with respect to its leaf (the prices,
+    or the C&W noise), so the forecaster's ``grad`` buffers are never written.
+    ``on_iteration(i, path, leaf)``, if given, is called after every
+    iteration's gradient for every method, with the loss gradient in
+    ``path.grad`` (median path) and ``leaf.grad``.
     """
     window = _attack_window(series, model)
     eps = eps_abs(window, config.eps_pct)
-    iters = config.resolved_iters()
-    truth = window.adjprc[model.config.encoder_length:]
-    path_before = _clean_path(model, window)
-    l2 = None
-    if config.method.startswith("CW"):
-        x_adv, trace, l2 = _run_cw(window, model, config, iters)
-    else:
-        loss_fn, descent = _loss_builder(config, window, eps, model.config.encoder_length)
-        x_adv, trace = _run_iterative(window, model, config, loss_fn, descent,
-                                      eps, iters, on_iteration)
+    encoder = model.config.encoder_length
+    loss_fn = _loss_builder(config, window, eps, encoder)
+    x_adv, trace, path_before, l2 = _run_iterative(window, model, config, loss_fn, eps,
+                                                   config.resolved_iters(), on_iteration)
     with ad.no_record():
         path_after = _predict_path(model, ad.constant(x_adv), window.dates).data.copy()
-    adv_series = PriceSeries(window.ticker, window.dates, x_adv)
+    truth = window.adjprc[encoder:]
     return AttackResult(
-        x_adv=adv_series,
+        x_adv=PriceSeries(window.ticker, window.dates, x_adv),
         eps_abs=eps,
         trace=trace,
         before=_path_metrics(path_before, truth),

@@ -11,7 +11,6 @@ supports building the backward pass itself as a differentiable graph
 (``create_graph=True``), which is what the Wasserstein gradient penalty needs.
 
 Subgradient conventions (fixed for deterministic replay):
-  * ``sign``           -> derivative 0 everywhere
   * ``clamp``          -> pass-through inside [lo, hi], bounds count as inside
   * ``maxpool1d``      -> gradient routed to the first (lowest-index) maximum
   * ``sqrt`` at 0      -> derivative 0 (stabilising convention)
@@ -361,15 +360,6 @@ def tabs(a) -> Tensor:
         return (mul(g, Tensor(s)),)
 
     return _make("abs", np.abs(a.data), (a,), vjp)
-
-
-def sign(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (Tensor(np.zeros(a.shape)),)
-
-    return _make("sign", np.sign(a.data), (a,), vjp)
 
 
 def clamp(a, lo=None, hi=None) -> Tensor:

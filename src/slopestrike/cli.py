@@ -204,12 +204,22 @@ def _parse_methods(raw: str) -> list[str]:
     return methods
 
 
+def _attack_config(method: str, eps_pct: float, iters, target_dir: int) -> AttackConfig:
+    try:
+        return AttackConfig(method, eps_pct=eps_pct, iters=iters, target_dir=target_dir)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_attack(args) -> int:
     cfg = _config_section(args, "attack")
     seed = _resolve_seed(args, cfg)
-    outdir = _outdir(args)
     methods = _parse_methods(_setting(args, cfg, "methods", str, "GSA,LSSA"))
-    eps_list = [float(e) for e in str(_setting(args, cfg, "eps-pct", str, "2.0")).split(",")]
+    raw_eps = str(_setting(args, cfg, "eps-pct", str, "2.0"))
+    try:
+        eps_list = [float(e) for e in raw_eps.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"eps-pct must be comma-separated numbers, got '{raw_eps}'") from exc
     settings = {
         "data": str(args.data), "checkpoint": str(args.checkpoint),
         "methods": ",".join(methods), "eps_pct": ",".join(_fmt(e) for e in eps_list),
@@ -218,6 +228,9 @@ def cmd_attack(args) -> int:
         "plots": _setting(args, cfg, "plots", bool, True),
         "seed": seed,
     }
+    acfgs = [_attack_config(m, e, settings["iters"], settings["direction"])
+             for m in methods for e in eps_list]
+    outdir = _outdir(args)
     model = NhitsModel.load(args.checkpoint)
     series = _load_series(args.data, getattr(args, "tickers", None))
     traces_dir = outdir / "traces"
@@ -225,31 +238,29 @@ def cmd_attack(args) -> int:
     rows = []
     normal_done = set()
     for s in series:
-        for method in methods:
-            for eps in eps_list:
-                acfg = AttackConfig(method, eps_pct=eps, iters=settings["iters"],
-                                    target_dir=settings["direction"])
-                result = run_attack(s, model, acfg)
-                if s.ticker not in normal_done:
-                    b = result.before
-                    rows.append((s.ticker, "normal", 0.0, b["mae"], b["rmse"], b["mape"],
-                                 b["gen_slope"], b["ls_slope"]))
-                    normal_done.add(s.ticker)
-                a = result.after
-                rows.append((s.ticker, method, eps, a["mae"], a["rmse"], a["mape"],
-                             a["gen_slope"], a["ls_slope"]))
-                _write_csv(traces_dir / f"trace_{s.ticker}_{method}_{_fmt(eps)}.csv",
-                           ("iter", "loss", "slope"), result.trace)
-                if settings["plots"]:
-                    enc = model.config.encoder_length
-                    days = np.arange(enc, enc + len(result.path_before))
-                    svgplot.line_chart(
-                        outdir / f"overlay_{s.ticker}_{method}_{_fmt(eps)}.svg",
-                        [("truth", days, s.adjprc[enc:enc + len(days)]),
-                         ("normal forecast", days, result.path_before),
-                         ("attacked forecast", days, result.path_after)],
-                        title=f"{s.ticker} {method} eps%={_fmt(eps)}",
-                        x_label="day", y_label="adjprc")
+        for acfg in acfgs:
+            method, eps = acfg.method, acfg.eps_pct
+            result = run_attack(s, model, acfg)
+            if s.ticker not in normal_done:
+                b = result.before
+                rows.append((s.ticker, "normal", 0.0, b["mae"], b["rmse"], b["mape"],
+                             b["gen_slope"], b["ls_slope"]))
+                normal_done.add(s.ticker)
+            a = result.after
+            rows.append((s.ticker, method, eps, a["mae"], a["rmse"], a["mape"],
+                         a["gen_slope"], a["ls_slope"]))
+            _write_csv(traces_dir / f"trace_{s.ticker}_{method}_{_fmt(eps)}.csv",
+                       ("iter", "loss", "slope"), result.trace)
+            if settings["plots"]:
+                enc = model.config.encoder_length
+                days = np.arange(enc, enc + len(result.path_before))
+                svgplot.line_chart(
+                    outdir / f"overlay_{s.ticker}_{method}_{_fmt(eps)}.svg",
+                    [("truth", days, s.adjprc[enc:enc + len(days)]),
+                     ("normal forecast", days, result.path_before),
+                     ("attacked forecast", days, result.path_after)],
+                    title=f"{s.ticker} {method} eps%={_fmt(eps)}",
+                    x_label="day", y_label="adjprc")
     _write_csv(outdir / "attack_report.csv",
                ("ticker", "method", "eps_pct", "mae", "rmse", "mape", "gen_slope", "ls_slope"),
                rows)
@@ -270,7 +281,6 @@ def cmd_attack(args) -> int:
 def cmd_defend_train(args) -> int:
     cfg = _config_section(args, "defend")
     seed = _resolve_seed(args, cfg)
-    outdir = _outdir(args)
     settings = {
         "data": str(args.data), "checkpoint": str(args.checkpoint),
         "method": _setting(args, cfg, "method", str, "GSA").upper(),
@@ -281,8 +291,8 @@ def cmd_defend_train(args) -> int:
         "holdout": _setting(args, cfg, "holdout", float, 0.3),
         "seed": seed,
     }
-    if settings["method"] not in METHODS:
-        raise UsageError(f"unknown method {settings['method']}; valid: {', '.join(METHODS)}")
+    acfg = _attack_config(settings["method"], settings["eps_pct"], settings["attack_iters"], 1)
+    outdir = _outdir(args)
     model = NhitsModel.load(args.checkpoint)
     series = _load_series(args.data, getattr(args, "tickers", None))
     n_in = defense.DiscriminatorConfig().input_length
@@ -290,8 +300,6 @@ def cmd_defend_train(args) -> int:
     for s in series:
         if len(s) < n_in:
             raise DataError(f"{s.ticker}: need {n_in} days for the discriminator input")
-        acfg = AttackConfig(settings["method"], eps_pct=settings["eps_pct"],
-                            iters=settings["attack_iters"], target_dir=1)
         result = run_attack(s.head(n_in), model, acfg)
         real.append(s.adjprc[:n_in])
         attacked.append(result.x_adv.adjprc)

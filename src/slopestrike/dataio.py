@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
+
 CSV_HEADER = ("ticker", "date", "adjprc")
 
 
@@ -188,6 +190,30 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if offset != len(body):
         raise CheckpointError(f"{path}: {len(body) - offset} trailing bytes after arrays")
     return arrays, header.get("arch", {})
+
+
+def load_model_checkpoint(path, kind: str, label: str, config_cls, build):
+    """Read a checkpoint of model ``kind`` into a fresh model; returns (model, arch).
+
+    ``build(config)`` makes the model and returns it with its parameter dicts,
+    keyed by the prefix their checkpoint names carry.  The model kind, the
+    config (``config_cls`` of the saved fields) and every parameter's name and
+    shape are checked; any mismatch is a ``CheckpointError``.
+    """
+    arrays, arch = load_checkpoint(path)
+    if arch.get("model") != kind:
+        raise CheckpointError(f"{path}: not a {label} checkpoint")
+    try:
+        model, groups = build(config_cls(**arch["config"]))
+    except (TypeError, ValueError, KeyError) as exc:
+        raise CheckpointError(f"{path}: bad {label} config: {exc}") from exc
+    expected = {prefix + k: p.shape for prefix, params in groups.items() for k, p in params.items()}
+    if {k: a.shape for k, a in arrays.items()} != expected:
+        raise CheckpointError(f"{path}: parameter names or shapes do not match architecture")
+    for prefix, params in groups.items():
+        for k in params:
+            params[k] = Tensor(arrays[prefix + k], requires_grad=True)
+    return model, arch
 
 
 def write_series_csv(series: list[PriceSeries], path) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dataio import save_checkpoint, load_checkpoint, CheckpointError
+from .dataio import save_checkpoint, load_model_checkpoint
 from .forecaster import NumericalError
 
 logger = logging.getLogger(__name__)
@@ -81,17 +81,12 @@ class Discriminator:
 
     @classmethod
     def load(cls, path) -> "Discriminator":
-        arrays, arch = load_checkpoint(path)
-        if arch.get("model") != "discriminator":
-            raise CheckpointError(f"{path}: not a discriminator checkpoint")
-        cfg_dict = dict(arch["config"])
-        cfg_dict["conv_channels"] = tuple(cfg_dict["conv_channels"])
-        clf = cls(DiscriminatorConfig(**cfg_dict))
-        if set(arrays) != set(clf.params):
-            raise CheckpointError(f"{path}: parameter names do not match architecture")
-        for k, v in arrays.items():
-            clf.params[k] = ad.Tensor(v, requires_grad=True)
-        return clf
+        def build(config):
+            clf = cls(config)
+            return clf, {"": clf.params}
+
+        return load_model_checkpoint(path, "discriminator", "discriminator",
+                                     DiscriminatorConfig, build)[0]
 
     def logits(self, batch: Tensor, dropout_rng=None) -> Tensor:
         """batch: (B, input_length) standardised series -> (B, 1) raw logits."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dataio import PriceSeries, save_checkpoint, load_checkpoint, CheckpointError
+from .dataio import PriceSeries, save_checkpoint, load_model_checkpoint
 from .features import FeatureMatrix, compute_features
 
 logger = logging.getLogger(__name__)
@@ -199,20 +199,11 @@ class NhitsModel:
 
     @classmethod
     def load(cls, path) -> "NhitsModel":
-        arrays, arch = load_checkpoint(path)
-        if arch.get("model") != "nhits":
-            raise CheckpointError(f"{path}: not a forecaster checkpoint")
-        cfg_dict = dict(arch["config"])
-        for key in ("pool_kernels", "downsample_ratios", "quantiles"):
-            cfg_dict[key] = tuple(cfg_dict[key])
-        model = cls(NhitsConfig(**cfg_dict))
-        if set(arrays) != set(model.params):
-            raise CheckpointError(f"{path}: parameter names do not match architecture")
-        for k, v in arrays.items():
-            if v.shape != model.params[k].data.shape:
-                raise CheckpointError(f"{path}: shape mismatch for {k}")
-            model.params[k] = ad.Tensor(v, requires_grad=True)
-        return model
+        def build(config):
+            model = cls(config)
+            return model, {"": model.params}
+
+        return load_model_checkpoint(path, "nhits", "forecaster", NhitsConfig, build)[0]
 
     def param_bytes(self) -> bytes:
         return b"".join(self.params[k].data.tobytes() for k in sorted(self.params))

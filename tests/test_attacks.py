@@ -9,6 +9,7 @@ from slopestrike.attacks import (
     _loss_builder, _cosine,
 )
 from slopestrike.dataio import PriceSeries
+from slopestrike.features import compute_features
 
 
 def _short(series, n=140):
@@ -124,14 +125,14 @@ def test_mifgsm_loss_scale_invariance(toy_model, eval_series):
     s = _short(eval_series[4])
     cfg = AttackConfig("MIFGSM", eps_pct=2.0, iters=5)
     eps = eps_abs(s, cfg.eps_pct)
-    base_loss, _ = _loss_builder(cfg, s, eps, toy_model.config.encoder_length)
+    base_loss = _loss_builder(cfg, s, eps, toy_model.config.encoder_length)
 
     def scaled_loss(path):
         loss, slope = base_loss(path)
         return ad.mul(loss, 10.0), slope
 
-    x1, _ = _run_iterative(s, toy_model, cfg, base_loss, False, eps, 5)
-    x2, _ = _run_iterative(s, toy_model, cfg, scaled_loss, False, eps, 5)
+    x1, *_ = _run_iterative(s, toy_model, cfg, base_loss, eps, 5)
+    x2, *_ = _run_iterative(s, toy_model, cfg, scaled_loss, eps, 5)
     assert np.array_equal(x1, x2)
 
 
@@ -206,6 +207,15 @@ def test_lssa_gradient_touches_interior(toy_model, eval_series):
     assert np.count_nonzero(seen["grad"][1:-1]) > 0
 
 
+@pytest.mark.parametrize("method", ["BIM", "CW_GSA"])
+def test_path_before_is_the_unrecorded_clean_forecast(toy_model, eval_series, method):
+    s = _short(eval_series[9])
+    r = run_attack(s, toy_model, AttackConfig(method, eps_pct=2.0, iters=2, target_dir=1))
+    with ad.no_record():
+        clean = toy_model.rolling_median_path(compute_features(ad.constant(s.adjprc), s.dates))
+    assert np.array_equal(r.path_before, clean.data)
+
+
 # ---------------------------------------------------------------------------
 # C&W family
 # ---------------------------------------------------------------------------
@@ -215,6 +225,19 @@ def test_cw_zero_tradeoff_keeps_noise_zero(toy_model, eval_series):
     r = run_attack(s, toy_model, AttackConfig("CW_GSA", target_dir=1, lambda_cw=0.0, iters=5))
     assert np.array_equal(r.x_adv.adjprc, s.adjprc)
     assert r.l2_norm == 0.0
+
+
+@pytest.mark.parametrize("method", ["CW", "CW_GSA"])
+def test_cw_calls_on_iteration_every_iteration(toy_model, eval_series, method):
+    s = _short(eval_series[9])
+    seen = []
+
+    def hook(i, path, leaf):
+        assert path.grad.shape == path.shape and leaf.grad.shape == s.adjprc.shape
+        seen.append(i)
+
+    r = run_attack(s, toy_model, AttackConfig(method, target_dir=1, iters=3), on_iteration=hook)
+    assert seen == [0, 1, 2] and len(r.trace) == 3
 
 
 def test_cw_gsa_raises_slope_with_small_noise(toy_model, eval_series):

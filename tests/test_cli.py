@@ -288,8 +288,31 @@ def test_corrupt_inputs_exit_3_with_one_line_message(tmp_path, workspace, capsys
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+def _broken_checkpoints(tmp_path, good, unknown_key, reshape):
+    """An unknown config key and a mis-shaped array, each saved next to ``good``."""
+    from slopestrike import dataio
+    arrays, arch = dataio.load_checkpoint(good)
+    unknown = tmp_path / f"unknown_{good.name}"
+    dataio.save_checkpoint(arrays, unknown, {**arch, "config": {**arch["config"], unknown_key: 3}})
+    name, cut = reshape
+    wrong_shape = tmp_path / f"wrong_shape_{good.name}"
+    dataio.save_checkpoint({**arrays, name: cut(arrays[name])}, wrong_shape, arch)
+    return [(unknown, unknown_key), (wrong_shape, "shapes")]
+
+
+def _assert_one_line_data_errors(cases, commands, capsys):
+    for bad, words in cases:
+        for argv in commands(bad):
+            code = run(*argv)
+            err = capsys.readouterr().err
+            assert code == 3, (argv[0], words)
+            assert err.startswith("data error:") and words in err
+            assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_gan_checkpoint_with_bad_generator_exits_3(tmp_path, workspace, capsys):
-    from slopestrike import agan, dataio
+    """Every model kind's checkpoint is checked the same way: kind, config, names and shapes."""
+    from slopestrike import agan, dataio, defense
     _, data, ckpt = workspace
     cfg = agan.GanConfig()
     bundle = agan.GanBundle(agan.TcnGenerator(cfg), agan.MlpCritic(cfg), cfg, (-0.05, 0.05))
@@ -299,19 +322,43 @@ def test_gan_checkpoint_with_bad_generator_exits_3(tmp_path, workspace, capsys):
     zero_kernel = tmp_path / "zero_kernel.ckpt"
     dataio.save_checkpoint(arrays, zero_kernel,
                            {**arch, "config": {**arch["config"], "gen_kernels": [3, 0, 5, 3]}})
-    unknown_key = tmp_path / "unknown_key.ckpt"
-    dataio.save_checkpoint(arrays, unknown_key,
-                           {**arch, "config": {**arch["config"], "gen_width": 3}})
-    wrong_shape = tmp_path / "wrong_shape.ckpt"
-    dataio.save_checkpoint({**arrays, "g.tcn1.w": arrays["g.tcn1.w"][:, :, :3]}, wrong_shape, arch)
-    cases = [(zero_kernel, "gen_kernels"), (unknown_key, "gen_width"), (wrong_shape, "shapes")]
-    for bad, words in cases:
-        for argv in (("gan", "generate", "--bundle", bad, "--data", data, "--ticker", "SYN000",
-                      "--n", 2, "--out", tmp_path / "x.csv"),
-                     ("eval", "--data", data, "--bundle", bad, "--checkpoint", ckpt,
-                      "--outdir", tmp_path / "eval", "--ticker", "SYN000", "--n", 5)):
-            code = run(*argv)
-            err = capsys.readouterr().err
-            assert code == 3, words
-            assert err.startswith("data error:") and words in err
-            assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    no_bounds = tmp_path / "no_bounds.ckpt"
+    dataio.save_checkpoint(arrays, no_bounds, {k: v for k, v in arch.items() if k != "scale_bounds"})
+    cases = [(zero_kernel, "gen_kernels"), (no_bounds, "scale bounds")]
+    cases += _broken_checkpoints(tmp_path, good, "gen_width", ("g.tcn1.w", lambda a: a[:, :, :3]))
+    _assert_one_line_data_errors(cases, lambda bad: (
+        ("gan", "generate", "--bundle", bad, "--data", data, "--ticker", "SYN000",
+         "--n", 2, "--out", tmp_path / "x.csv"),
+        ("eval", "--data", data, "--bundle", bad, "--checkpoint", ckpt,
+         "--outdir", tmp_path / "eval", "--ticker", "SYN000", "--n", 5)), capsys)
+
+    cases = _broken_checkpoints(tmp_path, ckpt, "hidden_width", ("b0.w1", lambda a: a[:-1]))
+    _assert_one_line_data_errors(cases, lambda bad: (
+        ("attack", "--data", data, "--checkpoint", bad, "--outdir", tmp_path / "o",
+         "--methods", "gsa", "--iters", 1, "--tickers", "SYN000", "--no-plots"),), capsys)
+
+    clf = tmp_path / "clf.ckpt"
+    defense.Discriminator(defense.DiscriminatorConfig()).save(clf)
+    cases = _broken_checkpoints(tmp_path, clf, "conv_width", ("conv1.w", lambda a: a[:, :, :3]))
+    _assert_one_line_data_errors(cases, lambda bad: (
+        ("defend", "classify", "--model", bad, "--data", data, "--out", tmp_path / "p.csv"),),
+        capsys)
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("attack", "--eps-pct", "abc"), "eps-pct"),
+    (("attack", "--eps-pct", "-1"), "eps_pct"),
+    (("attack", "--direction", "5"), "target_dir"),
+    (("attack", "--iters", "0"), "iters"),
+    (("defend", "train", "--eps-pct", "-1"), "eps_pct"),
+    (("defend", "train", "--attack-iters", "0"), "iters"),
+])
+def test_bad_attack_settings_exit_2_before_loading(tmp_path, argv, words, capsys):
+    missing = tmp_path / "missing"  # neither file exists: the settings are checked first
+    code = run(*argv, "--data", missing / "prices.csv", "--checkpoint", missing / "model.ckpt",
+               "--outdir", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and words in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
