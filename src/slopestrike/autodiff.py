@@ -527,6 +527,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def sort_last(a) -> Tensor:
     """Sort along the last axis; gradients route back through the permutation."""
     a = as_tensor(a)
+    if not records((a,)):  # no vjp, so no permutation to keep
+        return Tensor(np.sort(a.data, axis=-1, kind="stable"))
     order = np.argsort(a.data, axis=-1, kind="stable")
     out_data = np.take_along_axis(a.data, order, axis=-1)
 
@@ -566,6 +568,8 @@ def unfold(x, size: int, axis: int = 0) -> Tensor:
 
     (T, ...) -> (T-size+1, size, ...) for axis 0; a leading batch axis, as in
     (B, T, ...) with axis 1, is carried through: (B, T-size+1, size, ...).
+    The data is a read-only strided view of ``x``'s, not a copy: the windows
+    cost no memory until an op that needs them contiguous copies them once.
     """
     x = as_tensor(x)
     T = x.shape[axis] if 0 <= axis < x.ndim else 0
@@ -575,7 +579,7 @@ def unfold(x, size: int, axis: int = 0) -> Tensor:
     def vjp(g):
         return (fold(g, T, axis),)
 
-    return _make("unfold", _window_view(x.data, size, axis=axis).copy(), (x,), vjp)
+    return _make("unfold", _window_view(x.data, size, axis=axis), (x,), vjp)
 
 
 def fold(w, length: int, axis: int = 0) -> Tensor:

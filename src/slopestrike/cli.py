@@ -86,30 +86,34 @@ def _write_run_manifest(outdir: Path, command: str, settings: dict) -> None:
         fh.write("\n")
 
 
-def _config_section(args, section: str) -> dict[str, str]:
+def _config_section(args, section: str):
+    """The command's section of the --config file (a SectionProxy), or {} without one."""
     if not getattr(args, "config", None):
         return {}
     parser = configparser.ConfigParser()
     read = parser.read(args.config)
     if not read:
         raise DataError(f"config file not found: {args.config}")
-    return dict(parser[section]) if parser.has_section(section) else {}
+    return parser[section] if parser.has_section(section) else {}
 
-def _setting(args, cfg: dict[str, str], name: str, cast, default):
+
+def _setting(args, cfg, name: str, cast, default):
     flag = getattr(args, name.replace("-", "_"), None)
     if flag is not None:
         return flag
-    if name in cfg:
+    if name not in cfg:
+        return default
+    try:
         raw = cfg[name]
         return cast(raw) if cast is not bool else raw.strip().lower() in ("1", "true", "yes")
-    return default
+    except (ValueError, configparser.InterpolationError) as exc:
+        raise UsageError(f"{args.config} [{cfg.name}] {name}: {exc}") from None
 
 
-def _resolve_seed(args, cfg: dict[str, str]) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in cfg:
-        return int(cfg["seed"])
+def _resolve_seed(args, cfg) -> int:
+    seed = _setting(args, cfg, "seed", int, None)
+    if seed is not None:
+        return seed
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:

@@ -3,8 +3,10 @@
 Each stack max-pools the (per-window normalised) price window at its own rate,
 runs a small MLP that emits coefficients at a downsampled resolution, and
 linearly interpolates those coefficients back up: the backcast part is
-subtracted from the running residual, the forecast parts are summed.  The
-exogenous feature window enters the first stack as a flattened side input.
+subtracted from the running residual, the forecast parts are summed.  A stack
+with downsample ratio 1 emits one coefficient per step, so, as in N-HiTS, it
+skips the interpolation, which would multiply by the identity.  The exogenous
+feature window enters the first stack as a flattened side input.
 
 ``NhitsModel.stacks`` records all the blocks as one graph node, kind
 ``nhits_stacks``, with a hand-written numpy vjp.  The forward takes the same
@@ -123,6 +125,11 @@ def _interp_matrix(knots: int, length: int) -> np.ndarray:
     return M
 
 
+def _interp(a: np.ndarray, m: np.ndarray | None) -> np.ndarray:
+    """a @ m, or a itself where m is None: a ratio-1 block's interpolation is the identity."""
+    return a if m is None else a @ m
+
+
 def _tc(a: np.ndarray) -> np.ndarray:
     """a.T in its own contiguous buffer, as ``autodiff.transpose`` makes it, so
     BLAS sums the products in the same order as the graph ops did."""
@@ -155,16 +162,16 @@ class NhitsModel:
     def __init__(self, config: NhitsConfig, seed: int = 0):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        # per block: pool kernel, backcast knots, backcast and forecast interpolation
-        self._blocks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        # per block: pool kernel, backcast knots, backcast/forecast interpolation (None at ratio 1)
+        self._blocks: list[tuple[int, int, np.ndarray | None, np.ndarray | None]] = []
         rng = np.random.default_rng(seed)
         E, H, Q = config.encoder_length, config.horizon, config.n_quantiles
         for si in range(config.n_stacks):
             k = config.pool_kernels[si]
             r = config.downsample_ratios[si]
             eb_knots, hf_knots = E // r, H // r
-            interp_b = _interp_matrix(eb_knots, E).T                    # (knots, E)
-            interp_f = np.kron(_interp_matrix(hf_knots, H), np.eye(Q)).T
+            interp_b = _interp_matrix(eb_knots, E).T if r > 1 else None  # (knots, E)
+            interp_f = np.kron(_interp_matrix(hf_knots, H), np.eye(Q)).T if r > 1 else None
             for _ in range(config.blocks_per_stack):
                 idx = len(self._blocks)
                 in_dim = E // k
@@ -254,8 +261,8 @@ class NhitsModel:
             h1, m1 = _relu(inp @ w1 + b1)
             h2, m2 = _relu(h1 @ w2 + b2)
             theta = h2 @ w3 + b3
-            backcast = theta[:, :eb] @ ib
-            forecast = theta[:, eb:] @ iff
+            backcast = _interp(theta[:, :eb], ib)
+            forecast = _interp(theta[:, eb:], iff)
             residual = residual - backcast
             fore = forecast if fore is None else fore + forecast
             if keep:
@@ -278,9 +285,10 @@ class NhitsModel:
                 if not (below or any(nw)):
                     break
                 gtheta = np.zeros((N, w3.shape[1]))
+                tb, tf = (None if m is None else _tc(m) for m in (ib, iff))
                 if g_res is not None:
-                    gtheta[:, :eb] = -g_res @ _tc(ib)
-                gtheta[:, eb:] = g @ _tc(iff)
+                    gtheta[:, :eb] = _interp(-g_res, tb)
+                gtheta[:, eb:] = _interp(g, tf)
                 gz1 = gz2 = None
                 if below or any(nw[:4]):
                     gz2 = (gtheta @ _tc(w3)) * m2
@@ -321,7 +329,8 @@ class NhitsModel:
 
     def _window_tensors(self, fm: FeatureMatrix, n_windows: int):
         """The first n_windows encoder windows of each series, series-major:
-        prices (rows, E) and exogenous features (rows, E*17)."""
+        prices (rows, E) and exogenous features (rows, E*17), read-only views
+        of the days for one series; a batch's rows are copied once, to merge axes."""
         cfg = self.config
         E = cfg.encoder_length
         span = n_windows + E - 1
@@ -439,11 +448,11 @@ def _series_days(model: NhitsModel, pools: list[list[PriceSeries]]):
 def _assemble_batch(starts: np.ndarray, prices: np.ndarray, exo: np.ndarray | None,
                     cfg: NhitsConfig):
     """The encoder windows (B, E), horizon truths (B, H) and exogenous windows
-    (B, E*17) that begin at the given days, gathered with one index each."""
+    (B, E*17) that begin at the given days, gathered with one index each: an
+    exogenous window is one contiguous row of the unfolded (D, 17) days."""
     E = cfg.encoder_length
-    days = starts[:, None] + np.arange(cfg.min_series_length)
-    path = prices[days]
-    exo_w = None if exo is None else exo[days[:, :E]].reshape(len(starts), -1)
+    path = prices[starts[:, None] + np.arange(cfg.min_series_length)]
+    exo_w = None if exo is None else ad.unfold(exo, E).data.reshape(-1, cfg.exo_dim)[starts]
     return path[:, :E], path[:, E:], exo_w
 
 

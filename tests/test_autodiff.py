@@ -206,6 +206,16 @@ def test_window_op_shape_errors_name_operation():
         ad.fold(ad.constant(np.ones((2, 3, 2))), 5, 1)
 
 
+@pytest.mark.parametrize("shape, size, axis", [((30, 4), 7, 0), ((3, 30, 4), 7, 1)])
+def test_unfold_returns_a_read_only_view_of_its_input(shape, size, axis):
+    x = np.random.default_rng(0).normal(size=shape)
+    w = ad.unfold(ad.constant(x), size, axis).data
+    assert np.shares_memory(w, x) and not w.flags.writeable
+    copies = np.stack([np.take(x, range(i, i + size), axis=axis)
+                       for i in range(shape[axis] - size + 1)], axis=axis)
+    assert np.array_equal(w, copies)
+
+
 def test_log_and_div_domain_errors():
     with pytest.raises(ad.DomainError):
         ad.tlog(ad.constant([1.0, 0.0]))

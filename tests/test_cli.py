@@ -258,6 +258,20 @@ def test_config_file_with_flag_override(tmp_path, workspace):
     assert sum(1 for _ in open(b)) == 1 + 1 * 150
 
 
+@pytest.mark.parametrize("line, key", [
+    ("n-series = abc", "n-series"), ("n-series = 5%", "n-series"), ("seed = x1", "seed"),
+])
+def test_bad_config_value_exits_2_naming_file_section_and_key(tmp_path, line, key, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[synth]\nn-days = 150\n{line}\n")
+    code = run("--config", cfg, "synth", "--out", tmp_path / "a.csv")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+    assert str(cfg) in err and "[synth]" in err and key in err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_corrupt_inputs_exit_3_with_one_line_message(tmp_path, workspace, capsys):
     _, data, ckpt = workspace
     flipped = tmp_path / "flipped.ckpt"

@@ -6,6 +6,7 @@ import pytest
 
 from slopestrike import autodiff as ad
 from slopestrike import dataio
+from slopestrike.attacks import AttackConfig, run_attack
 from slopestrike.features import compute_features
 from slopestrike.forecaster import (
     EarlyStopper, ForecastOutput, NhitsConfig, NhitsModel,
@@ -310,8 +311,29 @@ def test_rolling_forecast_memory_linear_in_length():
     finally:
         tracemalloc.stop()
     assert path.shape == (2300,)
-    assert peak < 128 * 2**20
+    assert peak < 64 * 2**20  # one copy of the (N, 100*17) exogenous windows, not two
     assert held - path.nbytes < 2**20
+
+
+def test_window_views_give_the_outputs_of_window_copies(toy_model, monkeypatch):
+    # oracle: an unfold that hands back a contiguous copy of the windows
+    series = dataio.synth_gbm(1, 300, 90.0, 7e-4, 0.009, seed=12)[0]
+
+    def outputs():
+        res = run_attack(series, toy_model, AttackConfig("GSA", eps_pct=2.0, iters=3))
+        return rolling_forecast(series, toy_model), res.x_adv.adjprc, np.array(res.trace)
+
+    views = outputs()
+    unfold = ad.unfold
+
+    def copying_unfold(x, size, axis=0):
+        w = unfold(x, size, axis)
+        w.data = w.data.copy()
+        return w
+
+    monkeypatch.setattr(ad, "unfold", copying_unfold)
+    for got, want in zip(views, outputs()):
+        assert np.array_equal(got, want)
 
 
 def test_rolling_average_beats_mean_single_window_mae(toy_model):
