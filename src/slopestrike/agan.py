@@ -66,7 +66,9 @@ class GanConfig:
         if not (0.0 <= self.gp_apply_prob <= 1.0):
             raise ValueError(f"gp_apply_prob must be in [0,1], got {self.gp_apply_prob}")
         if any(a <= 0 for a in self.adv_scale_schedule):
-            raise ValueError("adversarial scales must be positive")
+            raise ValueError(f"adv_scale_schedule must be positive, got {self.adv_scale_schedule}")
+        if not _positive_int(self.samples_per_epoch):
+            raise ValueError(f"samples_per_epoch must be a positive int, got {self.samples_per_epoch}")
         if not (len(self.gen_hidden) == len(self.gen_kernels) == len(self.gen_dilations)):
             raise ValueError("generator layer specs must have equal lengths")
         for name in ("gen_hidden", "gen_kernels", "gen_dilations"):

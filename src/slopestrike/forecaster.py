@@ -65,6 +65,9 @@ class NhitsConfig:
         self.pool_kernels = tuple(int(k) for k in self.pool_kernels)
         self.downsample_ratios = tuple(int(r) for r in self.downsample_ratios)
         self.quantiles = tuple(float(q) for q in self.quantiles)
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(self.pool_kernels) != self.n_stacks or len(self.downsample_ratios) != self.n_stacks:
             raise ValueError("pool_kernels and downsample_ratios must have one entry per stack")
         for k in self.pool_kernels:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import logging
 import shutil
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slopestrike import cli
 from slopestrike.cli import main
 
 
@@ -258,6 +260,21 @@ def test_config_file_with_flag_override(tmp_path, workspace):
     assert sum(1 for _ in open(b)) == 1 + 1 * 150
 
 
+ROWS = [(path, row) for path, cmd in cli.COMMANDS.items() if cmd.section
+        for row in cmd.rows + (("seed", int, 0),)]
+COMMAND_ARGV = {  # each command's inputs; the row test stubs the handler, so no file is read
+    ("synth",): ("synth", "--out", "a.csv"),
+    ("train",): ("train", "--data", "p.csv", "--outdir", "."),
+    ("attack",): ("attack", "--data", "p.csv", "--checkpoint", "m.ckpt", "--outdir", "."),
+    ("defend", "train"): ("defend", "train", "--data", "p.csv", "--checkpoint", "m.ckpt",
+                          "--outdir", "."),
+    ("gan", "train"): ("gan", "train", "--data", "p.csv", "--checkpoint", "m.ckpt", "--outdir", "."),
+    ("gan", "generate"): ("gan", "generate", "--bundle", "g.ckpt", "--data", "p.csv",
+                          "--out", "x.csv"),
+    ("eval",): ("eval", "--data", "p.csv", "--bundle", "g.ckpt", "--outdir", "."),
+}
+
+
 @pytest.mark.parametrize("line, key", [
     ("n-series = abc", "n-series"), ("n-series = 5%", "n-series"), ("seed = x1", "seed"),
 ])
@@ -270,6 +287,68 @@ def test_bad_config_value_exits_2_naming_file_section_and_key(tmp_path, line, ke
     assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
     assert str(cfg) in err and "[synth]" in err and key in err
     assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("path, row", ROWS, ids=[f"{'-'.join(p)}:{r[0]}" for p, r in ROWS])
+def test_every_settings_row_resolves_from_config_and_flag(tmp_path, monkeypatch, capsys,
+                                                          path, row):
+    """Every settings row: a config value is honoured, its flag overrides it, a bad one exits 2."""
+    flag, cast, default = row
+    key, section, argv = flag.replace("-", "_"), cli.COMMANDS[path].section, COMMAND_ARGV[path]
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, path,
+                        cli.COMMANDS[path]._replace(handler=lambda s: seen.append(s) or 0))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SLOPESTRIKE_SEED", raising=False)
+    cfg = tmp_path / "run.ini"
+
+    def resolved(value, *flags):
+        cfg.write_text(f"[{section}]\n{flag} = {value}\n")
+        assert run("--config", cfg, *argv, *flags) == 0
+        got = seen.pop()[key]
+        if "--outdir" in argv:  # the manifest holds the resolved row
+            assert json.loads(Path("run_manifest.json").read_text())["settings"][key] == got
+        return got
+
+    if cast is bool:
+        assert resolved("no") is False and resolved("yes") is True
+        assert resolved("yes", f"--no-{flag}") is False
+    else:
+        text, flag_text = {int: ("7", "9"), float: ("0.5", "0.25"), str: ("A,B", "C")}[cast]
+        assert resolved(text) == cast(text) != default
+        assert resolved(text, f"--{flag}", flag_text) == cast(flag_text)
+    for bad in ("5%", "abc") if cast in (int, float) else ("5%",):
+        cfg.write_text(f"[{section}]\n{flag} = {bad}\n")
+        code = run("--config", cfg, *argv)
+        err = capsys.readouterr().err
+        assert code == 2 and not seen
+        assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+        assert f"{cfg} [{section}] {flag}: " in err
+
+
+@pytest.mark.parametrize("text, words", [
+    ("n-series = 3\n", "no section headers"),
+    ("[synth]\nn-series = 3\nn-series = 4\n", "already exists"),
+])
+def test_unparsable_config_exits_2_naming_the_file(tmp_path, text, words, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    code = run("--config", cfg, "synth", "--out", tmp_path / "a.csv")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+    assert str(cfg) in err and words in err
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_split_without_training_series_is_data_error(tmp_path, workspace, capsys):
+    _, data, _ = workspace  # 4 usable series; a 0.9 validation share takes all of them
+    code = run("train", "--data", data, "--outdir", tmp_path / "o", "--min-length", 300,
+               "--val-fraction", 0.9)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and "no training series" in err
+    assert not (tmp_path / "o" / "model.ckpt").exists()
 
 
 def test_corrupt_inputs_exit_3_with_one_line_message(tmp_path, workspace, capsys):
@@ -366,11 +445,19 @@ def test_gan_checkpoint_with_bad_generator_exits_3(tmp_path, workspace, capsys):
     (("attack", "--iters", "0"), "iters"),
     (("defend", "train", "--eps-pct", "-1"), "eps_pct"),
     (("defend", "train", "--attack-iters", "0"), "iters"),
+    (("train", "--epochs", "0"), "epochs must be >= 1"),
+    (("train", "--batch-size", "0"), "batch_size must be >= 1"),
+    (("train", "--val-fraction", "1.0"), "val-fraction"),
+    (("gan", "train", "--epochs-per-block", "x,2"), "epochs-per-block"),
+    (("gan", "train", "--epochs-per-block", "2", "--alpha", "-1"), "alpha must be positive"),
+    (("gan", "train", "--samples-per-epoch", "0"), "samples-per-epoch"),
 ])
 def test_bad_attack_settings_exit_2_before_loading(tmp_path, argv, words, capsys):
-    missing = tmp_path / "missing"  # neither file exists: the settings are checked first
-    code = run(*argv, "--data", missing / "prices.csv", "--checkpoint", missing / "model.ckpt",
-               "--outdir", tmp_path / "out")
+    missing = tmp_path / "missing"  # no input file exists: the settings are checked first
+    inputs = ["--data", missing / "prices.csv", "--outdir", tmp_path / "out"]
+    if argv[0] != "train":
+        inputs += ["--checkpoint", missing / "model.ckpt"]
+    code = run(*argv, *inputs)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("usage error:") and words in err
