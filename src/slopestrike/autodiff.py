@@ -544,15 +544,15 @@ def sort_last(a) -> Tensor:
 # sliding windows
 # ---------------------------------------------------------------------------
 
-def _window_view(a: np.ndarray, size: int, dilation: int = 1, axis: int = 0) -> np.ndarray:
+def window_view(a: np.ndarray, size: int, dilation: int = 1, axis: int = 0) -> np.ndarray:
     """Read-only view of every window of ``size`` taps along ``axis``: (..., n, size, ...)."""
     span = (size - 1) * dilation + 1
     view = np.lib.stride_tricks.sliding_window_view(a, span, axis=axis)[..., ::dilation]
     return np.moveaxis(view, -1, axis + 1)
 
 
-def _overlap_add(w: np.ndarray, length: int, dilation: int = 1, axis: int = 0) -> np.ndarray:
-    """Adjoint of ``_window_view``: add tap k of window i back at i + k*dilation along ``axis``."""
+def overlap_add(w: np.ndarray, length: int, dilation: int = 1, axis: int = 0) -> np.ndarray:
+    """Adjoint of ``window_view``: add tap k of window i back at i + k*dilation along ``axis``."""
     n = w.shape[axis]
     out = np.zeros(w.shape[:axis] + (length,) + w.shape[axis + 2:])
     # views with the window and tap axes first, so the adds land in out
@@ -579,7 +579,7 @@ def unfold(x, size: int, axis: int = 0) -> Tensor:
     def vjp(g):
         return (fold(g, T, axis),)
 
-    return _make("unfold", _window_view(x.data, size, axis=axis), (x,), vjp)
+    return _make("unfold", window_view(x.data, size, axis=axis), (x,), vjp)
 
 
 def fold(w, length: int, axis: int = 0) -> Tensor:
@@ -593,7 +593,7 @@ def fold(w, length: int, axis: int = 0) -> Tensor:
     def vjp(g):
         return (unfold(g, size, axis),)
 
-    return _make("fold", _overlap_add(w.data, length, axis=axis), (w,), vjp)
+    return _make("fold", overlap_add(w.data, length, axis=axis), (w,), vjp)
 
 
 def _decay_scan(x: np.ndarray, gain: float, decay: float) -> np.ndarray:
@@ -696,7 +696,7 @@ def conv1d(x, w, dilation: int = 1) -> Tensor:
     pad = (K - 1) * dilation
     # time-major, so the windows are taken along axis 0 like unfold's
     xp = np.pad(np.moveaxis(xd, 2, 0), ((pad, 0), (0, 0), (0, 0)))  # (T+pad, B, Cin)
-    taps = _window_view(xp, K, dilation)  # (T, K, B, Cin)
+    taps = window_view(xp, K, dilation)  # (T, K, B, Cin)
     # contract via BLAS: (B*T, Cin*K) @ (Cin*K, Cout)
     pmat = taps.transpose(2, 0, 3, 1).reshape(B * T, Cin * K)
     wmat = w.data.reshape(Cout, Cin * K).T
@@ -708,7 +708,7 @@ def conv1d(x, w, dilation: int = 1) -> Tensor:
         gx = gw = None
         if need[0]:
             gtaps = (gmat @ wmat.T).reshape(B, T, Cin, K).transpose(1, 3, 0, 2)
-            gx = np.moveaxis(_overlap_add(gtaps, T + pad, dilation)[pad:], 0, 2)
+            gx = np.moveaxis(overlap_add(gtaps, T + pad, dilation)[pad:], 0, 2)
             gx = Tensor(gx[0] if squeeze else gx)
         if need[1]:
             gw = Tensor((gmat.T @ pmat).reshape(Cout, Cin, K))

@@ -18,6 +18,7 @@ import csv
 import json
 import logging
 import os
+import platform
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import agan, dataio, defense, svgplot
+from . import __version__, agan, dataio, defense, svgplot
 from .attacks import AttackConfig, run_attack
 from .autodiff import AutodiffError
 from .dataio import DataError, CheckpointError
@@ -82,8 +83,21 @@ def _outdir(settings: dict) -> Path:
     return out
 
 
+def _environment() -> dict:
+    """What a run's numbers depend on besides its settings: the code's versions,
+    the BLAS library and its thread settings (sums can round differently with
+    the thread count)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"slopestrike": __version__, "numpy": np.__version__,
+            "python": platform.python_version(),
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            **{var: os.environ.get(var, "unset")
+               for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+
+
 def _write_run_manifest(outdir: Path, command: str, settings: dict) -> None:
     payload = {"command": command,
+               "environment": _environment(),
                "settings": settings}
     with open(outdir / "run_manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -142,8 +156,6 @@ def cmd_train(settings) -> int:
     model_cfg = _checked(NhitsConfig, epochs=settings["epochs"], batch_size=settings["batch_size"],
                          lr=settings["lr"], weight_decay=settings["weight_decay"],
                          early_stop_patience=settings["patience"])
-    if not 0.0 < settings["val_fraction"] < 1.0:
-        raise UsageError(f"val-fraction must be in (0, 1), got {settings['val_fraction']}")
     outdir = _outdir(settings)
     series = _load_series(settings["data"])
     usable = [s for s in series if len(s) >= settings["min_length"]]
@@ -230,6 +242,12 @@ def cmd_defend_train(settings) -> int:
     outdir = _outdir(settings)
     model = NhitsModel.load(settings["checkpoint"])
     series = _load_series(settings["data"], settings["tickers"])
+    rng = np.random.default_rng(settings["seed"])
+    order = rng.permutation(len(series))
+    n_hold = max(1, int(round(len(series) * settings["holdout"])))
+    if n_hold >= len(series):
+        raise DataError(f"holdout {settings['holdout']} leaves no training series "
+                        f"of the {len(series)}")
     n_in = defense.DiscriminatorConfig().input_length
     real, attacked = [], []
     for s in series:
@@ -238,9 +256,6 @@ def cmd_defend_train(settings) -> int:
         result = run_attack(s.head(n_in), model, acfg)
         real.append(s.adjprc[:n_in])
         attacked.append(result.x_adv.adjprc)
-    rng = np.random.default_rng(settings["seed"])
-    order = rng.permutation(len(real))
-    n_hold = max(1, int(round(len(real) * settings["holdout"])))
     hold_idx = set(order[:n_hold].tolist())
     d_cfg = defense.DiscriminatorConfig(epochs=settings["epochs"], lr=settings["lr"])
     clf, curve = defense.train_discriminator(
@@ -370,25 +385,37 @@ def cmd_eval(settings) -> int:
 # the settings table, the parser built from it, and the resolver
 # ---------------------------------------------------------------------------
 
+class Bounds(NamedTuple):
+    """A numeric setting's valid values: v >= lo, or lo < v < hi when hi is given."""
+    lo: float
+    hi: float | None = None
+
+    def __contains__(self, v) -> bool:
+        return v >= self.lo if self.hi is None else self.lo < v < self.hi
+
+    def __str__(self) -> str:
+        return f">= {_fmt(self.lo)}" if self.hi is None else f"in ({_fmt(self.lo)}, {_fmt(self.hi)})"
+
+
 class Command(NamedTuple):
     handler: Callable[[dict], int]
     # the --config section its rows (and --seed) read; None: no section, no seed
     section: str | None
     # paths and --tickers: "--x" required, "--x?" optional, "x" positional,
-    # (flag, cast, default) an option no config file sets
+    # (flag, cast, default[, bounds]) an option no config file sets
     inputs: tuple
-    # settings as (flag, cast, default); a bool row's flag is --no-<flag>
+    # settings as (flag, cast, default[, bounds]); a bool row's flag is --no-<flag>
     rows: tuple = ()
 
 
 COMMANDS = {
     ("synth",): Command(cmd_synth, "synth", ("--out",), (
-        ("n-series", int, 10), ("n-days", int, 400), ("s0", float, 80.0),
-        ("mu", float, 4e-4), ("sigma", float, 0.01))),
+        ("n-series", int, 10, Bounds(1)), ("n-days", int, 400, Bounds(dataio.MIN_SYNTH_DAYS)),
+        ("s0", float, 80.0), ("mu", float, 4e-4), ("sigma", float, 0.01))),
     ("train",): Command(cmd_train, "train", ("--data", "--outdir"), (
         ("epochs", int, 100), ("batch-size", int, 64), ("lr", float, 1e-3),
         ("weight-decay", float, 1e-4), ("patience", int, 15), ("min-length", int, 600),
-        ("val-fraction", float, 0.15))),
+        ("val-fraction", float, 0.15, Bounds(0.0, 1.0)))),
     ("attack",): Command(
         cmd_attack, "attack", ("--data", "--checkpoint", "--outdir", "--tickers?"), (
             ("methods", str, "GSA,LSSA"), ("eps-pct", str, "2.0"), ("iters", int, None),
@@ -396,7 +423,8 @@ COMMANDS = {
     ("defend", "train"): Command(
         cmd_defend_train, "defend", ("--data", "--checkpoint", "--outdir", "--tickers?"), (
             ("method", str, "GSA"), ("eps-pct", float, 2.0), ("epochs", int, 200),
-            ("lr", float, 1e-4), ("attack-iters", int, 30), ("holdout", float, 0.3))),
+            ("lr", float, 1e-4), ("attack-iters", int, 30),
+            ("holdout", float, 0.3, Bounds(0.0, 1.0)))),
     ("defend", "classify"): Command(cmd_defend_classify, None,
                                     ("--model", "--data", "--out", "--tickers?")),
     ("defend", "build-manifest"): Command(cmd_defend_build_manifest, None, ("directory", "--out")),
@@ -406,9 +434,10 @@ COMMANDS = {
         ("epochs-per-block", str, "50,50,50,50,50"), ("alpha", str, "0.25,0.25,0.3,0.35,0.35"),
         ("lr-g", float, 1e-4), ("lr-c", float, 1e-4))),
     ("gan", "generate"): Command(cmd_gan_generate, "gan",
-                                 ("--bundle", "--data", "--ticker?", ("n", int, 2000), "--out")),
+                                 ("--bundle", "--data", "--ticker?", ("n", int, 2000, Bounds(1)),
+                                  "--out")),
     ("eval",): Command(cmd_eval, "eval", ("--data", "--bundle", "--checkpoint?", "--outdir"), (
-        ("ticker", str, None), ("n", int, 2000))),
+        ("ticker", str, None), ("n", int, 2000, Bounds(1)))),
 }
 GROUP_HELP = {"defend": "discriminator and integrity tooling",
               "gan": "adversarial GAN training and generation"}
@@ -448,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                 sp.add_argument(spec.rstrip("?"), required=not spec.endswith("?"))
             else:
                 sp.add_argument(spec)
-        for flag, cast, _ in _rows(cmd):
+        for flag, cast, *_ in _rows(cmd):
             if cast is bool:
                 sp.add_argument(f"--no-{flag}", dest=_key(flag), action="store_false", default=None)
             else:
@@ -458,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args, cmd: Command) -> dict:
     """The command's inputs ('' when an optional one is absent) and each row resolved
-    as flag > its --config section > SLOPESTRIKE_SEED (seed only) > default."""
+    as flag > its --config section > SLOPESTRIKE_SEED (seed only) > default; a value
+    outside its row's bounds is a usage error."""
     section = {}
     if args.config and cmd.section:
         parser = configparser.ConfigParser()
@@ -470,7 +500,7 @@ def _resolve(args, cmd: Command) -> dict:
         section = parser[cmd.section] if parser.has_section(cmd.section) else {}
     s = {_key(spec): "" if getattr(args, _key(spec)) is None else getattr(args, _key(spec))
          for spec in cmd.inputs}
-    for flag, cast, default in _rows(cmd):
+    for flag, cast, default, *_ in _rows(cmd):
         value = getattr(args, _key(flag))
         if value is None and flag in section:
             try:
@@ -485,6 +515,9 @@ def _resolve(args, cmd: Command) -> dict:
             except ValueError:
                 raise UsageError(f"{SEED_ENV} must be an integer, got '{env}'") from None
         s[_key(flag)] = default if value is None else value
+    for spec in (*cmd.inputs, *_rows(cmd)):
+        if not isinstance(spec, str) and len(spec) > 3 and s[_key(spec)] not in spec[3]:
+            raise UsageError(f"{spec[0]} must be {spec[3]}, got {_fmt(s[_key(spec)])}")
     return s
 
 

@@ -109,6 +109,9 @@ def business_days(start: dt.date, n: int) -> list[dt.date]:
     return days
 
 
+MIN_SYNTH_DAYS = 120  # one default forecaster window: encoder 100 + horizon 20
+
+
 def synth_gbm(n_series: int, n_days: int, s0: float, mu: float, sigma: float,
               seed: int) -> list[PriceSeries]:
     """Geometric Brownian motion price paths on consecutive weekdays.
@@ -120,8 +123,9 @@ def synth_gbm(n_series: int, n_days: int, s0: float, mu: float, sigma: float,
         raise DataError(f"s0 must be positive, got {s0}")
     if sigma < 0.0:
         raise DataError(f"sigma must be non-negative, got {sigma}")
-    if n_days < 120:
-        raise DataError(f"n_days must be >= 120 (encoder 100 + horizon 20), got {n_days}")
+    if n_days < MIN_SYNTH_DAYS:
+        raise DataError(f"n_days must be >= {MIN_SYNTH_DAYS} (encoder 100 + horizon 20), "
+                        f"got {n_days}")
     rng = np.random.default_rng(seed)
     dates = business_days(dt.date(2020, 1, 6), n_days)
     out = []

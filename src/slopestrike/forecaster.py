@@ -8,15 +8,21 @@ with downsample ratio 1 emits one coefficient per step, so, as in N-HiTS, it
 skips the interpolation, which would multiply by the identity.  The exogenous
 feature window enters the first stack as a flattened side input.
 
-``NhitsModel.stacks`` records all the blocks as one graph node, kind
-``nhits_stacks``, with a hand-written numpy vjp.  The forward takes the same
-products in the same order as the per-op graph did, so its values are
-bit-identical, and so are the vjp's.  The vjp follows the engine's conventions
-(first-max pooling routes to the lowest-index maximum, the ReLU derivative is 0
-at 0) and computes only what ``need`` asks for: an attack or the GAN's second
-critic, which want price gradients, gets no weight products; training, whose
-windows are constants, gets none of the window or exogenous products, of which
-the (N, hidden) x (hidden, E*17) one is the largest.
+Features reach a forecast through two recorded ops with hand-written numpy
+vjps.  ``NhitsModel.core`` (kind ``nhits_forecast``, parents: the continuous
+features and the 18 block weights) reads the price and exogenous windows as
+views of the days, standardises each series' exogenous days, normalises each
+price window, runs the stacks and denormalises.  The rolling head (kind
+``rolling_median``) sorts each window's quantiles, picks the median path and
+overlap-averages it onto the days.  Both repeat the arithmetic of the per-op
+graph they replaced, including the order in which the engine added its
+gradients, so values and gradients are bit-identical to it.  The vjps follow
+the engine's conventions (first-max pooling routes to the lowest-index
+maximum, the ReLU and sqrt derivatives are 0 at 0) and compute only what
+``need`` asks for: an attack or the GAN's second critic gets no weight
+products.  Training runs the same window normalisation and the stacks alone
+(``NhitsModel.stacks``, kind ``nhits_stacks``) on its gathered windows, which
+are constants, so it gets only the weight products.
 
 Quantile outputs are trained unsorted; at output time the quantile axis is
 sorted so reported quantile paths never cross.
@@ -220,47 +226,23 @@ class NhitsModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _normalise_windows(self, adj_w: Tensor):
-        wmean = ad.tmean(adj_w, axis=1)
-        diff = ad.sub(adj_w, ad.expand(wmean, adj_w.shape, 1))
-        wstd = ad.tsqrt(ad.tmean(ad.mul(diff, diff), axis=1))
-        denom = ad.add(wstd, NORM_EPS)
-        x = ad.div(diff, ad.expand(denom, adj_w.shape, 1))
-        return x, wmean, denom
+    def _weights(self) -> list[Tensor]:
+        return [self.params[f"b{i}.{p}"] for i in range(len(self._blocks)) for p in _BLOCK_PARAMS]
 
-    def core(self, adj_w: Tensor, exo: Tensor | None) -> Tensor:
-        """Raw price windows in, denormalised (N, horizon*n_quantiles) out."""
-        cfg = self.config
-        N, E = adj_w.shape
-        if E != cfg.encoder_length:
-            raise ValueError(f"window length {E} != encoder length {cfg.encoder_length}")
-        x, wmean, denom = self._normalise_windows(adj_w)
-        fore = self.stacks(x, exo)
-        shape = (N, cfg.horizon * cfg.n_quantiles)
-        return ad.add(ad.mul(fore, ad.expand(denom, shape, 1)), ad.expand(wmean, shape, 1))
-
-    def stacks(self, x: Tensor, exo: Tensor | None, internals: bool = False):
-        """Every block's pooled MLP, recorded as one op (``nhits_stacks``).
-
-        Normalised windows x (N, E), plus exo (N, exo_dim) for the first block,
-        in; the sum of the blocks' forecasts (N, horizon*n_quantiles) out.  With
-        ``internals`` also returns each block's (backcast, forecast) and the
-        final residual, as arrays.
-        """
-        names = [f"b{i}.{p}" for i in range(len(self._blocks)) for p in _BLOCK_PARAMS]
-        weights = [self.params[n] for n in names]
-        parents = (x,) + (() if exo is None else (exo,)) + tuple(weights)
-        keep = ad.records(parents)  # without a node nothing is kept for the vjp
-        ws = [w.data for w in weights]
+    def _stacks_forward(self, ws, x, exo, keep, internals=False):
+        """Every block's pooled MLP in numpy, on normalised windows x (N, E) plus,
+        for the first block, exo (N, exo_dim).  Returns the summed forecast
+        (N, horizon*n_quantiles), what ``_stacks_vjp`` needs (with ``keep``) and,
+        with ``internals``, each block's (backcast, forecast) and the final residual."""
         N, E = x.shape
-        residual, fore = x.data, None
+        residual, fore = x, None
         saved, blocks = [], []
         for i, (k, eb, ib, iff) in enumerate(self._blocks):
             w1, b1, w2, b2, w3, b3 = ws[6 * i:6 * i + 6]
             pooled, arg = residual, None
             if k > 1:
                 pooled, arg = _pool_taps(residual.reshape(N, E // k, k), keep)
-            inp = pooled if i or exo is None else np.concatenate([pooled, exo.data], axis=1)
+            inp = pooled if i or exo is None else np.concatenate([pooled, exo], axis=1)
             h1, m1 = _relu(inp @ w1 + b1)
             h2, m2 = _relu(h1 @ w2 + b2)
             theta = h2 @ w3 + b3
@@ -272,87 +254,150 @@ class NhitsModel:
                 saved.append((arg, inp, m1, h1, m2, h2))
             if internals:
                 blocks.append((backcast, forecast))
+        return fore, saved, blocks, residual
+
+    def _stacks_vjp(self, ws, saved, g, need_x, need_exo, need_w):
+        """The stacks' vjp in numpy: the gradients of x and exo, and a list with
+        one per weight; each is None where it is not needed."""
+        N, E = g.shape[0], self.config.encoder_length
+        gw = [None] * len(ws)
+        g_exo = g_res = None  # g_res: gradient reaching the residual that leaves block i
+        for i in reversed(range(len(self._blocks))):
+            k, eb, ib, iff = self._blocks[i]
+            arg, inp, m1, h1, m2, h2 = saved[i]
+            w1, _, w2, _, w3, _ = ws[6 * i:6 * i + 6]
+            nw = need_w[6 * i:6 * i + 6]
+            below = need_x or need_exo or any(need_w[:6 * i])  # input gradient wanted
+            if not (below or any(nw)):
+                break
+            gtheta = np.zeros((N, w3.shape[1]))
+            tb, tf = (None if m is None else _tc(m) for m in (ib, iff))
+            if g_res is not None:
+                gtheta[:, :eb] = _interp(-g_res, tb)
+            gtheta[:, eb:] = _interp(g, tf)
+            gz1 = gz2 = None
+            if below or any(nw[:4]):
+                gz2 = (gtheta @ _tc(w3)) * m2
+            if below or any(nw[:2]):
+                gz1 = (gz2 @ _tc(w2)) * m1
+            for j, (a, gz) in enumerate(((inp, gz1), (h1, gz2), (h2, gtheta))):
+                if nw[2 * j]:
+                    gw[6 * i + 2 * j] = _tc(a) @ gz
+                if nw[2 * j + 1]:
+                    gw[6 * i + 2 * j + 1] = gz.sum(axis=0)
+            if not below:
+                continue
+            P = E // k
+            # in block 0 the exo columns follow the pooled ones.  That input is a
+            # concatenation of the forward's own, dead once the weight products
+            # are taken, so its buffer takes the input gradient: no second array
+            # of that size is allocated and freed in every backward
+            own = i == 0 and inp.shape[1] > P
+            gin = np.matmul(gz1, _tc(w1), out=inp if own else None)
+            if i == 0 and need_exo:
+                g_exo = gin[:, P:]
+            gp = gin[:, :P]
+            if arg is not None:  # route to each window's first maximum
+                routed = np.zeros((arg.size, k))
+                routed[np.arange(arg.size), arg.ravel()] = gp.ravel()
+                gp = routed.reshape(N, E)
+            g_res = gp if g_res is None else g_res + gp
+        return (g_res if need_x else None), g_exo, gw
+
+    def stacks(self, x: Tensor, exo: Tensor | None, internals: bool = False):
+        """Every block's pooled MLP, recorded as one op (``nhits_stacks``).
+
+        Normalised windows x (N, E), plus exo (N, exo_dim) for the first block,
+        in; the sum of the blocks' forecasts (N, horizon*n_quantiles) out.  With
+        ``internals`` also returns each block's (backcast, forecast) and the
+        final residual, as arrays.
+        """
+        weights = self._weights()
+        ins = (x,) + (() if exo is None else (exo,))
+        parents = ins + tuple(weights)
+        ws = [w.data for w in weights]
+        fore, saved, blocks, residual = self._stacks_forward(
+            ws, x.data, None if exo is None else exo.data, ad.records(parents), internals)
 
         def vjp(g, need):
-            grads = [None] * len(parents)
-            off = len(parents) - len(ws)  # parents before the weights: x and exo
-            need_x, need_exo, need_w = need[0], off > 1 and need[1], need[off:]
-            g = g.data
-            g_res = None  # gradient reaching the residual that leaves block i
-            for i in reversed(range(len(self._blocks))):
-                k, eb, ib, iff = self._blocks[i]
-                arg, inp, m1, h1, m2, h2 = saved[i]
-                w1, _, w2, _, w3, _ = ws[6 * i:6 * i + 6]
-                nw = need_w[6 * i:6 * i + 6]
-                below = need_x or need_exo or any(need_w[:6 * i])  # input gradient wanted
-                if not (below or any(nw)):
-                    break
-                gtheta = np.zeros((N, w3.shape[1]))
-                tb, tf = (None if m is None else _tc(m) for m in (ib, iff))
-                if g_res is not None:
-                    gtheta[:, :eb] = _interp(-g_res, tb)
-                gtheta[:, eb:] = _interp(g, tf)
-                gz1 = gz2 = None
-                if below or any(nw[:4]):
-                    gz2 = (gtheta @ _tc(w3)) * m2
-                if below or any(nw[:2]):
-                    gz1 = (gz2 @ _tc(w2)) * m1
-                for j, (a, gz) in enumerate(((inp, gz1), (h1, gz2), (h2, gtheta))):
-                    if nw[2 * j]:
-                        grads[off + 6 * i + 2 * j] = Tensor(_tc(a) @ gz)
-                    if nw[2 * j + 1]:
-                        grads[off + 6 * i + 2 * j + 1] = Tensor(gz.sum(axis=0))
-                if not below:
-                    continue
-                gin = gz1 @ _tc(w1)  # in block 0 the exo columns follow the pooled ones
-                P = E // k
-                if i == 0 and need_exo:
-                    grads[1] = Tensor(gin[:, P:])
-                gp = gin[:, :P]
-                if arg is not None:  # route to each window's first maximum
-                    routed = np.zeros((arg.size, k))
-                    routed[np.arange(arg.size), arg.ravel()] = gp.ravel()
-                    gp = routed.reshape(N, E)
-                g_res = gp if g_res is None else g_res + gp
-            if need_x:
-                grads[0] = Tensor(g_res)
-            return tuple(grads)
+            gx, gexo, gw = self._stacks_vjp(ws, saved, g.data, need[0],
+                                            exo is not None and need[1], need[len(ins):])
+            return tuple(_tensor(a) for a in (gx, gexo)[:len(ins)] + tuple(gw))
 
         out = ad.custom_op("nhits_stacks", fore, parents, vjp)
         return (out, blocks, residual) if internals else out
 
-    def _exo_from_features(self, fm: FeatureMatrix) -> Tensor:
-        """Per-series standardised continuous channels plus the weekday one-hot: (..., T, 17)."""
-        cont = fm.continuous
-        mu = ad.expand(ad.tmean(cont, axis=-2), cont.shape, -2)
-        d = ad.sub(cont, mu)
-        sd = ad.tsqrt(ad.tmean(ad.mul(d, d), axis=-2))
-        z = ad.div(d, ad.expand(ad.add(sd, NORM_EPS), cont.shape, -2))
-        return ad.concat([z, fm.day_one_hot()], axis=-1)
+    def core(self, cont: Tensor, one_hot: np.ndarray, n_windows: int) -> Tensor:
+        """Features in, denormalised forecasts out, recorded as one op (``nhits_forecast``).
 
-    def _window_tensors(self, fm: FeatureMatrix, n_windows: int):
-        """The first n_windows encoder windows of each series, series-major:
-        prices (rows, E) and exogenous features (rows, E*17), read-only views
-        of the days for one series; a batch's rows are copied once, to merge axes."""
+        ``cont`` holds the continuous channels (..., T, 12) of one series or a
+        batch, ``one_hot`` the weekday columns (..., T, 5).  The output holds
+        the first n_windows encoder windows of every series, series-major:
+        (rows, horizon*n_quantiles).  The parents are ``cont`` and the weights:
+        the price windows come from channel 0 of ``cont``, not from the prices,
+        so their gradient meets the exogenous one there, added in the order the
+        per-op graph added them, and the prices' gradient stays bit-identical.
+        """
         cfg = self.config
         E = cfg.encoder_length
         span = n_windows + E - 1
-        days = fm.continuous.ndim - 2  # axis of the days
-        adj_w = ad.unfold(fm.continuous[..., :span, 0], E, days)
-        if days:  # a batch: one row per window of every series
-            adj_w = ad.reshape(adj_w, (-1, E))
-        if not cfg.use_features:
-            return adj_w, None
-        exo_days = self._exo_from_features(fm)[..., :span, :]
-        return adj_w, ad.reshape(ad.unfold(exo_days, E, days), (-1, cfg.exo_dim))
+        c = cont.data
+        lead, days = c.shape[:-2], c.ndim - 2  # batch shape, axis of the days
+        if not 1 <= n_windows <= c.shape[-2] - E + 1:
+            raise ValueError(f"{c.shape[-2]} days do not hold {n_windows} windows of {E}")
+        weights = self._weights()
+        parents = (cont,) + tuple(weights)
+        ws = [w.data for w in weights]
+        # the price channel copied out, so the window means sum as the graph's did
+        adj = ad.window_view(np.array(c[..., :span, 0]), E, axis=days).reshape(-1, E)
+        x, wmean, denom, win = _standardise(adj, 1)
+        exo = ex = None
+        if cfg.use_features:
+            exo_days, ex = _exo_days(c, one_hot)
+            exo = ad.window_view(exo_days[..., :span, :], E, axis=days).reshape(-1, cfg.exo_dim)
+        keep = ad.records(parents)
+        if not keep:  # no vjp will run: drop its arrays before the stacks run
+            win = ex = None
+        fore, saved, _, _ = self._stacks_forward(ws, x, exo, keep)
+
+        def vjp(g, need):
+            g = g.data
+            need_in = need[0]
+            gx, gexo, gw = self._stacks_vjp(ws, saved, g * denom[:, None], need_in,
+                                            need_in and exo is not None, need[1:])
+            grads = [None] + [_tensor(a) for a in gw]
+            if not need_in:
+                return tuple(grads)
+            # the denormalisation sends g to the window means and g * fore to the denominators
+            g_adj = _standardise_vjp(gx, win, 1, np.sum(g, axis=1), np.sum(g * fore, axis=1))
+            # one overlap-add folds the price windows and the 12 continuous exo
+            # channels back onto the days.  The one-hot channels are constants, so
+            # the price gradient takes the place of the first one in the stacks'
+            # exo gradient, a buffer of this vjp's own, and nothing is copied.
+            windows = lead + (n_windows, E)
+            if exo is None:
+                taps = g_adj.reshape(windows + (1,))
+            else:
+                taps = gexo.reshape(windows + (17,))[..., :13]
+                taps[..., 12] = g_adj.reshape(windows)
+            folded = ad.overlap_add(taps, span, axis=days)
+            g_cont = np.zeros(c.shape)
+            g_cont[..., :span, 0] = folded[..., -1]
+            if exo is not None:
+                g_z = np.zeros(c.shape)
+                g_z[..., :span, :] = folded[..., :12]
+                g_cont = _standardise_vjp(g_z, ex, -2) + g_cont
+            grads[0] = Tensor(g_cont)
+            return tuple(grads)
+
+        return ad.custom_op("nhits_forecast", fore * denom[:, None] + wmean[:, None], parents, vjp)
 
     def forward(self, window: FeatureMatrix) -> ForecastOutput:
         """Forecast from exactly one encoder window of features, or one per series of a batch."""
         cfg = self.config
         if len(window) != cfg.encoder_length:
             raise ValueError(f"window has {len(window)} days, need {cfg.encoder_length}")
-        adj_w, exo = self._window_tensors(window, 1)
-        out = self.core(adj_w, exo)
+        out = self.core(window.continuous, window.day_one_hot().data, 1)
         batch = window.continuous.shape[:-2]
         qp = ad.sort_last(ad.reshape(out, batch + (cfg.horizon, cfg.n_quantiles)))
         return ForecastOutput(qp, qp[..., cfg.median_index], cfg.quantiles)
@@ -361,22 +406,90 @@ class NhitsModel:
         """Overlap-averaged median-quantile path for every day after the encoder.
 
         Windows slide by one day; day d's prediction is the mean of every
-        20-day forecast covering it: ``fold`` overlap-adds the (N, horizon)
-        median paths onto the days and divides by ``fold`` of ones, the number
-        of forecasts per day.  Output length is len(fm) - encoder.
+        20-day median path covering it.  Output length is len(fm) - encoder.
         """
         cfg = self.config
         T = len(fm)
         if T < cfg.min_series_length:
             raise ValueError(f"need at least {cfg.min_series_length} days, got {T}")
-        n_windows = T - cfg.min_series_length + 1
-        adj_w, exo = self._window_tensors(fm, n_windows)
-        out = self.core(adj_w, exo)  # (N, H*Q)
-        med = ad.sort_last(ad.reshape(out, (n_windows, cfg.horizon, cfg.n_quantiles)))
-        med = med[:, :, cfg.median_index]  # (N, H)
-        n_days = T - cfg.encoder_length
-        counts = ad.fold(ad.constant(np.ones(med.shape)), n_days)
-        return ad.div(ad.fold(med, n_days), counts)
+        out = self.core(fm.continuous, fm.day_one_hot().data, T - cfg.min_series_length + 1)
+        return _rolling_median(out, cfg.horizon, cfg.n_quantiles, cfg.median_index)
+
+
+def _tensor(a: np.ndarray | None) -> Tensor | None:
+    return None if a is None else Tensor(a)
+
+
+def _standardise(a: np.ndarray, axis: int):
+    """(a - mean) / (std + NORM_EPS) along ``axis``, the population std.
+
+    Returns that, the means, the denominators and what ``_standardise_vjp``
+    needs.  The forecaster normalises each price window this way (axis 1) and
+    standardises each series' continuous channels over its days (axis -2).
+    """
+    mean = np.mean(a, axis=axis)
+    diff = a - np.expand_dims(mean, axis)
+    std = np.sqrt(np.mean(diff * diff, axis=axis))
+    den = std + NORM_EPS
+    return diff / np.expand_dims(den, axis), mean, den, (diff, std, den)
+
+
+def _standardise_vjp(g, saved, axis, g_mean=None, g_den=None):
+    """Gradient of ``a`` for g on the standardised values, plus g_mean and g_den
+    where the means and denominators are used again (the denormalisation).
+
+    Each step repeats the arithmetic of the graph ops that computed this before
+    (mean, sub, mul, sqrt, add, div and their expands), and the three gradients
+    that meet at ``diff`` add up in the order the engine's sweep added them, so
+    the result is bit-identical to that graph's.
+    """
+    diff, std, den = saved
+    inv_n = 1.0 / diff.shape[axis]
+    dx = np.expand_dims(den, axis)
+    g_std = np.sum((g * -1.0) * (diff / (dx * dx)), axis=axis)
+    if g_den is not None:
+        g_std = g_std + g_den
+    zero = std == 0.0  # the sqrt's derivative is taken as 0 there
+    g_var = (g_std * np.where(zero, 0.0, 0.5)) * ((std + np.where(zero, 1.0, 0.0)) ** -1.0)
+    g_sq = (np.expand_dims(g_var, axis) * inv_n) * diff  # reaches diff twice, via diff * diff
+    g_diff = (g / dx + g_sq) + g_sq
+    g_mu = np.sum(g_diff * -1.0, axis=axis)
+    if g_mean is not None:
+        g_mu = g_mu + g_mean
+    return g_diff + np.expand_dims(g_mu, axis) * inv_n
+
+
+def _exo_days(cont: np.ndarray, one_hot: np.ndarray):
+    """Each series' standardised continuous channels plus the weekday one-hot,
+    (..., T, 17), and what ``_standardise_vjp`` needs."""
+    z, _, _, saved = _standardise(cont, -2)
+    return np.concatenate([z, one_hot], axis=-1), saved
+
+
+def _rolling_median(out: Tensor, horizon: int, n_quantiles: int, median: int) -> Tensor:
+    """Each window's median-quantile path, overlap-averaged onto the days, as
+    one op (``rolling_median``).
+
+    ``out`` holds one window's forecast per row, the windows sliding by one
+    day.  The quantile axis is sorted stably; the vjp divides each day's
+    gradient by the number of forecasts covering it and routes it to the
+    entry that sorted into the median.  Under ``no_record`` nothing is kept.
+    """
+    q = out.data.reshape(-1, horizon, n_quantiles)
+    n_days = q.shape[0] + horizon - 1
+    counts = ad.overlap_add(np.ones(q.shape[:2]), n_days)  # forecasts per day
+    if not ad.records((out,)):
+        med = np.sort(q, axis=-1, kind="stable")[..., median]
+        return Tensor(ad.overlap_add(med, n_days) / counts)
+    src = np.argsort(q, axis=-1, kind="stable")[..., median:median + 1]  # where each median is
+    med = np.take_along_axis(q, src, axis=-1)[..., 0]
+
+    def vjp(g):
+        gq = np.zeros(q.shape)
+        np.put_along_axis(gq, src, ad.window_view(g.data / counts, horizon)[..., None], axis=-1)
+        return (Tensor(gq.reshape(out.shape)),)
+
+    return ad.custom_op("rolling_median", ad.overlap_add(med, n_days) / counts, (out,), vjp)
 
 
 def _pinball(pred: Tensor, y: np.ndarray, q: np.ndarray) -> Tensor:
@@ -424,8 +537,8 @@ def _series_days(model: NhitsModel, pools: list[list[PriceSeries]]):
     """Every series' days, concatenated, and each pool's windows as start days.
 
     Returns the prices (D,), the standardised exogenous rows (D, 17) as
-    ``_exo_from_features`` makes them (None without features), and per pool
-    an array with the first day of each of its windows.
+    ``NhitsModel.core`` makes them (None without features), and per pool an
+    array with the first day of each of its windows.
     """
     cfg = model.config
     # keyed by ticker, so a later series replaces an earlier one of the same
@@ -437,10 +550,9 @@ def _series_days(model: NhitsModel, pools: list[list[PriceSeries]]):
     prices = np.concatenate([s.adjprc for s in lookup.values()])
     exo = None
     if cfg.use_features:
-        with ad.no_record():
-            exo = np.concatenate([
-                model._exo_from_features(compute_features(ad.constant(s.adjprc), s.dates)).data
-                for s in lookup.values()])
+        fms = [compute_features(ad.constant(s.adjprc), s.dates) for s in lookup.values()]
+        exo = np.concatenate([_exo_days(fm.continuous.data, fm.day_one_hot().data)[0]
+                              for fm in fms])
     starts = [np.array([offsets[s.ticker] + w for s in pool
                         for w in range(min(len(s), len(lookup[s.ticker]))
                                        - cfg.min_series_length + 1)], dtype=np.intp)
@@ -455,7 +567,7 @@ def _assemble_batch(starts: np.ndarray, prices: np.ndarray, exo: np.ndarray | No
     exogenous window is one contiguous row of the unfolded (D, 17) days."""
     E = cfg.encoder_length
     path = prices[starts[:, None] + np.arange(cfg.min_series_length)]
-    exo_w = None if exo is None else ad.unfold(exo, E).data.reshape(-1, cfg.exo_dim)[starts]
+    exo_w = None if exo is None else ad.window_view(exo, E).reshape(-1, cfg.exo_dim)[starts]
     return path[:, :E], path[:, E:], exo_w
 
 
@@ -463,9 +575,9 @@ def _batch_loss(model: NhitsModel, starts, prices, exo) -> Tensor:
     """Pinball loss of the unsorted normalised outputs against the normalised truths."""
     cfg = model.config
     adj, truth, exo_w = _assemble_batch(starts, prices, exo, cfg)
-    x, wmean, denom = model._normalise_windows(ad.constant(adj))
-    fore = model.stacks(x, None if exo_w is None else ad.constant(exo_w))
-    truth_norm = (truth - wmean.data[:, None]) / denom.data[:, None]
+    x, wmean, denom, _ = _standardise(adj, 1)
+    fore = model.stacks(ad.constant(x), None if exo_w is None else ad.constant(exo_w))
+    truth_norm = (truth - wmean[:, None]) / denom[:, None]
     Q = cfg.n_quantiles  # outputs are day-major: (day 0, q 0), (day 0, q 1), ...
     return _pinball(fore, np.repeat(truth_norm, Q, axis=1), np.tile(cfg.quantiles, cfg.horizon))
 
@@ -524,12 +636,6 @@ def train(train_series: list[PriceSeries], val_series: list[PriceSeries],
     for k, v in best_params.items():
         model.params[k] = ad.Tensor(v, requires_grad=True)
     return model, log
-
-
-def evaluate(model: NhitsModel, series_list: list[PriceSeries]) -> float:
-    """Mean normalised pinball loss over every window of the given series."""
-    prices, exo, (starts,) = _series_days(model, [series_list])
-    return _mean_loss(model, starts, prices, exo)
 
 
 def rolling_forecast(series: PriceSeries, model: NhitsModel) -> np.ndarray:

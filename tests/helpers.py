@@ -7,7 +7,7 @@ tests stay two-sided.
 import numpy as np
 
 from slopestrike import autodiff as ad
-from slopestrike.forecaster import NhitsConfig, NhitsModel, _interp_matrix
+from slopestrike.forecaster import NORM_EPS, NhitsConfig, NhitsModel, _interp_matrix
 
 
 def finite_diff(fn, arrays, h=1e-5):
@@ -194,10 +194,25 @@ def _builders():
 
         return [(2, 8), (2, model.config.exo_dim)] + [model.params[n].shape for n in names], f
 
+    def nhits_forecast(rng):
+        # the same forecaster's forecast op: the features of two 10-day series
+        # (three windows each) and all 18 parameters are inputs
+        model = NhitsModel(NhitsConfig(encoder_length=8, horizon=4, hidden_size=4,
+                                       quantiles=(0.1, 0.5, 0.9)))
+        names = list(model.params)
+        one_hot = np.broadcast_to(np.eye(5)[np.arange(10) % 5], (2, 10, 5))
+        w = rng.uniform(-1, 1, (6, 12))
+
+        def f(ts):
+            model.params = dict(zip(names, ts[1:]))
+            return ad.tmean(ad.tanh(ad.mul(model.core(ts[0], one_hot, 3), ad.constant(w))))
+
+        return [(2, 10, 12)] + [model.params[n].shape for n in names], f
+
     return [mlp, elementwise_chain, log_sqrt, pooled, convnet, sliced,
             pooled_matmul, clamped, unfolded, folded, smoothed, accumulated,
             unfolded_rows, folded_rows, smoothed_rows, accumulated_rows, batched_matmul,
-            nhits_stacks]
+            nhits_stacks, nhits_forecast]
 
 
 def random_graph_cases(n, seed=20240501):
@@ -280,3 +295,39 @@ def nhits_stacks_reference(model, x, exo):
             blocks.append((backcast, forecast))
             idx += 1
     return fore, blocks, residual
+
+
+def nhits_forecast_reference(model, fm, n_windows):
+    """``NhitsModel.core`` built from primitive ops, as the forecaster recorded it
+    before the forecast op: the exo standardisation, the window views, the
+    window normalisation, the stacks op and the denormalisation."""
+    cfg = model.config
+    E = cfg.encoder_length
+    span = n_windows + E - 1
+    cont = fm.continuous
+    days = cont.ndim - 2
+
+    def standardise(a, axis):
+        mean = ad.tmean(a, axis=axis)
+        diff = ad.sub(a, ad.expand(mean, a.shape, axis))
+        denom = ad.add(ad.tsqrt(ad.tmean(ad.mul(diff, diff), axis=axis)), NORM_EPS)
+        return ad.div(diff, ad.expand(denom, a.shape, axis)), mean, denom
+
+    adj_w = ad.reshape(ad.unfold(cont[..., :span, 0], E, days), (-1, E))
+    exo = None
+    if cfg.use_features:
+        z = standardise(cont, -2)[0]
+        exo_days = ad.concat([z, fm.day_one_hot()], axis=-1)[..., :span, :]
+        exo = ad.reshape(ad.unfold(exo_days, E, days), (-1, cfg.exo_dim))
+    x, wmean, denom = standardise(adj_w, 1)
+    fore = model.stacks(x, exo)
+    shape = fore.shape
+    return ad.add(ad.mul(fore, ad.expand(denom, shape, 1)), ad.expand(wmean, shape, 1))
+
+
+def rolling_median_reference(out, cfg):
+    """The rolling head built from primitive ops: sort, median pick, overlap average."""
+    q = ad.sort_last(ad.reshape(out, (-1, cfg.horizon, cfg.n_quantiles)))
+    med = q[:, :, cfg.median_index]
+    n_days = med.shape[0] + cfg.horizon - 1
+    return ad.div(ad.fold(med, n_days), ad.fold(ad.constant(np.ones(med.shape)), n_days))

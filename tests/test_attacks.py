@@ -10,6 +10,7 @@ from slopestrike.attacks import (
 )
 from slopestrike.dataio import PriceSeries
 from slopestrike.features import compute_features
+from slopestrike.forecaster import NhitsConfig, NhitsModel
 
 
 def _short(series, n=140):
@@ -306,3 +307,35 @@ def test_tim_up_raises_mean_prediction(trend_results):
     wins = sum(1 for r in trend_results["TIM"]
                if r.path_after.mean() > r.path_before.mean())
     assert wins >= 16  # >= 80% of 20 series
+
+
+def test_attack_iteration_records_few_nodes(monkeypatch):
+    # one GSA iteration: the forecaster and its head record one op each
+    # (34 graph nodes before they became ops), the whole iteration at most 47
+    counts = {"all": 0, "forecaster": 0}
+    inside = []
+
+    class CountingNode(ad.Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            counts["all"] += 1
+            counts["forecaster"] += bool(inside)
+            super().__init__(*args)
+
+    path = NhitsModel.rolling_median_path
+
+    def counted_path(self, fm):
+        inside.append(True)
+        try:
+            return path(self, fm)
+        finally:
+            inside.pop()
+
+    model = NhitsModel(NhitsConfig(), seed=0)
+    series = dataio.synth_gbm(1, 300, 90.0, 7e-4, 0.009, seed=12)[0]
+    monkeypatch.setattr(ad, "Node", CountingNode)
+    monkeypatch.setattr(NhitsModel, "rolling_median_path", counted_path)
+    run_attack(series, model, AttackConfig("GSA", eps_pct=2.0, iters=1))
+    assert counts["forecaster"] <= 2
+    assert counts["all"] <= 47

@@ -293,7 +293,7 @@ def test_bad_config_value_exits_2_naming_file_section_and_key(tmp_path, line, ke
 def test_every_settings_row_resolves_from_config_and_flag(tmp_path, monkeypatch, capsys,
                                                           path, row):
     """Every settings row: a config value is honoured, its flag overrides it, a bad one exits 2."""
-    flag, cast, default = row
+    flag, cast, default, *bounds = row
     key, section, argv = flag.replace("-", "_"), cli.COMMANDS[path].section, COMMAND_ARGV[path]
     seen = []
     monkeypatch.setitem(cli.COMMANDS, path,
@@ -315,6 +315,8 @@ def test_every_settings_row_resolves_from_config_and_flag(tmp_path, monkeypatch,
         assert resolved("yes", f"--no-{flag}") is False
     else:
         text, flag_text = {int: ("7", "9"), float: ("0.5", "0.25"), str: ("A,B", "C")}[cast]
+        if bounds and cast is int:  # values inside the row's bounds
+            text, flag_text = (str(bounds[0].lo + int(v)) for v in (text, flag_text))
         assert resolved(text) == cast(text) != default
         assert resolved(text, f"--{flag}", flag_text) == cast(flag_text)
     for bad in ("5%", "abc") if cast in (int, float) else ("5%",):
@@ -342,13 +344,20 @@ def test_unparsable_config_exits_2_naming_the_file(tmp_path, text, words, capsys
 
 
 def test_split_without_training_series_is_data_error(tmp_path, workspace, capsys):
-    _, data, _ = workspace  # 4 usable series; a 0.9 validation share takes all of them
+    _, data, ckpt = workspace  # 4 usable series; a 0.9 share takes all of them
     code = run("train", "--data", data, "--outdir", tmp_path / "o", "--min-length", 300,
                "--val-fraction", 0.9)
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("data error:") and "no training series" in err
     assert not (tmp_path / "o" / "model.ckpt").exists()
+    # the discriminator's holdout too, before any series is attacked
+    code = run("defend", "train", "--data", data, "--checkpoint", ckpt,
+               "--outdir", tmp_path / "d", "--holdout", 0.9)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and "no training series" in err
+    assert not (tmp_path / "d" / "discriminator.ckpt").exists()
 
 
 def test_corrupt_inputs_exit_3_with_one_line_message(tmp_path, workspace, capsys):
@@ -436,6 +445,45 @@ def test_gan_checkpoint_with_bad_generator_exits_3(tmp_path, workspace, capsys):
     _assert_one_line_data_errors(cases, lambda bad: (
         ("defend", "classify", "--model", bad, "--data", data, "--out", tmp_path / "p.csv"),),
         capsys)
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("synth", "--n-series", "0"), "n-series must be >= 1, got 0"),
+    (("synth", "--n-series", "-2"), "n-series must be >= 1, got -2"),
+    (("synth", "--n-days", "1"), "n-days must be >= 120, got 1"),
+    (("eval", "--n", "0"), "n must be >= 1, got 0"),
+    (("gan", "generate", "--n", "0"), "n must be >= 1, got 0"),
+    (("defend", "train", "--holdout", "1.0"), "holdout must be in (0, 1), got 1"),
+])
+def test_out_of_range_settings_exit_2_before_creating_or_reading(tmp_path, argv, words, capsys):
+    missing = tmp_path / "missing"  # no input file exists: the settings are checked first
+    out = tmp_path / "out"
+    inputs = {"synth": ["--out", out / "prices.csv"],
+              "eval": ["--data", missing / "p.csv", "--bundle", missing / "g.ckpt",
+                       "--outdir", out],
+              "gan": ["--bundle", missing / "g.ckpt", "--data", missing / "p.csv",
+                      "--out", out / "x.csv"],
+              "defend": ["--data", missing / "p.csv", "--checkpoint", missing / "m.ckpt",
+                         "--outdir", out]}[argv[0]]
+    code = run(*argv, *inputs)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and words in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_run_manifest_records_versions_blas_and_threads(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setitem(cli.COMMANDS, ("train",),
+                        cli.COMMANDS[("train",)]._replace(handler=lambda s: 0))
+    assert run("train", "--data", tmp_path / "p.csv", "--outdir", tmp_path) == 0
+    env = json.loads((tmp_path / "run_manifest.json").read_text())["environment"]
+    assert env["slopestrike"] == cli.__version__ and env["numpy"] == np.__version__
+    assert env["python"].count(".") == 2
+    assert env["blas"]["name"] and env["blas"]["version"]
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] == "unset"
 
 
 @pytest.mark.parametrize("argv, words", [

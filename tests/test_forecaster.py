@@ -9,16 +9,31 @@ from slopestrike import dataio
 from slopestrike.attacks import AttackConfig, run_attack
 from slopestrike.features import compute_features
 from slopestrike.forecaster import (
-    EarlyStopper, ForecastOutput, NhitsConfig, NhitsModel,
-    _assemble_batch, _interp_matrix, _series_days, evaluate, quantile_loss, rolling_forecast, train,
+    EarlyStopper, ForecastOutput, NhitsConfig, NhitsModel, _assemble_batch, _exo_days,
+    _interp_matrix, _mean_loss, _rolling_median, _series_days, _standardise, quantile_loss,
+    rolling_forecast, train,
 )
-from helpers import max_rel_err, nhits_stacks_reference
+from helpers import (finite_diff, max_rel_err, nhits_forecast_reference, nhits_stacks_reference,
+                     rolling_median_reference)
 
 
 def _fm(prices, start=dt.date(2021, 3, 1), grad=False):
     dates = dataio.business_days(start, len(prices))
     x = ad.Tensor(np.asarray(prices, dtype=float), requires_grad=grad)
     return compute_features(x, dates), x
+
+
+def _val_loss(model, series):
+    """Mean normalised pinball loss over every window of the given series."""
+    prices, exo, (starts,) = _series_days(model, [series])
+    return _mean_loss(model, starts, prices, exo)
+
+
+def _window_forecasts(model, fm, n):
+    """The unsorted (n, horizon, n_quantiles) forecasts of the first n windows."""
+    with ad.no_record():
+        out = model.core(fm.continuous, fm.day_one_hot().data, n)
+    return out.data.reshape(n, model.config.horizon, model.config.n_quantiles)
 
 
 def test_zero_final_layers_forecast_equals_window_mean():
@@ -113,8 +128,8 @@ def test_backcast_residual_telescoping_single_block():
     _randomise_heads(model, seed=9, scale=0.2)
     rng = np.random.default_rng(10)
     adj = 70.0 * np.exp(np.cumsum(rng.normal(0, 0.01, (1, 100)), axis=1))
-    x, _, _ = model._normalise_windows(ad.constant(adj))
-    _, blocks, residual = model.stacks(x, None, internals=True)
+    x = _standardise(adj, 1)[0]
+    _, blocks, residual = model.stacks(ad.constant(x), None, internals=True)
     # recompute x1 independently
     mean = adj.mean(axis=1, keepdims=True)
     std = np.sqrt(((adj - mean) ** 2).mean(axis=1, keepdims=True))
@@ -191,13 +206,96 @@ def test_stacks_gradient_wrt_x_skips_weight_products():
 
 def test_stacks_training_pass_skips_input_products():
     model, xa, ea, weights = _random_stack_inputs(True)
-    x, _, _ = model._normalise_windows(ad.constant(50.0 + xa))
-    fore = model.stacks(x, ad.constant(ea))
+    x = _standardise(50.0 + xa, 1)[0]
+    fore = model.stacks(ad.constant(x), ad.constant(ea))
     returned = _record_vjp_results(fore)
     ad.backward(_stack_loss(fore, weights))
     assert returned[0][0] is None and returned[0][1] is None
     assert all(g is not None for g in returned[0][2:])
     assert all(p.grad is not None for p in model.params.values())
+
+
+def _forecast_case(batch, use_features, seed=31):
+    """A forecaster with random heads plus price leaves: one 300-day series or
+    three 130-day ones."""
+    model = NhitsModel(NhitsConfig(use_features=use_features), seed=seed)
+    _randomise_heads(model, seed=seed, scale=0.2)
+    rng = np.random.default_rng(seed)
+    shape = (3, 130) if batch else (300,)
+    prices = 60.0 * np.exp(np.cumsum(rng.normal(0, 0.01, shape), axis=-1))
+    return model, prices, dataio.business_days(dt.date(2021, 3, 1), shape[-1])
+
+
+@pytest.mark.parametrize("batch,use_features", [(False, True), (True, True), (False, False)])
+def test_forecast_op_matches_primitive_reference(batch, use_features):
+    # the per-op graph the forecast op replaced: equal values and gradients, bit for bit
+    model, prices, dates = _forecast_case(batch, use_features)
+    cfg = model.config
+    n = prices.shape[-1] - cfg.min_series_length + 1
+    weights = list(model.params.values())
+    runs = []
+    for reference in (False, True):
+        x = ad.Tensor(prices.copy(), requires_grad=True)
+        fm = compute_features(x, dates)
+        if batch:  # the batched windows of the op alone
+            out = nhits_forecast_reference(model, fm, n) if reference else \
+                model.core(fm.continuous, fm.day_one_hot().data, n)
+        else:  # the rolling path: forecast op and head
+            out = rolling_median_reference(nhits_forecast_reference(model, fm, n), cfg) \
+                if reference else model.rolling_median_path(fm)
+        w = np.random.default_rng(5).normal(size=out.shape)
+        grads = ad.gradients(ad.tsum(ad.tanh(ad.mul(out, ad.constant(w * 0.01)))),
+                             [x, fm.continuous] + weights)
+        runs.append([out.data] + [g.data for g in grads])
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
+    assert np.count_nonzero(runs[0][1]) > prices.size // 2  # not trivially equal
+
+
+def _check_op_gradients(f, arrays, tol=1e-5):
+    ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    analytic = ad.gradients(f(ts), ts)
+    fd = finite_diff(lambda arrs: f([ad.constant(a) for a in arrs]).item(),
+                     [a.copy() for a in arrays])
+    for a, b in zip(analytic, fd):
+        assert max_rel_err(a.data, b, floor=1e-4) < tol
+
+
+def test_forecast_op_finite_differences_every_parent():
+    # features of two series and all 18 parameters at once, on a small forecaster
+    cfg = NhitsConfig(encoder_length=8, horizon=4, hidden_size=5, quantiles=(0.1, 0.5, 0.9))
+    model = NhitsModel(cfg, seed=2)
+    rng = np.random.default_rng(3)
+    names = list(model.params)
+    arrays = [rng.normal(size=(2, 11, 12))] + [rng.normal(0, 0.5, model.params[k].shape)
+                                              for k in names]
+    one_hot = np.broadcast_to(np.eye(5)[np.arange(11) % 5], (2, 11, 5))
+    w = rng.normal(size=(8, cfg.horizon * cfg.n_quantiles))
+
+    def f(ts):
+        model.params = dict(zip(names, ts[1:]))
+        return ad.tsum(ad.tanh(ad.mul(model.core(ts[0], one_hot, 4), ad.constant(w))))
+
+    _check_op_gradients(f, arrays)
+
+
+def test_rolling_median_op_finite_differences():
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=9)  # 6 windows of a 4-day horizon cover 9 days
+
+    def f(ts):
+        return ad.tsum(ad.mul(_rolling_median(ts[0], 4, 3, 1), ad.constant(w)))
+
+    _check_op_gradients(f, [rng.normal(size=(6, 12))])
+
+
+def test_rolling_median_op_keeps_nothing_without_recording():
+    out = ad.Tensor(np.random.default_rng(6).normal(size=(5, 60)), requires_grad=True)
+    recorded = _rolling_median(out, 20, 3, 1)
+    with ad.no_record():
+        plain = _rolling_median(out, 20, 3, 1)
+    assert recorded.node.kind == "rolling_median" and plain.node is None
+    assert np.array_equal(plain.data, recorded.data)
 
 
 def test_training_on_constant_prices_converges_fast():
@@ -220,26 +318,31 @@ def test_resume_from_checkpoint_matches_recorded_loss(tmp_path, train_series, va
     # the persisted model is the best-validation snapshot; its loss must
     # reproduce bit-for-bit at the epoch boundary
     best_val = min(row[2] for row in log)
-    assert evaluate(loaded, val_series[:1]) == best_val
+    assert _val_loss(loaded, val_series[:1]) == best_val
 
 
 def test_training_batch_rows_equal_inference_windows():
     # the second series of a pool, so the gather has to offset into the concatenated days
     cfg = NhitsConfig()
     model = NhitsModel(cfg, seed=0)
+    _randomise_heads(model, seed=8, scale=0.2)
     pool = dataio.synth_gbm(2, 150, 60.0, 3e-4, 0.01, seed=8)
     s = pool[1]
-    n = len(s) - cfg.min_series_length + 1
+    E, n = cfg.encoder_length, len(s) - cfg.min_series_length + 1
     first = len(pool[0]) - cfg.min_series_length + 1  # the windows of pool[0] come first
     prices, exo, (starts,) = _series_days(model, [pool])
-    with ad.no_record():
-        fm = compute_features(ad.constant(s.adjprc), s.dates)
-        adj_w, exo_w = model._window_tensors(fm, n)
+    fm = compute_features(ad.constant(s.adjprc), s.dates)
+    exo_days = _exo_days(fm.continuous.data, fm.day_one_hot().data)[0]
+    inference = _window_forecasts(model, fm, n).reshape(n, -1)
     for w in (0, 7, n - 1):
         adj, truth, exo_b = _assemble_batch(starts[[first + w]], prices, exo, cfg)
-        assert np.array_equal(adj[0], adj_w.data[w])
-        assert np.array_equal(exo_b[0], exo_w.data[w])
-        assert np.array_equal(truth[0], s.adjprc[w + cfg.encoder_length:w + cfg.min_series_length])
+        assert np.array_equal(adj[0], s.adjprc[w:w + E])
+        assert np.array_equal(exo_b[0], exo_days[w:w + E].ravel())
+        assert np.array_equal(truth[0], s.adjprc[w + E:w + cfg.min_series_length])
+        # the training path's forecast, denormalised, is the inference op's
+        x, wmean, denom, _ = _standardise(adj, 1)
+        fore = model.stacks(ad.constant(x), ad.constant(exo_b)).data
+        assert max_rel_err(fore * denom[:, None] + wmean[:, None], inference[w:w + 1]) < 1e-12
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -282,11 +385,8 @@ def test_rolling_forecast_overlap_averaging_counts():
     # manual: run the two windows separately through the public single-window
     # forward is not comparable (feature standardisation span differs), so
     # replicate the rolling computation by hand from the same feature matrix
-    with ad.no_record():
-        fm, _ = _fm(series.adjprc)
-        adj_w, exo = model._window_tensors(fm, 2)
-        out = model.core(adj_w, exo).data.reshape(2, 20, 7)
-    med = np.sort(out, axis=2)[:, :, 3]
+    fm, _ = _fm(series.adjprc)
+    med = np.sort(_window_forecasts(model, fm, 2), axis=2)[:, :, 3]
     expected = np.zeros(21)
     counts = np.zeros(21)
     for w in range(2):
@@ -341,10 +441,8 @@ def test_rolling_average_beats_mean_single_window_mae(toy_model):
     # mean of the individual 20-day windows' errors; both values recorded
     series = dataio.synth_gbm(1, 300, 90.0, 7e-4, 0.009, seed=77)[0]
     n = 300 - 119
-    with ad.no_record():
-        fm, _ = _fm(series.adjprc, start=series.dates[0])
-        adj_w, exo = toy_model._window_tensors(fm, n)
-        out = toy_model.core(adj_w, exo).data.reshape(n, 20, 7)
+    fm, _ = _fm(series.adjprc, start=series.dates[0])
+    out = _window_forecasts(toy_model, fm, n)
     med = np.sort(out, axis=2)[:, :, toy_model.config.median_index]
     single = float(np.mean([np.mean(np.abs(med[w] - series.adjprc[w + 100:w + 120]))
                             for w in range(n)]))
@@ -383,7 +481,7 @@ def test_end_to_end_gradient_matches_finite_differences():
 def test_trained_toy_model_beats_mean_baseline(toy_model, val_series):
     # sanity on the session fixture: the trained model's pinball loss is
     # finite and the forecast tracks scale (details asserted in acceptance)
-    val = evaluate(toy_model, val_series[:1])
+    val = _val_loss(toy_model, val_series[:1])
     assert np.isfinite(val) and val > 0.0
 
 
