@@ -610,6 +610,14 @@ def _decay_scan(x: np.ndarray, gain: float, decay: float) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(np.array(r), 0, -1))
 
 
+def _ema_adjoint(g: np.ndarray, beta: float) -> np.ndarray:
+    """The EMA's vjp: the same recurrence run backwards, a_t = g_t + (1-beta) a_{t+1};
+    x_t receives beta * a_t, except x_0, which seeds e_0 and receives a_0."""
+    a = _decay_scan(g[..., ::-1], 1.0, 1.0 - beta)[..., ::-1]
+    a[..., 1:] *= beta
+    return a
+
+
 def ema(x, beta: float) -> Tensor:
     """Exponential moving average along the last axis: e_0 = x_0, e_t = beta x_t + (1-beta) e_{t-1}."""
     x = as_tensor(x)
@@ -617,11 +625,7 @@ def ema(x, beta: float) -> Tensor:
         raise ShapeError("ema: expected at least 1-D, got a scalar")
 
     def vjp(g):
-        # the same recurrence run backwards: a_t = g_t + (1-beta) a_{t+1};
-        # x_t receives beta * a_t, except x_0, which seeds e_0 and receives a_0
-        a = _decay_scan(g.data[..., ::-1], 1.0, 1.0 - beta)[..., ::-1]
-        a[..., 1:] *= beta
-        return (Tensor(a),)
+        return (Tensor(_ema_adjoint(g.data, beta)),)
 
     return _make("ema", _decay_scan(x.data, beta, 1.0 - beta), (x,), vjp)
 

@@ -4,8 +4,8 @@
 input/output arguments and its settings rows. Every setting resolves from
 (flag > config file > environment seed > default) before the handler runs.
 Every command with ``--outdir`` writes a JSON manifest of its resolved
-settings and inputs next to its outputs, and is deterministic given
-(settings, seed).
+settings and inputs, with the SHA-256 of each input file, next to its
+outputs, and is deterministic given (settings, seed).
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure.
 """
@@ -95,9 +95,18 @@ def _environment() -> dict:
                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
-def _write_run_manifest(outdir: Path, command: str, settings: dict) -> None:
+def _input_digests(cmd: Command, settings: dict) -> dict:
+    """SHA-256 of every input file the command read, by its settings key."""
+    keys = [_key(spec) for spec in cmd.inputs if isinstance(spec, str)
+            and (not spec.startswith("--") or _key(spec) in ("data", "checkpoint", "bundle"))]
+    return {k: defense._digest_file(Path(settings[k])) for k in keys
+            if settings[k] and Path(settings[k]).is_file()}
+
+
+def _write_run_manifest(outdir: Path, command: str, settings: dict, digests: dict) -> None:
     payload = {"command": command,
                "environment": _environment(),
+               "inputs_sha256": digests,
                "settings": settings}
     with open(outdir / "run_manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -530,7 +539,8 @@ def main(argv=None) -> int:
             s = _resolve(args, cmd)
             code = cmd.handler(s)
         if "outdir" in s:
-            _write_run_manifest(Path(s.pop("outdir")), "-".join(args.path), s)
+            _write_run_manifest(Path(s.pop("outdir")), "-".join(args.path), s,
+                                _input_digests(cmd, s))
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,15 +1,21 @@
 """Differentiable per-day features derived from the adjusted price.
 
-Every continuous channel is built from autodiff operations so that a loss on
-the forecast differentiates all the way back to the raw prices.  The prices
-are one series (T,) or a batch of series (B, T) that share their dates; both
-shapes run the same code, along the last axis.  Rolling means and standard
-deviations zero-pad each series with 19 days in front, take every 20-day
-window with ``unfold``, sum each window's last w days and divide by the number
-of real days among them.  So the first w-1 days average over however many
-days exist, and the feature matrix stays aligned with the price series.  The
-EMAs run the ``ema`` recurrence (beta = 2 / (w + 1), seeded with the first
-price).  Time and memory are linear in the series length.
+The prices are one series (T,) or a batch of series (B, T) that share their
+dates; both shapes run the same code, along the last axis.  The continuous
+channels are one recorded op (kind ``price_features``) whose only parent is
+the prices, with a forward and vjp written in numpy, so a loss on the forecast
+differentiates all the way back to the raw prices through one node.  Rolling
+means and standard deviations zero-pad each series with 19 days in front, take
+every 20-day window as a view, sum each window's last w days with one product
+and divide by the number of real days among them.  So the first w-1 days
+average over however many days exist, and the feature matrix stays aligned
+with the price series.  The stds take the raw-moment form E[y^2] - E[y]^2 on
+prices recentred per series, clamped at 0.  The EMAs run the ``ema``
+recurrence (beta = 2 / (w + 1), seeded with the first price).  The op repeats
+the arithmetic of the per-op graph it replaced, including the order in which
+the engine added its gradients, so values and gradients are bit-identical to
+it; unrecorded, it keeps nothing for its vjp.  Time and memory are linear in
+the series length.
 
 Channels, in order:
     adjprc,
@@ -67,24 +73,103 @@ class FeatureMatrix:
 
 _WINDOWS = (5, 10, 20)
 _SPAN = max(_WINDOWS)
+# column j of a window's tap weights sums its last _WINDOWS[j] days
+_LAST_W = np.array([[k >= _SPAN - w for w in _WINDOWS] for k in range(_SPAN)], dtype=float)
+_LAST_W_T = np.ascontiguousarray(_LAST_W.T)
+_BETAS = tuple(2.0 / (w + 1.0) for w in _WINDOWS)
 
 
-def _rolling_means(padded: Tensor) -> Tensor:
-    """(..., T, 3) means over the last 5, 10 and 20 days of series (..., _SPAN-1+T)
-    led by _SPAN-1 zeros; each divides by the real days in its window, min(t+1, w)."""
-    T = padded.shape[-1] - _SPAN + 1
-    last_w = np.array([[k >= _SPAN - w for w in _WINDOWS] for k in range(_SPAN)], dtype=float)
-    sums = ad.matmul(ad.unfold(padded, _SPAN, padded.ndim - 1), ad.constant(last_w))
+def _price_features(p: np.ndarray, keep: bool):
+    """The continuous channels (..., T, 12) of prices p (..., T) and, with
+    ``keep``, what ``_price_features_vjp`` needs (else None)."""
+    lead, T = p.shape[:-1], p.shape[-1]
     counts = np.minimum(np.arange(1.0, T + 1.0)[:, None], _WINDOWS)
-    return ad.div(sums, ad.constant(counts))
+    # leading zeros give every day a full 20-day window
+    padded = np.concatenate([np.zeros(lead + (_SPAN - 1,)), p], axis=-1)
+    # population variance via E[y^2] - E[y]^2 on recentred prices; recentring
+    # each series kills the catastrophic cancellation of the raw-moment form
+    # (a constant shift changes neither the variance nor its gradient); the
+    # shift leaves the padding out, so it stays zero
+    real_days = np.concatenate([np.zeros(_SPAN - 1), np.ones(T)])
+    y = padded - np.mean(p, axis=-1, keepdims=True) * real_days
+    # the window means of padded, y and y*y: every 20-day window's last 5, 10
+    # and 20 days summed by one product, over the real days among them
+    windows = ad.window_view(np.stack([padded, y, y * y]), _SPAN, axis=p.ndim)
+    means, m1, m2 = windows @ _LAST_W / counts
+    var = m2 - m1 * m1
+    std = np.sqrt(np.clip(var, 0.0, None))
+    logp = np.log(p)
+
+    out = np.empty(lead + (T, len(CHANNELS)))
+    out[..., 0] = p
+    out[..., 1:4] = means
+    out[..., 4:7] = std
+    # log_return_t = ln(p_t / p_{t-1}), first day 0
+    out[..., 0, 7] = 0.0
+    out[..., 1:, 7] = logp[..., 1:] - logp[..., :-1]
+    # roc_5_t = (p_t - p_{t-5}) / p_{t-5}, first five days 0
+    out[..., :5, 8] = 0.0
+    out[..., 5:, 8] = (p[..., 5:] - p[..., :-5]) / p[..., :-5]
+    for j, beta in enumerate(_BETAS):
+        out[..., 9 + j] = ad._decay_scan(p, beta, 1.0 - beta)
+    return out, ((p, counts, y, m1, var, std) if keep else None)
+
+
+def _price_features_vjp(g: np.ndarray, saved) -> np.ndarray:
+    """Gradient of the prices for g on the channels.
+
+    Each step repeats the arithmetic of the vjps of the graph ops that computed
+    the channels before (the clamp passes its bound through, ``sqrt`` has
+    derivative 0 at 0), and the contributions add up in the order the engine's
+    sweep added them, so the result is bit-identical to that graph's.
+    """
+    p, counts, y, m1, var, std = saved
+    T = p.shape[-1]
+    zero = std == 0.0
+    g_clamp = (g[..., 4:7] * np.where(zero, 0.0, 0.5)) * ((std + np.where(zero, 1.0, 0.0)) ** -1.0)
+    g_var = g_clamp * (np.ones(var.shape) * (var >= 0.0))
+    g_sq = g_var * -1.0
+    # the window-sum products of the means of padded, y and y*y, stacked so
+    # that one overlap-add folds all three back onto the days
+    taps = np.empty((3,) + g_var.shape[:-1] + (_SPAN,))
+    np.matmul(g[..., 1:4] / counts, _LAST_W_T, out=taps[0])
+    np.matmul(((g_sq * m1) + (g_sq * m1)) / counts, _LAST_W_T, out=taps[1])
+    np.matmul(g_var / counts, _LAST_W_T, out=taps[2])
+    g_padded, g_y, g_yy = ad.overlap_add(taps, T + _SPAN - 1, axis=p.ndim)
+    # y reaches y*y twice, then its own windows; y = padded - constant
+    g_padded = g_padded + (((g_yy * y) + (g_yy * y)) + g_y)
+    # the prices' parts in the graph's sweep order: the price channel, the
+    # padded days, the log return, the roc numerator's two slices, the roc
+    # denominator, the EMAs.  A slice's part is a zero buffer with the slice set.
+    g_p = g[..., 0] + g_padded[..., _SPAN - 1:]
+
+    def spread(part, key):
+        buf = np.zeros(p.shape)
+        buf[key] = part
+        return buf
+
+    g_lr = g[..., 1:, 7]
+    g_p = g_p + (spread(g_lr, (Ellipsis, slice(1, None)))
+                 + spread(g_lr * -1.0, (Ellipsis, slice(None, -1)))) / p
+    g_roc, base = g[..., 5:, 8], p[..., :-5]
+    g_diff = g_roc / base
+    g_p = g_p + spread(g_diff, (Ellipsis, slice(5, None)))
+    g_p = g_p + spread(g_diff * -1.0, (Ellipsis, slice(None, -5)))
+    g_base = (g_roc * -1.0) * ((p[..., 5:] - base) / (base * base))
+    g_p = g_p + spread(g_base, (Ellipsis, slice(None, -5)))
+    for j, beta in enumerate(_BETAS):
+        g_p = g_p + ad._ema_adjoint(g[..., 9 + j], beta)
+    return g_p
 
 
 def compute_features(adjprc: Tensor, dates: list[dt.date]) -> FeatureMatrix:
     """Derive the per-day feature matrix from prices (T,) or a batch (B, T).
 
     Every row shares ``dates``; the continuous channels come back as (T, 12)
-    or (B, T, 12).  Raises on series shorter than 21 days, non-positive
-    prices, or dates that fall on a weekend (the categorical channel is 5-way).
+    or (B, T, 12), recorded as one op (``price_features``) whose only parent
+    is ``adjprc``.  Raises on series shorter than 21 days, prices that are not
+    finite and strictly positive, or dates that fall on a weekend (the
+    categorical channel is 5-way).
     """
     if adjprc.ndim not in (1, 2):
         raise ValueError(f"adjprc must be (T,) or (B, T), got shape {adjprc.shape}")
@@ -93,45 +178,17 @@ def compute_features(adjprc: Tensor, dates: list[dt.date]) -> FeatureMatrix:
         raise ValueError(f"need at least {MIN_LENGTH} days of prices, got {T}")
     if len(dates) != T:
         raise ValueError(f"{len(dates)} dates for {T} prices")
-    if np.any(adjprc.data <= 0.0):
-        raise ad.DomainError("adjprc must be strictly positive")
+    if not np.all(np.isfinite(adjprc.data) & (adjprc.data > 0.0)):
+        raise ad.DomainError("adjprc must be finite and strictly positive")
 
     day_of_week = np.array([d.weekday() for d in dates], dtype=int)
     if np.any(day_of_week > 4):
         bad = dates[int(np.argmax(day_of_week > 4))]
         raise ValueError(f"weekend date {bad} in price series")
 
-    lead, days = adjprc.shape[:-1], adjprc.ndim - 1  # batch shape, axis of the days
+    out, saved = _price_features(adjprc.data, ad.records((adjprc,)))
 
-    def zeros(n: int) -> Tensor:
-        return ad.constant(np.zeros(lead + (n,)))
+    def vjp(g):
+        return (Tensor(_price_features_vjp(g.data, saved)),)
 
-    def channel(c: Tensor) -> Tensor:
-        return ad.reshape(c, lead + (T, 1))
-
-    # leading zeros give every day a full 20-day window
-    padded = ad.concat([zeros(_SPAN - 1), adjprc], axis=days)
-    cols: list[Tensor] = [channel(adjprc), _rolling_means(padded)]
-    # population variance via E[y^2] - E[y]^2 on recentred prices; recentring
-    # each series kills the catastrophic cancellation of the raw-moment form
-    # (a constant shift changes neither the variance nor its gradient); the
-    # shift leaves the padding out, so it stays zero
-    real_days = np.concatenate([np.zeros(_SPAN - 1), np.ones(T)])
-    y = ad.sub(padded, ad.constant(np.mean(adjprc.data, axis=-1, keepdims=True) * real_days))
-    m1 = _rolling_means(y)
-    m2 = _rolling_means(ad.mul(y, y))
-    cols.append(ad.tsqrt(ad.clamp(ad.sub(m2, ad.mul(m1, m1)), lo=0.0)))
-
-    # log_return_t = ln(p_t / p_{t-1}), first day 0
-    logp = ad.tlog(adjprc)
-    lr = ad.sub(logp[..., 1:], logp[..., :-1])
-    cols.append(channel(ad.concat([zeros(1), lr], axis=days)))
-
-    # roc_5_t = (p_t - p_{t-5}) / p_{t-5}, first five days 0
-    roc = ad.div(ad.sub(adjprc[..., 5:], adjprc[..., :-5]), adjprc[..., :-5])
-    cols.append(channel(ad.concat([zeros(5), roc], axis=days)))
-
-    for w in _WINDOWS:
-        cols.append(channel(ad.ema(adjprc, 2.0 / (w + 1.0))))
-
-    return FeatureMatrix(ad.concat(cols, axis=days + 1), day_of_week)
+    return FeatureMatrix(ad.custom_op("price_features", out, (adjprc,), vjp), day_of_week)

@@ -4,9 +4,13 @@ The oracles here deliberately avoid the library's backward pass so gradient
 tests stay two-sided.
 """
 
+import datetime as dt
+
 import numpy as np
 
 from slopestrike import autodiff as ad
+from slopestrike.dataio import business_days
+from slopestrike.features import FeatureMatrix, compute_features
 from slopestrike.forecaster import NORM_EPS, NhitsConfig, NhitsModel, _interp_matrix
 
 
@@ -209,10 +213,21 @@ def _builders():
 
         return [(2, 10, 12)] + [model.params[n].shape for n in names], f
 
+    def price_features(rng):
+        # the features op on two 22-day series; exp keeps the prices positive
+        dates = business_days(dt.date(2021, 3, 1), 22)
+        w = rng.uniform(-1, 1, (2, 22, 12))
+
+        def f(ts):
+            fm = compute_features(ad.texp(ad.mul(ts[0], 0.3)), dates)
+            return ad.tmean(ad.tanh(ad.mul(fm.continuous, ad.constant(w))))
+
+        return [(2, 22)], f
+
     return [mlp, elementwise_chain, log_sqrt, pooled, convnet, sliced,
             pooled_matmul, clamped, unfolded, folded, smoothed, accumulated,
             unfolded_rows, folded_rows, smoothed_rows, accumulated_rows, batched_matmul,
-            nhits_stacks, nhits_forecast]
+            nhits_stacks, nhits_forecast, price_features]
 
 
 def random_graph_cases(n, seed=20240501):
@@ -323,6 +338,42 @@ def nhits_forecast_reference(model, fm, n_windows):
     fore = model.stacks(x, exo)
     shape = fore.shape
     return ad.add(ad.mul(fore, ad.expand(denom, shape, 1)), ad.expand(wmean, shape, 1))
+
+
+def compute_features_reference(adjprc, dates):
+    """``compute_features`` built from primitive ops, as it recorded the features
+    before the price-features op: zero padding, ``unfold @ last_w`` window sums,
+    raw-moment stds on recentred prices, the log return, ``roc_5`` and the EMAs."""
+    T = adjprc.shape[-1]
+    lead, days = adjprc.shape[:-1], adjprc.ndim - 1
+    last_w = ad.constant(np.array([[k >= 20 - w for w in (5, 10, 20)] for k in range(20)],
+                                  dtype=float))
+    counts = ad.constant(np.minimum(np.arange(1.0, T + 1.0)[:, None], (5, 10, 20)))
+
+    def zeros(n):
+        return ad.constant(np.zeros(lead + (n,)))
+
+    def channel(c):
+        return ad.reshape(c, lead + (T, 1))
+
+    def rolling_means(padded):
+        return ad.div(ad.matmul(ad.unfold(padded, 20, days), last_w), counts)
+
+    padded = ad.concat([zeros(19), adjprc], axis=days)
+    cols = [channel(adjprc), rolling_means(padded)]
+    real_days = np.concatenate([np.zeros(19), np.ones(T)])
+    y = ad.sub(padded, ad.constant(np.mean(adjprc.data, axis=-1, keepdims=True) * real_days))
+    m1 = rolling_means(y)
+    m2 = rolling_means(ad.mul(y, y))
+    cols.append(ad.tsqrt(ad.clamp(ad.sub(m2, ad.mul(m1, m1)), lo=0.0)))
+    logp = ad.tlog(adjprc)
+    cols.append(channel(ad.concat([zeros(1), ad.sub(logp[..., 1:], logp[..., :-1])], axis=days)))
+    roc = ad.div(ad.sub(adjprc[..., 5:], adjprc[..., :-5]), adjprc[..., :-5])
+    cols.append(channel(ad.concat([zeros(5), roc], axis=days)))
+    for w in (5, 10, 20):
+        cols.append(channel(ad.ema(adjprc, 2.0 / (w + 1.0))))
+    return FeatureMatrix(ad.concat(cols, axis=days + 1),
+                         np.array([d.weekday() for d in dates], dtype=int))
 
 
 def rolling_median_reference(out, cfg):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slopestrike import autodiff as ad
-from slopestrike import dataio
+from slopestrike import attacks, dataio
 from slopestrike.attacks import (
     AttackConfig, attack_step, eps_abs, general_slope, general_slope_value,
     ls_slope, ls_slope_value, run_attack, slope_loss, _run_iterative, _sim_guard,
@@ -310,9 +310,9 @@ def test_tim_up_raises_mean_prediction(trend_results):
 
 
 def test_attack_iteration_records_few_nodes(monkeypatch):
-    # one GSA iteration: the forecaster and its head record one op each
-    # (34 graph nodes before they became ops), the whole iteration at most 47
-    counts = {"all": 0, "forecaster": 0}
+    # one GSA iteration: the features, the forecaster and its head record one
+    # op each (71 graph nodes before they became ops), the whole iteration at most 11
+    counts = {"all": 0, "features": 0, "forecaster": 0}
     inside = []
 
     class CountingNode(ad.Node):
@@ -320,22 +320,27 @@ def test_attack_iteration_records_few_nodes(monkeypatch):
 
         def __init__(self, *args):
             counts["all"] += 1
-            counts["forecaster"] += bool(inside)
+            if inside:
+                counts[inside[-1]] += 1
             super().__init__(*args)
 
-    path = NhitsModel.rolling_median_path
-
-    def counted_path(self, fm):
-        inside.append(True)
-        try:
-            return path(self, fm)
-        finally:
-            inside.pop()
+    def counted(name, fn):
+        def wrapper(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapper
 
     model = NhitsModel(NhitsConfig(), seed=0)
     series = dataio.synth_gbm(1, 300, 90.0, 7e-4, 0.009, seed=12)[0]
     monkeypatch.setattr(ad, "Node", CountingNode)
-    monkeypatch.setattr(NhitsModel, "rolling_median_path", counted_path)
+    monkeypatch.setattr(attacks, "compute_features",
+                        counted("features", attacks.compute_features))
+    monkeypatch.setattr(NhitsModel, "rolling_median_path",
+                        counted("forecaster", NhitsModel.rolling_median_path))
     run_attack(series, model, AttackConfig("GSA", eps_pct=2.0, iters=1))
+    assert counts["features"] <= 1
     assert counts["forecaster"] <= 2
-    assert counts["all"] <= 47
+    assert counts["all"] <= 11

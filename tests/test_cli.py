@@ -447,6 +447,20 @@ def test_gan_checkpoint_with_bad_generator_exits_3(tmp_path, workspace, capsys):
         capsys)
 
 
+def test_run_manifest_records_input_digests(tmp_path, monkeypatch):
+    data, ckpt = tmp_path / "p.csv", tmp_path / "m.ckpt"
+    data.write_bytes(b"ticker,date,adjprc\nA,2021-03-01,1.5\n")
+    ckpt.write_bytes(b"weights")
+    for path in (("train",), ("attack",)):
+        monkeypatch.setitem(cli.COMMANDS, path, cli.COMMANDS[path]._replace(handler=lambda s: 0))
+    assert run("train", "--data", data, "--outdir", tmp_path) == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["inputs_sha256"] == {"data": hashlib.sha256(data.read_bytes()).hexdigest()}
+    assert run("attack", "--data", data, "--checkpoint", ckpt, "--outdir", tmp_path) == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["inputs_sha256"] == {"data": digest(data), "checkpoint": digest(ckpt)}
+
+
 @pytest.mark.parametrize("argv, words", [
     (("synth", "--n-series", "0"), "n-series must be >= 1, got 0"),
     (("synth", "--n-series", "-2"), "n-series must be >= 1, got -2"),

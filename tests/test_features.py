@@ -6,8 +6,8 @@ import pytest
 
 from slopestrike import autodiff as ad
 from slopestrike import dataio
-from slopestrike.features import CHANNELS, compute_features
-from helpers import max_rel_err
+from slopestrike.features import CHANNELS, _price_features, compute_features
+from helpers import compute_features_reference, finite_diff, max_rel_err
 
 
 def _dates(n):
@@ -177,3 +177,69 @@ def test_batch_rejects_what_a_single_series_rejects():
         compute_features(ad.constant(prices), _dates(25))
     with pytest.raises(ValueError, match="shape"):
         compute_features(ad.constant(np.full((2, 2, 25), 3.0)), _dates(25))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_price_rejected(bad):
+    prices = np.full(150, 3.0)
+    prices[70] = bad
+    with pytest.raises(ad.DomainError, match="finite"):
+        compute_features(ad.constant(prices), _dates(150))
+    batch = np.full((3, 150), 3.0)
+    batch[2, 149] = bad
+    with pytest.raises(ad.DomainError, match="finite"):
+        compute_features(ad.constant(batch), _dates(150))
+
+
+@pytest.mark.parametrize("shape", [(300,), (2400,), (3, 60)])
+def test_features_op_matches_primitive_reference(shape):
+    # the per-op graph the features op replaced: equal values and price gradients, bit for bit
+    rng = np.random.default_rng(11)
+    prices = 40.0 * np.exp(np.cumsum(rng.normal(0, 0.012, shape), axis=-1))
+    # two flat stretches: windows whose raw-moment variance rounds to 0 and
+    # below 0, so both the clamp's bound and the sqrt's 0 are exercised
+    prices[..., 10:30] = 2.0 * prices[..., 10:11]
+    prices[..., 35:58] = 1.6 * prices[..., 35:36]
+    var = _price_features(prices, keep=True)[1][4]
+    assert np.any(var < 0.0) and np.any(var[..., 1:, :] == 0.0)  # day 0 is always 0
+    w = rng.normal(size=shape + (len(CHANNELS),))
+    runs = []
+    for build in (compute_features, compute_features_reference):
+        x = ad.Tensor(prices.copy(), requires_grad=True)
+        fm = build(x, _dates(shape[-1]))
+        grad = ad.gradient(ad.tsum(ad.tanh(ad.mul(fm.continuous, ad.constant(w)))), x)
+        runs.append((fm.continuous.data, grad.data))
+    (values, grad), (ref_values, ref_grad) = runs
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(grad, ref_grad)
+    assert np.count_nonzero(grad) == grad.size  # not trivially equal
+
+
+def test_features_op_finite_differences():
+    rng = np.random.default_rng(12)
+    base = 25.0 * np.exp(np.cumsum(rng.normal(0, 0.02, (2, 24)), axis=-1))
+    w = rng.normal(size=(2, 24, len(CHANNELS)))
+    dates = _dates(24)
+
+    def f(ts):
+        fm = compute_features(ts[0], dates)
+        return ad.tsum(ad.tanh(ad.mul(fm.continuous, ad.constant(w * 0.05))))
+
+    x = ad.Tensor(base.copy(), requires_grad=True)
+    node = compute_features(x, dates).continuous.node
+    assert node.kind == "price_features" and node.parents == (x,)
+    analytic = ad.gradient(f([x]), x).data
+    fd = finite_diff(lambda arrs: f([ad.constant(a) for a in arrs]).item(), [base.copy()])[0]
+    assert max_rel_err(analytic, fd, floor=1e-4) < 1e-6
+
+
+def test_features_op_keeps_nothing_without_recording():
+    prices = 30.0 * np.exp(np.cumsum(np.random.default_rng(13).normal(0, 0.01, (2, 50)), axis=-1))
+    x = ad.Tensor(prices, requires_grad=True)
+    recorded = compute_features(x, _dates(50)).continuous
+    with ad.no_record():
+        plain = compute_features(x, _dates(50)).continuous
+    assert recorded.node.kind == "price_features" and plain.node is None
+    assert np.array_equal(plain.data, recorded.data)
+    values, saved = _price_features(prices, keep=False)
+    assert saved is None and np.array_equal(values, recorded.data)
