@@ -71,7 +71,7 @@ class GanConfig:
             raise ValueError(f"samples_per_epoch must be a positive int, got {self.samples_per_epoch}")
         if not (len(self.gen_hidden) == len(self.gen_kernels) == len(self.gen_dilations)):
             raise ValueError("generator layer specs must have equal lengths")
-        for name in ("gen_hidden", "gen_kernels", "gen_dilations"):
+        for name in ("epochs_per_block", "gen_hidden", "gen_kernels", "gen_dilations"):
             if not all(_positive_int(v) for v in getattr(self, name)):
                 raise ValueError(f"{name} must hold positive ints, got {getattr(self, name)}")
         if not (_positive_int(self.interval_length) and self.interval_length >= 2):

@@ -1,14 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-Tensors wrap numpy arrays; every operation that touches a gradient-carrying
-input records a node so that the backward pass can sweep the graph in reverse
-topological order.  The sweep computes only the vector-Jacobian products that
-reach a requested tensor: ``backward`` requests every requires-grad leaf, while
-``gradient``/``gradients`` request just the tensors they are given, so a caller
-that needs a subset (an attack's price gradient, a generator's parameters)
-skips every other product.  A restricted subset of operations additionally
-supports building the backward pass itself as a differentiable graph
-(``create_graph=True``), which is what the Wasserstein gradient penalty needs.
+Tensors wrap numpy arrays; operations are the functions below (``add``,
+``matmul``, ...), not operator methods.  Every operation that touches a
+gradient-carrying input records a node so that the backward pass can sweep the
+graph in reverse topological order.  ``gradient``/``gradients`` return the
+gradients of the tensors they are given, and the sweep computes only the
+vector-Jacobian products that reach one of them, so a caller that needs a
+subset (an attack's price gradient, a generator's parameters) skips every other
+product.  The engine never writes ``Tensor.grad``; callers may store a gradient
+there.  A restricted subset of operations additionally supports building the
+backward pass itself as a differentiable graph (``create_graph=True``), which
+is what the Wasserstein gradient penalty needs.
 
 Subgradient conventions (fixed for deterministic replay):
   * ``clamp``          -> pass-through inside [lo, hi], bounds count as inside
@@ -53,17 +55,6 @@ def _recording() -> bool:
 
 
 @contextmanager
-def no_record():
-    """Disable graph recording in the enclosed block (attack update steps etc.)."""
-    prev = _recording()
-    _STATE.recording = False
-    try:
-        yield
-    finally:
-        _STATE.recording = prev
-
-
-@contextmanager
 def _record(enabled: bool):
     prev = _recording()
     _STATE.recording = enabled
@@ -71,6 +62,11 @@ def _record(enabled: bool):
         yield
     finally:
         _STATE.recording = prev
+
+
+def no_record():
+    """Disable graph recording in the enclosed block (attack update steps etc.)."""
+    return _record(False)
 
 
 class Node:
@@ -87,7 +83,10 @@ class Node:
 
 
 class Tensor:
-    """Dense float64 tensor with an optional gradient buffer and graph node."""
+    """Dense float64 tensor with an optional graph node.
+
+    ``grad`` is a slot for a caller's gradient (``run_attack`` stores its
+    price and median-path gradients there); the engine never fills it."""
 
     __slots__ = ("data", "requires_grad", "grad", "node")
 
@@ -116,60 +115,11 @@ class Tensor:
             raise GraphError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __getitem__(self, key):
         return tslice(self, key)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
 
 
 def as_tensor(x) -> Tensor:
@@ -783,21 +733,15 @@ def _matters_map(order: list[Tensor], targets: set[int]) -> set[int]:
     return matters
 
 
-def _run_backward(root: Tensor, create_graph: bool, sinks: list[Tensor] | None,
-                  accumulate: bool) -> dict[int, Tensor]:
+def _run_backward(root: Tensor, create_graph: bool, sinks: list[Tensor]) -> dict[int, Tensor]:
+    """d(root)/d(t) for each tensor t of ``sinks`` that root depends on, by id."""
     if root.data.size != 1:
         raise GraphError(f"backward root must be scalar, got shape {root.shape}")
-    if root.node is None:
-        if not root.requires_grad and not sinks:
-            raise GraphError("backward on a constant with no recorded graph")
-    elif root.node.freed:
+    if root.node is not None and root.node.freed:
         raise GraphError("backward called twice without re-running forward")
 
     order = _toposort(root)
-    if sinks is not None:
-        targets = {id(t) for t in sinks}
-    else:
-        targets = {id(t) for t in order if t.node is None and t.requires_grad}
+    targets = {id(t) for t in sinks}
     matters = _matters_map(order, targets)
 
     grads: dict[int, Tensor] = {id(root): Tensor(np.ones(root.shape))}
@@ -807,12 +751,8 @@ def _run_backward(root: Tensor, create_graph: bool, sinks: list[Tensor] | None,
         g = grads.pop(id(t), None)
         if g is None:
             continue
-        if sinks is not None and id(t) in targets:
+        if id(t) in targets:
             out[id(t)] = g
-        if accumulate and t.node is None and t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros(t.shape)
-            t.grad = t.grad + g.data
         node = t.node
         if node is None:
             continue
@@ -838,26 +778,16 @@ def _run_backward(root: Tensor, create_graph: bool, sinks: list[Tensor] | None,
     return out
 
 
-def backward(root: Tensor, create_graph: bool = False) -> None:
-    """Accumulate d(root)/d(leaf) into ``grad`` of every requires-grad leaf.
-
-    Unless ``create_graph`` is set the swept nodes are consumed; a second
-    backward over them raises ``GraphError``.  Use ``gradient``/``gradients``
-    when only some tensors' gradients are wanted: nothing else is computed.
-    """
-    _run_backward(root, create_graph, sinks=None, accumulate=True)
-
-
 def gradients(root: Tensor, wrt: list[Tensor], create_graph: bool = False) -> list[Tensor]:
     """Return d(root)/d(t) for each tensor in ``wrt`` without touching ``grad`` buffers.
 
     ``wrt`` may hold interior tensors as well as leaves.  Only the products
     that reach a tensor in ``wrt`` are computed.  Without ``create_graph`` the
-    swept nodes are consumed, as in ``backward``; with it the returned tensors
-    are graph-connected and can be differentiated again (second-order subset
-    only).
+    swept nodes are consumed: a second sweep over them raises ``GraphError``.
+    With it the returned tensors are graph-connected and can be differentiated
+    again (second-order subset only).
     """
-    found = _run_backward(root, create_graph, sinks=list(wrt), accumulate=False)
+    found = _run_backward(root, create_graph, list(wrt))
     res = []
     for t in wrt:
         g = found.get(id(t))

@@ -248,6 +248,7 @@ def cmd_defend_train(settings) -> int:
     settings["method"] = settings["method"].upper()
     acfg = _checked(AttackConfig, method=settings["method"], eps_pct=settings["eps_pct"],
                     iters=settings["attack_iters"], target_dir=1)
+    d_cfg = _checked(defense.DiscriminatorConfig, epochs=settings["epochs"], lr=settings["lr"])
     outdir = _outdir(settings)
     model = NhitsModel.load(settings["checkpoint"])
     series = _load_series(settings["data"], settings["tickers"])
@@ -257,7 +258,7 @@ def cmd_defend_train(settings) -> int:
     if n_hold >= len(series):
         raise DataError(f"holdout {settings['holdout']} leaves no training series "
                         f"of the {len(series)}")
-    n_in = defense.DiscriminatorConfig().input_length
+    n_in = d_cfg.input_length
     real, attacked = [], []
     for s in series:
         if len(s) < n_in:
@@ -266,7 +267,6 @@ def cmd_defend_train(settings) -> int:
         real.append(s.adjprc[:n_in])
         attacked.append(result.x_adv.adjprc)
     hold_idx = set(order[:n_hold].tolist())
-    d_cfg = defense.DiscriminatorConfig(epochs=settings["epochs"], lr=settings["lr"])
     clf, curve = defense.train_discriminator(
         [real[i] for i in range(len(real)) if i not in hold_idx],
         [attacked[i] for i in range(len(real)) if i not in hold_idx], d_cfg, seed=settings["seed"])
@@ -431,7 +431,7 @@ COMMANDS = {
             ("direction", int, 1), ("plots", bool, True))),
     ("defend", "train"): Command(
         cmd_defend_train, "defend", ("--data", "--checkpoint", "--outdir", "--tickers?"), (
-            ("method", str, "GSA"), ("eps-pct", float, 2.0), ("epochs", int, 200),
+            ("method", str, "GSA"), ("eps-pct", float, 2.0), ("epochs", int, 200, Bounds(1)),
             ("lr", float, 1e-4), ("attack-iters", int, 30),
             ("holdout", float, 0.3, Bounds(0.0, 1.0)))),
     ("defend", "classify"): Command(cmd_defend_classify, None,

@@ -42,6 +42,9 @@ class DiscriminatorConfig:
             raise ValueError("conv_channels must list exactly 3 conv layers")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must be in [0,1), got {self.dropout}")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _standardise(x: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ runs a small MLP that emits coefficients at a downsampled resolution, and
 linearly interpolates those coefficients back up: the backcast part is
 subtracted from the running residual, the forecast parts are summed.  A stack
 with downsample ratio 1 emits one coefficient per step, so, as in N-HiTS, it
-skips the interpolation, which would multiply by the identity.  The exogenous
-feature window enters the first stack as a flattened side input.
+skips the interpolation, which would multiply by the identity.  Each stack is
+one block.  The input is always the price window plus the 17-channel exogenous
+feature window, which enters the first stack as a flattened side input.
 
 Features reach a forecast through two recorded ops with hand-written numpy
 vjps.  ``NhitsModel.core`` (kind ``nhits_forecast``, parents: the continuous
@@ -21,8 +22,9 @@ the engine's conventions (first-max pooling routes to the lowest-index
 maximum, the ReLU and sqrt derivatives are 0 at 0) and compute only what
 ``need`` asks for: an attack or the GAN's second critic gets no weight
 products.  Training runs the same window normalisation and the stacks alone
-(``NhitsModel.stacks``, kind ``nhits_stacks``) on its gathered windows, which
-are constants, so it gets only the weight products.
+(``NhitsModel.stacks``, kind ``nhits_stacks``, parents: the price windows, the
+exogenous windows and the weights) on its gathered windows, which are
+constants, so it gets only the weight products.
 
 Quantile outputs are trained unsorted; at output time the quantile axis is
 sorted so reported quantile paths never cross.
@@ -55,7 +57,6 @@ class NhitsConfig:
     encoder_length: int = 100
     horizon: int = 20
     n_stacks: int = 3
-    blocks_per_stack: int = 1
     pool_kernels: tuple[int, ...] = (4, 2, 1)
     downsample_ratios: tuple[int, ...] = (4, 2, 1)
     hidden_size: int = 64
@@ -65,7 +66,6 @@ class NhitsConfig:
     batch_size: int = 64
     epochs: int = 100
     early_stop_patience: int = 15
-    use_features: bool = True
 
     def __post_init__(self):
         self.pool_kernels = tuple(int(k) for k in self.pool_kernels)
@@ -98,11 +98,20 @@ class NhitsConfig:
 
     @property
     def exo_dim(self) -> int:
-        return self.encoder_length * 17 if self.use_features else 0
+        return self.encoder_length * 17
 
     @property
     def min_series_length(self) -> int:
         return self.encoder_length + self.horizon
+
+
+def _saved_config(use_features=True, blocks_per_stack=1, **fields) -> NhitsConfig:
+    """A checkpoint's config.  Older checkpoints also name the input layout,
+    which is now fixed: features on and one block per stack."""
+    if use_features is not True or blocks_per_stack != 1:
+        raise ValueError(f"use_features={use_features} and blocks_per_stack={blocks_per_stack} "
+                         "are not supported; the forecaster needs true and 1")
+    return NhitsConfig(**fields)
 
 
 @dataclass
@@ -171,24 +180,18 @@ class NhitsModel:
     def __init__(self, config: NhitsConfig, seed: int = 0):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        # per block: pool kernel, backcast knots, backcast/forecast interpolation (None at ratio 1)
+        # per block (one per stack): pool kernel, backcast knots, backcast/forecast
+        # interpolation (None at ratio 1)
         self._blocks: list[tuple[int, int, np.ndarray | None, np.ndarray | None]] = []
         rng = np.random.default_rng(seed)
         E, H, Q = config.encoder_length, config.horizon, config.n_quantiles
-        for si in range(config.n_stacks):
-            k = config.pool_kernels[si]
-            r = config.downsample_ratios[si]
+        for i, (k, r) in enumerate(zip(config.pool_kernels, config.downsample_ratios)):
             eb_knots, hf_knots = E // r, H // r
             interp_b = _interp_matrix(eb_knots, E).T if r > 1 else None  # (knots, E)
             interp_f = np.kron(_interp_matrix(hf_knots, H), np.eye(Q)).T if r > 1 else None
-            for _ in range(config.blocks_per_stack):
-                idx = len(self._blocks)
-                in_dim = E // k
-                if idx == 0:
-                    in_dim += config.exo_dim
-                theta_dim = eb_knots + hf_knots * Q
-                self._add_block(idx, in_dim, theta_dim, rng)
-                self._blocks.append((k, eb_knots, interp_b, interp_f))
+            in_dim = E // k + (config.exo_dim if i == 0 else 0)
+            self._add_block(i, in_dim, eb_knots + hf_knots * Q, rng)
+            self._blocks.append((k, eb_knots, interp_b, interp_f))
 
     def _add_block(self, idx: int, in_dim: int, theta_dim: int, rng) -> None:
         h = self.config.hidden_size
@@ -219,7 +222,7 @@ class NhitsModel:
             model = cls(config)
             return model, {"": model.params}
 
-        return load_model_checkpoint(path, "nhits", "forecaster", NhitsConfig, build)[0]
+        return load_model_checkpoint(path, "nhits", "forecaster", _saved_config, build)[0]
 
     def param_bytes(self) -> bytes:
         return b"".join(self.params[k].data.tobytes() for k in sorted(self.params))
@@ -229,20 +232,18 @@ class NhitsModel:
     def _weights(self) -> list[Tensor]:
         return [self.params[f"b{i}.{p}"] for i in range(len(self._blocks)) for p in _BLOCK_PARAMS]
 
-    def _stacks_forward(self, ws, x, exo, keep, internals=False):
+    def _stacks_forward(self, ws, x, exo, keep):
         """Every block's pooled MLP in numpy, on normalised windows x (N, E) plus,
         for the first block, exo (N, exo_dim).  Returns the summed forecast
-        (N, horizon*n_quantiles), what ``_stacks_vjp`` needs (with ``keep``) and,
-        with ``internals``, each block's (backcast, forecast) and the final residual."""
+        (N, horizon*n_quantiles) and, with ``keep``, what ``_stacks_vjp`` needs."""
         N, E = x.shape
-        residual, fore = x, None
-        saved, blocks = [], []
+        residual, fore, saved = x, None, []
         for i, (k, eb, ib, iff) in enumerate(self._blocks):
             w1, b1, w2, b2, w3, b3 = ws[6 * i:6 * i + 6]
             pooled, arg = residual, None
             if k > 1:
                 pooled, arg = _pool_taps(residual.reshape(N, E // k, k), keep)
-            inp = pooled if i or exo is None else np.concatenate([pooled, exo], axis=1)
+            inp = np.concatenate([pooled, exo], axis=1) if i == 0 else pooled
             h1, m1 = _relu(inp @ w1 + b1)
             h2, m2 = _relu(h1 @ w2 + b2)
             theta = h2 @ w3 + b3
@@ -252,9 +253,7 @@ class NhitsModel:
             fore = forecast if fore is None else fore + forecast
             if keep:
                 saved.append((arg, inp, m1, h1, m2, h2))
-            if internals:
-                blocks.append((backcast, forecast))
-        return fore, saved, blocks, residual
+        return fore, saved
 
     def _stacks_vjp(self, ws, saved, g, need_x, need_exo, need_w):
         """The stacks' vjp in numpy: the gradients of x and exo, and a list with
@@ -292,8 +291,7 @@ class NhitsModel:
             # concatenation of the forward's own, dead once the weight products
             # are taken, so its buffer takes the input gradient: no second array
             # of that size is allocated and freed in every backward
-            own = i == 0 and inp.shape[1] > P
-            gin = np.matmul(gz1, _tc(w1), out=inp if own else None)
+            gin = np.matmul(gz1, _tc(w1), out=inp if i == 0 else None)
             if i == 0 and need_exo:
                 g_exo = gin[:, P:]
             gp = gin[:, :P]
@@ -304,28 +302,23 @@ class NhitsModel:
             g_res = gp if g_res is None else g_res + gp
         return (g_res if need_x else None), g_exo, gw
 
-    def stacks(self, x: Tensor, exo: Tensor | None, internals: bool = False):
+    def stacks(self, x: Tensor, exo: Tensor) -> Tensor:
         """Every block's pooled MLP, recorded as one op (``nhits_stacks``).
 
         Normalised windows x (N, E), plus exo (N, exo_dim) for the first block,
-        in; the sum of the blocks' forecasts (N, horizon*n_quantiles) out.  With
-        ``internals`` also returns each block's (backcast, forecast) and the
-        final residual, as arrays.
+        in; the sum of the blocks' forecasts (N, horizon*n_quantiles) out.  The
+        parents are x, exo and the weights.
         """
         weights = self._weights()
-        ins = (x,) + (() if exo is None else (exo,))
-        parents = ins + tuple(weights)
+        parents = (x, exo) + tuple(weights)
         ws = [w.data for w in weights]
-        fore, saved, blocks, residual = self._stacks_forward(
-            ws, x.data, None if exo is None else exo.data, ad.records(parents), internals)
+        fore, saved = self._stacks_forward(ws, x.data, exo.data, ad.records(parents))
 
         def vjp(g, need):
-            gx, gexo, gw = self._stacks_vjp(ws, saved, g.data, need[0],
-                                            exo is not None and need[1], need[len(ins):])
-            return tuple(_tensor(a) for a in (gx, gexo)[:len(ins)] + tuple(gw))
+            gx, gexo, gw = self._stacks_vjp(ws, saved, g.data, need[0], need[1], need[2:])
+            return tuple(_tensor(a) for a in (gx, gexo, *gw))
 
-        out = ad.custom_op("nhits_stacks", fore, parents, vjp)
-        return (out, blocks, residual) if internals else out
+        return ad.custom_op("nhits_stacks", fore, parents, vjp)
 
     def core(self, cont: Tensor, one_hot: np.ndarray, n_windows: int) -> Tensor:
         """Features in, denormalised forecasts out, recorded as one op (``nhits_forecast``).
@@ -351,20 +344,18 @@ class NhitsModel:
         # the price channel copied out, so the window means sum as the graph's did
         adj = ad.window_view(np.array(c[..., :span, 0]), E, axis=days).reshape(-1, E)
         x, wmean, denom, win = _standardise(adj, 1)
-        exo = ex = None
-        if cfg.use_features:
-            exo_days, ex = _exo_days(c, one_hot)
-            exo = ad.window_view(exo_days[..., :span, :], E, axis=days).reshape(-1, cfg.exo_dim)
+        exo_days, ex = _exo_days(c, one_hot)
+        exo = ad.window_view(exo_days[..., :span, :], E, axis=days).reshape(-1, cfg.exo_dim)
         keep = ad.records(parents)
         if not keep:  # no vjp will run: drop its arrays before the stacks run
             win = ex = None
-        fore, saved, _, _ = self._stacks_forward(ws, x, exo, keep)
+        fore, saved = self._stacks_forward(ws, x, exo, keep)
 
         def vjp(g, need):
             g = g.data
             need_in = need[0]
-            gx, gexo, gw = self._stacks_vjp(ws, saved, g * denom[:, None], need_in,
-                                            need_in and exo is not None, need[1:])
+            gx, gexo, gw = self._stacks_vjp(ws, saved, g * denom[:, None], need_in, need_in,
+                                            need[1:])
             grads = [None] + [_tensor(a) for a in gw]
             if not need_in:
                 return tuple(grads)
@@ -375,19 +366,13 @@ class NhitsModel:
             # the price gradient takes the place of the first one in the stacks'
             # exo gradient, a buffer of this vjp's own, and nothing is copied.
             windows = lead + (n_windows, E)
-            if exo is None:
-                taps = g_adj.reshape(windows + (1,))
-            else:
-                taps = gexo.reshape(windows + (17,))[..., :13]
-                taps[..., 12] = g_adj.reshape(windows)
+            taps = gexo.reshape(windows + (17,))[..., :13]
+            taps[..., 12] = g_adj.reshape(windows)
             folded = ad.overlap_add(taps, span, axis=days)
-            g_cont = np.zeros(c.shape)
-            g_cont[..., :span, 0] = folded[..., -1]
-            if exo is not None:
-                g_z = np.zeros(c.shape)
-                g_z[..., :span, :] = folded[..., :12]
-                g_cont = _standardise_vjp(g_z, ex, -2) + g_cont
-            grads[0] = Tensor(g_cont)
+            g_z, g_price = np.zeros(c.shape), np.zeros(c.shape)
+            g_z[..., :span, :] = folded[..., :12]
+            g_price[..., :span, 0] = folded[..., 12]
+            grads[0] = Tensor(_standardise_vjp(g_z, ex, -2) + g_price)
             return tuple(grads)
 
         return ad.custom_op("nhits_forecast", fore * denom[:, None] + wmean[:, None], parents, vjp)
@@ -537,8 +522,8 @@ def _series_days(model: NhitsModel, pools: list[list[PriceSeries]]):
     """Every series' days, concatenated, and each pool's windows as start days.
 
     Returns the prices (D,), the standardised exogenous rows (D, 17) as
-    ``NhitsModel.core`` makes them (None without features), and per pool an
-    array with the first day of each of its windows.
+    ``NhitsModel.core`` makes them, and per pool an array with the first day
+    of each of its windows.
     """
     cfg = model.config
     # keyed by ticker, so a later series replaces an earlier one of the same
@@ -548,11 +533,8 @@ def _series_days(model: NhitsModel, pools: list[list[PriceSeries]]):
     lookup = {s.ticker: s for pool in pools for s in pool}
     offsets = dict(zip(lookup, np.cumsum([0] + [len(s) for s in lookup.values()])))
     prices = np.concatenate([s.adjprc for s in lookup.values()])
-    exo = None
-    if cfg.use_features:
-        fms = [compute_features(ad.constant(s.adjprc), s.dates) for s in lookup.values()]
-        exo = np.concatenate([_exo_days(fm.continuous.data, fm.day_one_hot().data)[0]
-                              for fm in fms])
+    fms = [compute_features(ad.constant(s.adjprc), s.dates) for s in lookup.values()]
+    exo = np.concatenate([_exo_days(fm.continuous.data, fm.day_one_hot().data)[0] for fm in fms])
     starts = [np.array([offsets[s.ticker] + w for s in pool
                         for w in range(min(len(s), len(lookup[s.ticker]))
                                        - cfg.min_series_length + 1)], dtype=np.intp)
@@ -560,15 +542,13 @@ def _series_days(model: NhitsModel, pools: list[list[PriceSeries]]):
     return prices, exo, starts
 
 
-def _assemble_batch(starts: np.ndarray, prices: np.ndarray, exo: np.ndarray | None,
-                    cfg: NhitsConfig):
+def _assemble_batch(starts: np.ndarray, prices: np.ndarray, exo: np.ndarray, cfg: NhitsConfig):
     """The encoder windows (B, E), horizon truths (B, H) and exogenous windows
     (B, E*17) that begin at the given days, gathered with one index each: an
     exogenous window is one contiguous row of the unfolded (D, 17) days."""
     E = cfg.encoder_length
     path = prices[starts[:, None] + np.arange(cfg.min_series_length)]
-    exo_w = None if exo is None else ad.window_view(exo, E).reshape(-1, cfg.exo_dim)[starts]
-    return path[:, :E], path[:, E:], exo_w
+    return path[:, :E], path[:, E:], ad.window_view(exo, E).reshape(-1, cfg.exo_dim)[starts]
 
 
 def _batch_loss(model: NhitsModel, starts, prices, exo) -> Tensor:
@@ -576,7 +556,7 @@ def _batch_loss(model: NhitsModel, starts, prices, exo) -> Tensor:
     cfg = model.config
     adj, truth, exo_w = _assemble_batch(starts, prices, exo, cfg)
     x, wmean, denom, _ = _standardise(adj, 1)
-    fore = model.stacks(ad.constant(x), None if exo_w is None else ad.constant(exo_w))
+    fore = model.stacks(ad.constant(x), ad.constant(exo_w))
     truth_norm = (truth - wmean[:, None]) / denom[:, None]
     Q = cfg.n_quantiles  # outputs are day-major: (day 0, q 0), (day 0, q 1), ...
     return _pinball(fore, np.repeat(truth_norm, Q, axis=1), np.tile(cfg.quantiles, cfg.horizon))

@@ -91,7 +91,7 @@ def _builders():
         def f(ts):
             a = ts[0][2:7]
             b = ts[0][0:5]
-            return ad.tsum(ad.mul(a, b)) + ad.tsum(ad.power(ts[0], 2.0))
+            return ad.add(ad.tsum(ad.mul(a, b)), ad.tsum(ad.power(ts[0], 2.0)))
 
         return [(9,)], f
 
@@ -255,9 +255,7 @@ def eval_scalar(f, arrays):
 
 def graph_gradients(f, arrays):
     ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    root = f(ts)
-    ad.backward(root)
-    return [t.grad for t in ts]
+    return [g.data for g in ad.gradients(f(ts), ts)]
 
 
 def leaky(h, slope):
@@ -286,29 +284,23 @@ def nhits_stacks_reference(model, x, exo):
     E = cfg.encoder_length
     residual, fore = x, None
     blocks = []
-    idx = 0
-    for si in range(cfg.n_stacks):
-        k = cfg.pool_kernels[si]
-        r = cfg.downsample_ratios[si]
+    for i, (k, r) in enumerate(zip(cfg.pool_kernels, cfg.downsample_ratios)):
         eb_knots, hf_knots = E // r, cfg.horizon // r
         ib = ad.constant(_interp_matrix(eb_knots, E).T)
         iff = ad.constant(np.kron(_interp_matrix(hf_knots, cfg.horizon),
                                   np.eye(cfg.n_quantiles)).T)
-        for _ in range(cfg.blocks_per_stack):
-            p = {name: model.params[f"b{idx}.{name}"]
-                 for name in ("w1", "b1", "w2", "b2", "w3", "b3")}
-            pooled = ad.maxpool1d(residual, k) if k > 1 else residual
-            if idx == 0 and exo is not None:
-                pooled = ad.concat([pooled, exo], axis=1)
-            h = ad.relu(ad.affine(pooled, p["w1"], p["b1"]))
-            h = ad.relu(ad.affine(h, p["w2"], p["b2"]))
-            theta = ad.affine(h, p["w3"], p["b3"])
-            backcast = ad.matmul(theta[:, :eb_knots], ib)
-            forecast = ad.matmul(theta[:, eb_knots:], iff)
-            residual = ad.sub(residual, backcast)
-            fore = forecast if fore is None else ad.add(fore, forecast)
-            blocks.append((backcast, forecast))
-            idx += 1
+        p = {name: model.params[f"b{i}.{name}"] for name in ("w1", "b1", "w2", "b2", "w3", "b3")}
+        pooled = ad.maxpool1d(residual, k) if k > 1 else residual
+        if i == 0:
+            pooled = ad.concat([pooled, exo], axis=1)
+        h = ad.relu(ad.affine(pooled, p["w1"], p["b1"]))
+        h = ad.relu(ad.affine(h, p["w2"], p["b2"]))
+        theta = ad.affine(h, p["w3"], p["b3"])
+        backcast = ad.matmul(theta[:, :eb_knots], ib)
+        forecast = ad.matmul(theta[:, eb_knots:], iff)
+        residual = ad.sub(residual, backcast)
+        fore = forecast if fore is None else ad.add(fore, forecast)
+        blocks.append((backcast, forecast))
     return fore, blocks, residual
 
 
@@ -329,11 +321,9 @@ def nhits_forecast_reference(model, fm, n_windows):
         return ad.div(diff, ad.expand(denom, a.shape, axis)), mean, denom
 
     adj_w = ad.reshape(ad.unfold(cont[..., :span, 0], E, days), (-1, E))
-    exo = None
-    if cfg.use_features:
-        z = standardise(cont, -2)[0]
-        exo_days = ad.concat([z, fm.day_one_hot()], axis=-1)[..., :span, :]
-        exo = ad.reshape(ad.unfold(exo_days, E, days), (-1, cfg.exo_dim))
+    z = standardise(cont, -2)[0]
+    exo_days = ad.concat([z, fm.day_one_hot()], axis=-1)[..., :span, :]
+    exo = ad.reshape(ad.unfold(exo_days, E, days), (-1, cfg.exo_dim))
     x, wmean, denom = standardise(adj_w, 1)
     fore = model.stacks(x, exo)
     shape = fore.shape

@@ -90,8 +90,7 @@ def test_gradient_penalty_zero_at_unit_norm_critic():
 
     gp = gradient_penalty(d_fn, np.random.default_rng(0).normal(size=(3, 4)))
     assert gp.item() < 1e-12
-    ad.backward(gp)
-    assert np.max(np.abs(w_t.grad)) < 1e-5
+    assert np.max(np.abs(ad.gradient(gp, w_t).data)) < 1e-5
 
 
 def test_gradient_penalty_trains_critic_toward_unit_norm():
@@ -103,9 +102,7 @@ def test_gradient_penalty_trains_critic_toward_unit_norm():
 
     for _ in range(100):
         gp = gradient_penalty(d_fn, rng.normal(size=(8, 5)))
-        ad.backward(gp)
-        w_t.data = w_t.data - 0.05 * w_t.grad
-        w_t.grad = None
+        w_t.data = w_t.data - 0.05 * ad.gradient(gp, w_t).data
     assert abs(np.linalg.norm(w_t.data) - 1.0) < 1e-3
 
 
@@ -127,19 +124,13 @@ def test_wasserstein_toy_generator_mean_drifts_to_real_mean():
         loss_c = ad.sub(ad.tmean(ad.affine(ad.constant(fake.data), c_w, c_b)),
                         ad.tmean(ad.affine(ad.constant(real), c_w, c_b)))
         c_trace.append(loss_c.item())
-        ad.backward(loss_c)
-        for p in (c_w, c_b):
-            p.data = np.clip(p.data - 0.05 * p.grad, -1.0, 1.0)
-            p.grad = None
+        for p, g in zip((c_w, c_b), ad.gradients(loss_c, [c_w, c_b])):
+            p.data = np.clip(p.data - 0.05 * g.data, -1.0, 1.0)
         # generator step
         fake = ad.affine(ad.constant(z), g_w, g_b)
         loss_g = ad.mul(ad.tmean(ad.affine(fake, c_w, c_b)), -1.0)
-        ad.backward(loss_g)
-        for p in (g_w, g_b):
-            p.data = p.data - 0.02 * p.grad
-            p.grad = None
-        for p in (c_w, c_b):
-            p.grad = None
+        for p, g in zip((g_w, g_b), ad.gradients(loss_g, [g_w, g_b])):
+            p.data = p.data - 0.02 * g.data
     # started 3.0 away; the generator closes most of the gap (the fixed-step
     # minimax game keeps a small oscillation around the target)
     assert abs(float(g_b.data[0]) - real_mean) < 1.0
@@ -215,7 +206,9 @@ def test_gan_config_validation():
         GanConfig(gp_apply_prob=1.5)
     with pytest.raises(ValueError):
         GanConfig(adv_scale_schedule=(0.0, 0.1), epochs_per_block=(1, 1))
-    for field, value in [("gen_kernels", (3, 0, 5, 3)), ("gen_kernels", (3, 2.0, 5, 3)),
+    for field, value in [("epochs_per_block", (50, 0, 50, 50, 50)),
+                         ("epochs_per_block", (50, -1, 50, 50, 50)),
+                         ("gen_kernels", (3, 0, 5, 3)), ("gen_kernels", (3, 2.0, 5, 3)),
                          ("gen_dilations", (1, 0, 4, 8)), ("gen_dilations", (1, -2, 4, 8)),
                          ("gen_hidden", (64, 0, 64, 32)), ("gen_hidden", (64, True, 64, 32)),
                          ("interval_length", 1), ("interval_length", 9.0),

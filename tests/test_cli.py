@@ -434,7 +434,12 @@ def test_gan_checkpoint_with_bad_generator_exits_3(tmp_path, workspace, capsys):
         ("eval", "--data", data, "--bundle", bad, "--checkpoint", ckpt,
          "--outdir", tmp_path / "eval", "--ticker", "SYN000", "--n", 5)), capsys)
 
+    arrays, arch = dataio.load_checkpoint(ckpt)
+    no_features = tmp_path / "no_features.ckpt"  # older checkpoints saved this field
+    dataio.save_checkpoint(arrays, no_features,
+                           {**arch, "config": {**arch["config"], "use_features": False}})
     cases = _broken_checkpoints(tmp_path, ckpt, "hidden_width", ("b0.w1", lambda a: a[:-1]))
+    cases.append((no_features, "use_features=False"))
     _assert_one_line_data_errors(cases, lambda bad: (
         ("attack", "--data", data, "--checkpoint", bad, "--outdir", tmp_path / "o",
          "--methods", "gsa", "--iters", 1, "--tickers", "SYN000", "--no-plots"),), capsys)
@@ -468,6 +473,7 @@ def test_run_manifest_records_input_digests(tmp_path, monkeypatch):
     (("eval", "--n", "0"), "n must be >= 1, got 0"),
     (("gan", "generate", "--n", "0"), "n must be >= 1, got 0"),
     (("defend", "train", "--holdout", "1.0"), "holdout must be in (0, 1), got 1"),
+    (("defend", "train", "--epochs", "0"), "epochs must be >= 1, got 0"),
 ])
 def test_out_of_range_settings_exit_2_before_creating_or_reading(tmp_path, argv, words, capsys):
     missing = tmp_path / "missing"  # no input file exists: the settings are checked first
@@ -513,6 +519,10 @@ def test_run_manifest_records_versions_blas_and_threads(tmp_path, monkeypatch):
     (("gan", "train", "--epochs-per-block", "x,2"), "epochs-per-block"),
     (("gan", "train", "--epochs-per-block", "2", "--alpha", "-1"), "alpha must be positive"),
     (("gan", "train", "--samples-per-epoch", "0"), "samples-per-epoch"),
+    (("gan", "train", "--epochs-per-block=-1,0", "--alpha", "0.3,0.3"),
+     "epochs-per-block must hold positive ints"),
+    (("gan", "train", "--epochs-per-block", "2,0", "--alpha", "0.3,0.3"),
+     "epochs-per-block must hold positive ints"),
 ])
 def test_bad_attack_settings_exit_2_before_loading(tmp_path, argv, words, capsys):
     missing = tmp_path / "missing"  # no input file exists: the settings are checked first

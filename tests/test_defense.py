@@ -190,3 +190,9 @@ def test_discriminator_checkpoint_roundtrip(tmp_path, toy_classifier, separable_
     clf.save(path)
     loaded = Discriminator.load(path)
     assert classify(loaded, real[0]) == classify(clf, real[0])
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -3), ("batch_size", 0)])
+def test_config_rejects_non_positive_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+        DiscriminatorConfig(**{field: value})
