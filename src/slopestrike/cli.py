@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import platform
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -34,6 +35,7 @@ from .forecaster import NhitsConfig, NhitsModel, NumericalError, train
 from .metrics import MetricsError, confusion
 
 SEED_ENV = "SLOPESTRIKE_SEED"
+_NEGATIVE = re.compile(r"-\.?\d")  # a value, as no option starts with a digit
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -530,10 +532,24 @@ def _resolve(args, cmd: Command) -> dict:
     return s
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Each '--flag -1,0' as '--flag=-1,0'.  argparse reads a token that starts
+    with '-' as an option unless it is one plain negative number, so a comma list
+    whose first item is negative would never reach the settings checks."""
+    out = []
+    for a in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and len(flag) > 2 and "=" not in flag and _NEGATIVE.match(a):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         cmd = COMMANDS[args.path]
         with _stderr_logging(args.log_level):
             s = _resolve(args, cmd)

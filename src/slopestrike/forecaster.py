@@ -24,7 +24,9 @@ maximum, the ReLU and sqrt derivatives are 0 at 0) and compute only what
 products.  Training runs the same window normalisation and the stacks alone
 (``NhitsModel.stacks``, kind ``nhits_stacks``, parents: the price windows, the
 exogenous windows and the weights) on its gathered windows, which are
-constants, so it gets only the weight products.
+constants, so it gets only the weight products.  With no vjp to run, the
+stacks take the windows ``ROW_BLOCK`` rows at a time, so a long series'
+forecast never builds the first stack's input for every window at once.
 
 Quantile outputs are trained unsorted; at output time the quantile axis is
 sorted so reported quantile paths never cross.
@@ -45,6 +47,12 @@ from .features import FeatureMatrix, compute_features
 logger = logging.getLogger(__name__)
 
 NORM_EPS = 1e-8
+# rows per row block when the stacks run with no vjp.  Each row block has this
+# many rows: OpenBLAS (AVX-512) runs a GEMM with M*N*K <= 1e6 on a small kernel
+# that rounds some columns differently, and 512 rows keep every product of the
+# default model (the smallest is 25 x 100) above that, as one product over more
+# windows is, so the outputs stay those of the unblocked pass
+ROW_BLOCK = 512
 _BLOCK_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
@@ -235,7 +243,24 @@ class NhitsModel:
     def _stacks_forward(self, ws, x, exo, keep):
         """Every block's pooled MLP in numpy, on normalised windows x (N, E) plus,
         for the first block, exo (N, exo_dim).  Returns the summed forecast
-        (N, horizon*n_quantiles) and, with ``keep``, what ``_stacks_vjp`` needs."""
+        (N, horizon*n_quantiles) and, with ``keep``, what ``_stacks_vjp`` needs.
+
+        With no vjp to run (``keep`` false) the windows go through in row blocks
+        of ``ROW_BLOCK``, each written into one preallocated output, so only one
+        row block of the first stack's input is ever built.  The last row block
+        ends at N and may overlap the one before it.  Each row's arithmetic, and
+        so its output, is that of the unblocked pass."""
+        N = x.shape[0]
+        if keep or N <= ROW_BLOCK:
+            return self._stacks_rows(ws, x, exo, keep)
+        fore = np.empty((N, self.config.horizon * self.config.n_quantiles))
+        for i in range(0, N, ROW_BLOCK):
+            rows = slice(min(i, N - ROW_BLOCK), min(i + ROW_BLOCK, N))
+            fore[rows] = self._stacks_rows(ws, x[rows], exo[rows], False)[0]
+        return fore, []
+
+    def _stacks_rows(self, ws, x, exo, keep):
+        """``_stacks_forward`` on one row block, run as it comes."""
         N, E = x.shape
         residual, fore, saved = x, None, []
         for i, (k, eb, ib, iff) in enumerate(self._blocks):

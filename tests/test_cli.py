@@ -523,6 +523,12 @@ def test_run_manifest_records_versions_blas_and_threads(tmp_path, monkeypatch):
      "epochs-per-block must hold positive ints"),
     (("gan", "train", "--epochs-per-block", "2,0", "--alpha", "0.3,0.3"),
      "epochs-per-block must hold positive ints"),
+    # a comma list whose first item is negative is a value, not an option
+    (("gan", "train", "--epochs-per-block", "-1,0", "--alpha", "0.3,0.3"),
+     "epochs-per-block must hold positive ints"),
+    (("attack", "--eps-pct", "-1,2"), "eps_pct"),
+    (("gan", "train", "--epochs-per-block", "2,2", "--alpha", "-0.1,0.2"),
+     "alpha must be positive"),
 ])
 def test_bad_attack_settings_exit_2_before_loading(tmp_path, argv, words, capsys):
     missing = tmp_path / "missing"  # no input file exists: the settings are checked first

@@ -1,3 +1,4 @@
+import contextlib
 import datetime as dt
 import tracemalloc
 
@@ -9,7 +10,7 @@ from slopestrike import dataio
 from slopestrike.attacks import AttackConfig, run_attack
 from slopestrike.features import compute_features
 from slopestrike.forecaster import (
-    EarlyStopper, ForecastOutput, NhitsConfig, NhitsModel, _assemble_batch, _exo_days,
+    ROW_BLOCK, EarlyStopper, ForecastOutput, NhitsConfig, NhitsModel, _assemble_batch, _exo_days,
     _interp_matrix, _mean_loss, _rolling_median, _series_days, _standardise, quantile_loss,
     rolling_forecast, train,
 )
@@ -425,8 +426,29 @@ def test_rolling_forecast_memory_linear_in_length():
     finally:
         tracemalloc.stop()
     assert path.shape == (2300,)
-    assert peak < 64 * 2**20  # one copy of the (N, 100*17) exogenous windows, not two
+    assert peak < 16 * 2**20  # only one row block of the (N, 100*17) exogenous windows is copied
     assert held - path.nbytes < 2**20
+
+
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 1])
+def test_row_blocks_give_the_outputs_of_one_block(toy_model, n):
+    # with no vjp to run, core and stacks take the windows a row block at a
+    # time; recording runs them all as one block
+    cfg = toy_model.config
+    fm, _ = _fm(60.0 * np.exp(np.cumsum(np.random.default_rng(n).normal(0, 0.01, n + 119))))
+    rng = np.random.default_rng(n + 1)
+    x = rng.normal(size=(n, cfg.encoder_length))
+    exo = ad.window_view(rng.normal(size=(n + cfg.encoder_length - 1, 17)),
+                         cfg.encoder_length).reshape(n, cfg.exo_dim)  # a view, as core's is
+    runs = []
+    for record in (False, True):
+        with contextlib.nullcontext() if record else ad.no_record():
+            core = toy_model.core(fm.continuous, fm.day_one_hot().data, n)
+            stacks = toy_model.stacks(ad.constant(x), ad.constant(exo))
+        assert (core.node is not None) == (stacks.node is not None) == record
+        runs.append((core.data, stacks.data))
+    for blocked, whole in zip(*runs):
+        assert np.array_equal(blocked, whole)
 
 
 def test_window_views_give_the_outputs_of_window_copies(toy_model, monkeypatch):
