@@ -372,8 +372,6 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
                 c_losses, g_losses, a_losses = [], [], []
                 for step in range(steps_per_epoch):
                     batch = intervals[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-                    if not batch:
-                        break
                     real = np.stack([iv.log_returns for iv in batch])
                     cond = np.stack([iv.condition for iv in batch])
                     p0s = np.array([iv.p0 for iv in batch])
@@ -416,7 +414,7 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
                         g_losses.append(gval)
                         a_losses.append(aval)
                 log.append((block, epoch,
-                            float(np.mean(c_losses)) if c_losses else np.nan,
+                            float(np.mean(c_losses)),
                             float(np.mean(g_losses)) if g_losses else np.nan,
                             float(np.mean(a_losses)) if a_losses else np.nan))
     finally:

@@ -24,9 +24,11 @@ maximum, the ReLU and sqrt derivatives are 0 at 0) and compute only what
 products.  Training runs the same window normalisation and the stacks alone
 (``NhitsModel.stacks``, kind ``nhits_stacks``, parents: the price windows, the
 exogenous windows and the weights) on its gathered windows, which are
-constants, so it gets only the weight products.  With no vjp to run, the
-stacks take the windows ``ROW_BLOCK`` rows at a time, so a long series'
-forecast never builds the first stack's input for every window at once.
+constants, so it gets only the weight products.  Each window is forecast on
+its own, so with no vjp to run ``core`` takes the windows in near-equal row
+blocks, from window normalisation to denormalisation: a long series' forecast
+never builds the first stack's input, or the denormalised temporaries, for
+every window at once.
 
 Quantile outputs are trained unsorted; at output time the quantile axis is
 sorted so reported quantile paths never cross.
@@ -47,11 +49,13 @@ from .features import FeatureMatrix, compute_features
 logger = logging.getLogger(__name__)
 
 NORM_EPS = 1e-8
-# rows per row block when the stacks run with no vjp.  Each row block has this
-# many rows: OpenBLAS (AVX-512) runs a GEMM with M*N*K <= 1e6 on a small kernel
-# that rounds some columns differently, and 512 rows keep every product of the
-# default model (the smallest is 25 x 100) above that, as one product over more
-# windows is, so the outputs stay those of the unblocked pass
+# the least rows of a row block when core runs with no vjp: N windows go
+# through in max(1, N // ROW_BLOCK) near-equal blocks of ROW_BLOCK to
+# 2 * ROW_BLOCK - 1 rows, or one of N < ROW_BLOCK.  OpenBLAS (AVX-512) runs a
+# GEMM with M*N*K <= 1e6 on a small kernel that rounds some columns differently,
+# and 512 rows keep every product of the default model (the smallest is
+# 25 x 100) above that, as one product over more windows is, so the outputs
+# stay those of the unblocked pass
 ROW_BLOCK = 512
 _BLOCK_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -136,9 +140,6 @@ class ForecastOutput:
 def _interp_matrix(knots: int, length: int) -> np.ndarray:
     """Linear interpolation from `knots` points to `length` points, endpoints aligned."""
     M = np.zeros((length, knots))
-    if knots == 1:
-        M[:, 0] = 1.0
-        return M
     for t in range(length):
         pos = t * (knots - 1) / (length - 1)
         lo = int(np.floor(pos))
@@ -243,24 +244,7 @@ class NhitsModel:
     def _stacks_forward(self, ws, x, exo, keep):
         """Every block's pooled MLP in numpy, on normalised windows x (N, E) plus,
         for the first block, exo (N, exo_dim).  Returns the summed forecast
-        (N, horizon*n_quantiles) and, with ``keep``, what ``_stacks_vjp`` needs.
-
-        With no vjp to run (``keep`` false) the windows go through in row blocks
-        of ``ROW_BLOCK``, each written into one preallocated output, so only one
-        row block of the first stack's input is ever built.  The last row block
-        ends at N and may overlap the one before it.  Each row's arithmetic, and
-        so its output, is that of the unblocked pass."""
-        N = x.shape[0]
-        if keep or N <= ROW_BLOCK:
-            return self._stacks_rows(ws, x, exo, keep)
-        fore = np.empty((N, self.config.horizon * self.config.n_quantiles))
-        for i in range(0, N, ROW_BLOCK):
-            rows = slice(min(i, N - ROW_BLOCK), min(i + ROW_BLOCK, N))
-            fore[rows] = self._stacks_rows(ws, x[rows], exo[rows], False)[0]
-        return fore, []
-
-    def _stacks_rows(self, ws, x, exo, keep):
-        """``_stacks_forward`` on one row block, run as it comes."""
+        (N, horizon*n_quantiles) and, with ``keep``, what ``_stacks_vjp`` needs."""
         N, E = x.shape
         residual, fore, saved = x, None, []
         for i, (k, eb, ib, iff) in enumerate(self._blocks):
@@ -368,13 +352,26 @@ class NhitsModel:
         ws = [w.data for w in weights]
         # the price channel copied out, so the window means sum as the graph's did
         adj = ad.window_view(np.array(c[..., :span, 0]), E, axis=days).reshape(-1, E)
-        x, wmean, denom, win = _standardise(adj, 1)
         exo_days, ex = _exo_days(c, one_hot)
         exo = ad.window_view(exo_days[..., :span, :], E, axis=days).reshape(-1, cfg.exo_dim)
-        keep = ad.records(parents)
-        if not keep:  # no vjp will run: drop its arrays before the stacks run
-            win = ex = None
-        fore, saved = self._stacks_forward(ws, x, exo, keep)
+        if not ad.records(parents):
+            # no vjp will run: the windows go through in near-equal row blocks,
+            # so only one block of the first stack's input is ever built.  Each
+            # block is denormalised in place in ``out``, so no array of a block
+            # outlives it: one that did split the heap under the next block's
+            # larger buffers, which then stayed resident
+            N = adj.shape[0]
+            n_blocks = max(1, N // ROW_BLOCK)
+            out = np.empty((N, cfg.horizon * cfg.n_quantiles))
+            for j in range(n_blocks):
+                rows = slice(N * j // n_blocks, N * (j + 1) // n_blocks)
+                x, wmean, denom, _ = _standardise(adj[rows], 1)
+                out[rows] = self._stacks_forward(ws, x, exo[rows], False)[0]
+                out[rows] *= denom[:, None]
+                out[rows] += wmean[:, None]
+            return Tensor(out)
+        x, wmean, denom, win = _standardise(adj, 1)
+        fore, saved = self._stacks_forward(ws, x, exo, True)
 
         def vjp(g, need):
             g = g.data

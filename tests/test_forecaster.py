@@ -51,6 +51,7 @@ def test_zero_final_layers_forecast_equals_window_mean():
 
 def test_degenerate_rates_interpolation_is_identity():
     assert np.array_equal(_interp_matrix(20, 20), np.eye(20))
+    assert np.array_equal(_interp_matrix(1, 20), np.ones((20, 1)))
     cfg = NhitsConfig(n_stacks=1, pool_kernels=(1,), downsample_ratios=(1,))
     model = NhitsModel(cfg, seed=3)
     _randomise_heads(model, seed=3)
@@ -413,27 +414,33 @@ def test_rolling_forecast_overlap_averaging_counts():
     assert np.allclose(got, expected, atol=1e-12)
 
 
-def test_rolling_forecast_memory_linear_in_length():
+@pytest.mark.parametrize("days,bound_mib", [(2400, 16), (9600, 28)])
+def test_rolling_forecast_memory_linear_in_length(days, bound_mib):
     # memory must stay linear in the series length: at 2,400 days one dense
     # T x T operator is 44 MiB and an (N*H) x (N+H-1) one 800 MiB, and
-    # nothing may stay allocated once the call returns
+    # nothing may stay allocated once the call returns.  Only one row block of
+    # the (N, 100*17) exogenous windows is copied, and each row block is
+    # denormalised on its own, so at 9,600 days no (N, 140) temporaries pile up
     model = NhitsModel(NhitsConfig(), seed=0)
-    series = dataio.synth_gbm(1, 2400, 60.0, 0.0, 0.01, seed=6)[0]
+    series = dataio.synth_gbm(1, days, 60.0, 0.0, 0.01, seed=6)[0]
     tracemalloc.start()
     try:
         path = rolling_forecast(series, model)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert path.shape == (2300,)
-    assert peak < 16 * 2**20  # only one row block of the (N, 100*17) exogenous windows is copied
+    assert path.shape == (days - 100,)
+    assert peak < bound_mib * 2**20
     assert held - path.nbytes < 2**20
 
 
-@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK - 1,
+                               2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 3 * ROW_BLOCK + 1,
+                               5 * ROW_BLOCK - 3])
 def test_row_blocks_give_the_outputs_of_one_block(toy_model, n):
-    # with no vjp to run, core and stacks take the windows a row block at a
-    # time; recording runs them all as one block
+    # with no vjp to run, core takes the windows in near-equal row blocks of
+    # ROW_BLOCK to 2 * ROW_BLOCK - 1 rows; recording runs them all as one
+    # block.  The stacks never block, with or without a vjp
     cfg = toy_model.config
     fm, _ = _fm(60.0 * np.exp(np.cumsum(np.random.default_rng(n).normal(0, 0.01, n + 119))))
     rng = np.random.default_rng(n + 1)
