@@ -5,9 +5,9 @@ concatenated with a real (min-max scaled) log-return interval as the
 condition.  ``TcnGenerator.forward`` records the whole network as one graph
 node, kind ``tcn_generator``, with a numpy forward over time-major rows (one
 GEMM per tap, bias and leaky ReLU fused in) and a hand-written vjp that
-computes only what ``need`` asks for: the generator step asks for the
-parameters alone, so the vjp never forms the input gradient of the first
-layer, and a critic step, run under ``no_record``, keeps nothing for it.  The
+computes only what ``need`` asks for.  Noise and condition are data, not a
+parent, so the op has no input gradient; a critic step, run under
+``no_record``, keeps nothing for the vjp.  The
 critic is a tanh MLP over the flattened (interval, condition) pair so that the
 gradient penalty's second-order pass stays inside the supported operation
 subset.  A frozen forecaster acts as a second critic: the whole batch of
@@ -178,21 +178,23 @@ class TcnGenerator:
     def forward(self, z_cond: Tensor) -> Tensor:
         """(B, 2, L) noise+condition -> (B, L) scaled log returns, as one op.
 
-        Recorded as ``tcn_generator`` with z_cond and every parameter as
-        parents.  Rows are time-major, row t*B + b, so a causal tap that looks
-        d steps back is the row block shifted by d*B: each layer is one GEMM per
-        tap added into the output in place, with no padding and no im2col copy.
+        Recorded as ``tcn_generator`` with the parameters as parents; z_cond is
+        data (``GraphError`` if it requires grad).  Rows are time-major, row
+        t*B + b, so a causal tap that looks d steps back is the row block
+        shifted by d*B: each layer is one GEMM per tap added into the output in
+        place, with no padding and no im2col copy.
         """
         cfg = self.config
         L = cfg.interval_length
         if z_cond.ndim != 3 or z_cond.shape[1:] != (2, L):
             raise ad.ShapeError(f"tcn_generator: expected (B, 2, {L}) input, got {z_cond.shape}")
+        if ad.records((z_cond,)):
+            raise ad.GraphError("tcn_generator: no gradient flows to z_cond")
         B = z_cond.shape[0]
         n = L * B
         names = [f"tcn{i}.{p}" for i in range(len(cfg.gen_kernels)) for p in "wb"]
-        weights = [self.params[k] for k in names + ["head.w", "head.b"]]
-        parents = (z_cond,) + tuple(weights)
-        keep = ad.records(parents)  # without a node nothing is kept for the vjp
+        weights = tuple(self.params[k] for k in names + ["head.w", "head.b"])
+        keep = ad.records(weights)  # without a node nothing is kept for the vjp
         layers = [_tap_shifts(k, d, B, L) for k, d in zip(cfg.gen_kernels, cfg.gen_dilations)]
         layers.append(_tap_shifts(1, 1, B, L))  # the 1x1 head
         slope = cfg.leaky_slope
@@ -214,31 +216,28 @@ class TcnGenerator:
             h = z
 
         def vjp(g, need):
-            grads = [None] * len(parents)
+            grads = [None] * len(weights)
             gz = np.ascontiguousarray(g.data.T).reshape(n, 1)
             for i in reversed(range(len(layers))):
                 w, x = weights[2 * i].data, inputs[i]
-                if need[1 + 2 * i]:
+                if need[2 * i]:
                     gw = np.zeros(w.shape)
                     for k, s in layers[i]:
                         gw[:, :, k] = gz[s:].T @ x[:n - s]
-                    grads[1 + 2 * i] = Tensor(gw)
-                if need[2 + 2 * i]:
-                    grads[2 + 2 * i] = Tensor(gz.sum(axis=0))
-                if not any(need[:1 + 2 * i]):
+                    grads[2 * i] = Tensor(gw)
+                if need[1 + 2 * i]:
+                    grads[1 + 2 * i] = Tensor(gz.sum(axis=0))
+                if not any(need[:2 * i]):
                     break  # nothing below this layer is asked for
                 wk = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, Cout, Cin)
                 gx = np.zeros(x.shape)
                 for k, s in layers[i]:
                     gx[:n - s] += gz[s:] @ wk[k]
-                if i == 0:
-                    grads[0] = Tensor(gx.reshape(L, B, 2).transpose(1, 2, 0))
-                else:
-                    gz = gx * factors[i - 1]
+                gz = gx * factors[i - 1]
             return tuple(grads)
 
         out = np.ascontiguousarray(h.reshape(L, B).T)
-        return ad.custom_op("tcn_generator", out, parents, vjp)
+        return ad.custom_op("tcn_generator", out, weights, vjp)
 
 
 def _tap_shifts(K: int, dilation: int, B: int, L: int) -> list[tuple[int, int]]:
@@ -485,8 +484,6 @@ def evaluate_gan(bundle: GanBundle, series: PriceSeries, model: NhitsModel | Non
 def generate(bundle: GanBundle, conditions: list[ScaledInterval], seed: int) -> np.ndarray:
     """Seeded synthesis: one scaled 99-return interval per condition, (n, L)."""
     cfg = bundle.config
-    if not conditions:
-        return np.zeros((0, cfg.interval_length))
     cond = np.stack([iv.condition for iv in conditions])
     if cond.shape[1] != cfg.interval_length:
         raise ValueError(f"condition length {cond.shape[1]} != {cfg.interval_length}")

@@ -10,7 +10,8 @@ subset (an attack's price gradient, a generator's parameters) skips every other
 product.  The engine never writes ``Tensor.grad``; callers may store a gradient
 there.  A restricted subset of operations additionally supports building the
 backward pass itself as a differentiable graph (``create_graph=True``), which
-is what the Wasserstein gradient penalty needs.
+is what the Wasserstein gradient penalty needs.  Ops that only the test oracles
+build (``div``, ``unfold``, ``fold``, ``ema``) live in ``tests/graph_ops.py``.
 
 Subgradient conventions (fixed for deterministic replay):
   * ``clamp``          -> pass-through inside [lo, hi], bounds count as inside
@@ -115,9 +116,6 @@ class Tensor:
             raise GraphError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     def __getitem__(self, key):
         return tslice(self, key)
 
@@ -139,7 +137,7 @@ def constant(x) -> Tensor:
 # ops their vjps are built from.
 _SECOND_ORDER_KINDS = frozenset(
     {
-        "add", "sub", "mul", "matmul", "affine", "tanh", "sigmoid",
+        "add", "sub", "mul", "matmul", "tanh", "sigmoid",
         "sum", "mean", "sqrt", "pow",
         "expand", "reshape", "transpose",
     }
@@ -151,23 +149,19 @@ def records(parents) -> bool:
     return _recording() and any(p.requires_grad for p in parents)
 
 
-def _make(kind, out_data, parents, vjp):
+def custom_op(kind: str, out_data, parents, vjp) -> Tensor:
+    """Wrap a computed forward value; if ``records(parents)``, give it a node.
+
+    Every op, here or in another module, builds its output this way.  ``vjp``
+    takes ``(g, need)`` for several parents, ``(g)`` for one, and returns a
+    gradient Tensor (or None where ``need`` is False) per parent.  A forward
+    that keeps arrays for its vjp asks ``records(parents)`` first.
+    """
     out = Tensor(out_data)
     if records(parents):
         out.requires_grad = True
         out.node = Node(kind, tuple(parents), vjp, kind in _SECOND_ORDER_KINDS)
     return out
-
-
-def custom_op(kind: str, out_data, parents, vjp) -> Tensor:
-    """Record a first-order op whose forward and vjp are written elsewhere.
-
-    ``out_data`` is the computed forward value.  ``vjp`` follows the contract
-    of the ops below: ``vjp(g, need)`` for several parents, ``vjp(g)`` for one,
-    returning a gradient Tensor (or None where ``need`` is False) per parent.
-    A forward that keeps arrays for its vjp asks ``records(parents)`` first.
-    """
-    return _make(kind, out_data, parents, vjp)
 
 
 def _check_elementwise(kind, a: Tensor, b: Tensor) -> None:
@@ -182,13 +176,9 @@ def _check_elementwise(kind, a: Tensor, b: Tensor) -> None:
 
 
 def _reduce_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Sum a gradient back down to the shape of a broadcast operand."""
+    """Sum a gradient down to a broadcast operand's shape: g's trailing axes, or ()."""
     while g.ndim > len(shape):
         g = tsum(g, axis=0)
-    if g.shape != shape:  # scalar operand
-        g = tsum(g, None)
-        if len(shape):
-            g = reshape(g, shape)
     return g
 
 
@@ -208,7 +198,7 @@ def add(a, b) -> Tensor:
         return (_reduce_to(g, a.shape) if need[0] else None,
                 _reduce_to(g, b.shape) if need[1] else None)
 
-    return _make("add", a.data + b.data, (a, b), vjp)
+    return custom_op("add", a.data + b.data, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -219,7 +209,7 @@ def sub(a, b) -> Tensor:
         return (_reduce_to(g, a.shape) if need[0] else None,
                 _reduce_to(mul(g, -1.0), b.shape) if need[1] else None)
 
-    return _make("sub", a.data - b.data, (a, b), vjp)
+    return custom_op("sub", a.data - b.data, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -230,21 +220,7 @@ def mul(a, b) -> Tensor:
         return (_reduce_to(mul(g, b), a.shape) if need[0] else None,
                 _reduce_to(mul(g, a), b.shape) if need[1] else None)
 
-    return _make("mul", a.data * b.data, (a, b), vjp)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("div", a, b)
-    if np.any(b.data == 0.0):
-        raise DomainError("div: division by zero")
-
-    def vjp(g, need):
-        ga = _reduce_to(div(g, b), a.shape) if need[0] else None
-        gb = _reduce_to(mul(mul(g, -1.0), div(a, mul(b, b))), b.shape) if need[1] else None
-        return (ga, gb)
-
-    return _make("div", a.data / b.data, (a, b), vjp)
+    return custom_op("mul", a.data * b.data, (a, b), vjp)
 
 
 def power(a, p: float) -> Tensor:
@@ -256,7 +232,7 @@ def power(a, p: float) -> Tensor:
     def vjp(g):
         return (mul(g, mul(p, power(a, p - 1.0))),)
 
-    return _make("pow", a.data ** p, (a,), vjp)
+    return custom_op("pow", a.data ** p, (a,), vjp)
 
 
 def texp(a) -> Tensor:
@@ -266,7 +242,7 @@ def texp(a) -> Tensor:
     def vjp(g, _y=out_data):
         return (mul(g, Tensor(_y)),)
 
-    return _make("exp", out_data, (a,), vjp)
+    return custom_op("exp", out_data, (a,), vjp)
 
 
 def tlog(a) -> Tensor:
@@ -274,31 +250,25 @@ def tlog(a) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log: argument must be strictly positive")
 
-    def vjp(g):
-        return (div(g, a),)
+    def vjp(g):  # first-order only, so no graph for the vjp
+        return (Tensor(g.data / a.data),)
 
-    return _make("log", np.log(a.data), (a,), vjp)
+    return custom_op("log", np.log(a.data), (a,), vjp)
 
 
 def tsqrt(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data < 0.0):
         raise DomainError("sqrt: negative argument")
-    out_data = np.sqrt(a.data)
-    out = Tensor(out_data)
-    if _recording() and a.requires_grad:
+
+    def vjp(g):
         # derivative 0 at exactly 0: shift those entries so pow stays finite,
         # then mask them out with a constant factor
-        zero = out_data == 0.0
-        shift = Tensor(np.where(zero, 1.0, 0.0))
-        mask = Tensor(np.where(zero, 0.0, 0.5))
+        zero = out.data == 0.0
+        safe = add(out, Tensor(np.where(zero, 1.0, 0.0)))
+        return (mul(mul(g, Tensor(np.where(zero, 0.0, 0.5))), power(safe, -1.0)),)
 
-        def vjp(g):
-            safe = add(out, shift)
-            return (mul(mul(g, mask), power(safe, -1.0)),)
-
-        out.requires_grad = True
-        out.node = Node("sqrt", (a,), vjp, True)
+    out = custom_op("sqrt", np.sqrt(a.data), (a,), vjp)  # the vjp reads out, bound here
     return out
 
 
@@ -309,7 +279,7 @@ def tabs(a) -> Tensor:
     def vjp(g):
         return (mul(g, Tensor(s)),)
 
-    return _make("abs", np.abs(a.data), (a,), vjp)
+    return custom_op("abs", np.abs(a.data), (a,), vjp)
 
 
 def clamp(a, lo=None, hi=None) -> Tensor:
@@ -326,7 +296,7 @@ def clamp(a, lo=None, hi=None) -> Tensor:
     def vjp(g):
         return (mul(g, Tensor(inside)),)
 
-    return _make("clamp", out_data, (a,), vjp)
+    return custom_op("clamp", out_data, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -340,32 +310,26 @@ def relu(a) -> Tensor:
     def vjp(g):
         return (mul(g, Tensor(mask)),)
 
-    return _make("relu", a.data * mask, (a,), vjp)
+    return custom_op("relu", a.data * mask, (a,), vjp)
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    out_data = np.tanh(a.data)
-    out = Tensor(out_data)
-    if _recording() and a.requires_grad:
-        def vjp(g):
-            return (mul(g, sub(1.0, mul(out, out))),)
 
-        out.requires_grad = True
-        out.node = Node("tanh", (a,), vjp, True)
+    def vjp(g):
+        return (mul(g, sub(1.0, mul(out, out))),)
+
+    out = custom_op("tanh", np.tanh(a.data), (a,), vjp)
     return out
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(out_data)
-    if _recording() and a.requires_grad:
-        def vjp(g):
-            return (mul(g, mul(out, sub(1.0, out))),)
 
-        out.requires_grad = True
-        out.node = Node("sigmoid", (a,), vjp, True)
+    def vjp(g):
+        return (mul(g, mul(out, sub(1.0, out))),)
+
+    out = custom_op("sigmoid", 1.0 / (1.0 + np.exp(-a.data)), (a,), vjp)
     return out
 
 
@@ -380,7 +344,7 @@ def tsum(a, axis: int | None = None) -> Tensor:
     def vjp(g):
         return (expand(g, shape, axis),)
 
-    return _make("sum", np.sum(a.data, axis=axis), (a,), vjp)
+    return custom_op("sum", np.sum(a.data, axis=axis), (a,), vjp)
 
 
 def tmean(a, axis: int | None = None) -> Tensor:
@@ -393,7 +357,7 @@ def tmean(a, axis: int | None = None) -> Tensor:
     def vjp(g):
         return (mul(expand(g, shape, axis), 1.0 / n),)
 
-    return _make("mean", np.mean(a.data, axis=axis), (a,), vjp)
+    return custom_op("mean", np.mean(a.data, axis=axis), (a,), vjp)
 
 
 def expand(a, shape: tuple[int, ...], axis: int | None = None) -> Tensor:
@@ -407,7 +371,7 @@ def expand(a, shape: tuple[int, ...], axis: int | None = None) -> Tensor:
     def vjp(g):
         return (tsum(g, axis),)
 
-    return _make("expand", out_data, (a,), vjp)
+    return custom_op("expand", out_data, (a,), vjp)
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
@@ -421,7 +385,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
         out_data = a.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {old} as {shape}") from exc
-    return _make("reshape", out_data, (a,), vjp)
+    return custom_op("reshape", out_data, (a,), vjp)
 
 
 def transpose(a) -> Tensor:
@@ -432,7 +396,7 @@ def transpose(a) -> Tensor:
     def vjp(g):
         return (transpose(g),)
 
-    return _make("transpose", a.data.T.copy(), (a,), vjp)
+    return custom_op("transpose", a.data.T.copy(), (a,), vjp)
 
 
 def tslice(a, key) -> Tensor:
@@ -449,7 +413,7 @@ def tslice(a, key) -> Tensor:
         buf[key] = g.data
         return (Tensor(buf),)
 
-    return _make("slice", np.array(out_data, dtype=np.float64), (a,), vjp)
+    return custom_op("slice", np.array(out_data, dtype=np.float64), (a,), vjp)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -471,7 +435,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(grads)
 
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    return _make("concat", out_data, tuple(tensors), vjp)
+    return custom_op("concat", out_data, tuple(tensors), vjp)
 
 
 def sort_last(a) -> Tensor:
@@ -487,7 +451,7 @@ def sort_last(a) -> Tensor:
         np.put_along_axis(buf, order, g.data, axis=-1)
         return (Tensor(buf),)
 
-    return _make("sort", out_data, (a,), vjp)
+    return custom_op("sort", out_data, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -513,73 +477,6 @@ def overlap_add(w: np.ndarray, length: int, dilation: int = 1, axis: int = 0) ->
     return out
 
 
-def unfold(x, size: int, axis: int = 0) -> Tensor:
-    """Every window of ``size`` consecutive steps along ``axis``.
-
-    (T, ...) -> (T-size+1, size, ...) for axis 0; a leading batch axis, as in
-    (B, T, ...) with axis 1, is carried through: (B, T-size+1, size, ...).
-    The data is a read-only strided view of ``x``'s, not a copy: the windows
-    cost no memory until an op that needs them contiguous copies them once.
-    """
-    x = as_tensor(x)
-    T = x.shape[axis] if 0 <= axis < x.ndim else 0
-    if not 1 <= size <= T:
-        raise ShapeError(f"unfold: window {size} does not fit axis {axis} of {x.shape}")
-
-    def vjp(g):
-        return (fold(g, T, axis),)
-
-    return _make("unfold", window_view(x.data, size, axis=axis), (x,), vjp)
-
-
-def fold(w, length: int, axis: int = 0) -> Tensor:
-    """Adjoint of ``unfold``: overlap-add windows (length-size+1, size) at ``axis`` to length."""
-    w = as_tensor(w)
-    if (axis < 0 or w.ndim < axis + 2
-            or w.shape[axis] != length - w.shape[axis + 1] + 1):
-        raise ShapeError(f"fold: windows {w.shape} do not tile length {length} at axis {axis}")
-    size = w.shape[axis + 1]
-
-    def vjp(g):
-        return (unfold(g, size, axis),)
-
-    return _make("fold", overlap_add(w.data, length, axis=axis), (w,), vjp)
-
-
-def _decay_scan(x: np.ndarray, gain: float, decay: float) -> np.ndarray:
-    """r_0 = x_0, r_t = gain * x_t + decay * r_{t-1} along the last axis."""
-    if x.ndim == 1:  # Python floats step far faster than numpy scalars
-        r = x.tolist()
-    else:  # time-major rows: each step updates a whole batch of series
-        r = list(np.moveaxis(x, -1, 0))
-    for t in range(1, len(r)):
-        r[t] = gain * r[t] + decay * r[t - 1]
-    if x.ndim == 1:
-        return np.array(r)
-    # contiguous, so the ops that follow (exp, say) round as they do on one series
-    return np.ascontiguousarray(np.moveaxis(np.array(r), 0, -1))
-
-
-def _ema_adjoint(g: np.ndarray, beta: float) -> np.ndarray:
-    """The EMA's vjp: the same recurrence run backwards, a_t = g_t + (1-beta) a_{t+1};
-    x_t receives beta * a_t, except x_0, which seeds e_0 and receives a_0."""
-    a = _decay_scan(g[..., ::-1], 1.0, 1.0 - beta)[..., ::-1]
-    a[..., 1:] *= beta
-    return a
-
-
-def ema(x, beta: float) -> Tensor:
-    """Exponential moving average along the last axis: e_0 = x_0, e_t = beta x_t + (1-beta) e_{t-1}."""
-    x = as_tensor(x)
-    if x.ndim < 1:
-        raise ShapeError("ema: expected at least 1-D, got a scalar")
-
-    def vjp(g):
-        return (Tensor(_ema_adjoint(g.data, beta)),)
-
-    return _make("ema", _decay_scan(x.data, beta, 1.0 - beta), (x,), vjp)
-
-
 def cumsum(x) -> Tensor:
     """Running sum along the last axis: c_t = x_0 + ... + x_t."""
     x = as_tensor(x)
@@ -590,7 +487,7 @@ def cumsum(x) -> Tensor:
         # x_t feeds every c_s with s >= t: the running sum taken from the end
         return (Tensor(np.cumsum(g.data[..., ::-1], axis=-1)[..., ::-1]),)
 
-    return _make("cumsum", np.cumsum(x.data, axis=-1), (x,), vjp)
+    return custom_op("cumsum", np.cumsum(x.data, axis=-1), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +497,6 @@ def cumsum(x) -> Tensor:
 def matmul(a, b) -> Tensor:
     """a @ b for a 2-D b; the leading axes of a (..., K) are all rows of the product."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim == 1:
-        return reshape(matmul(reshape(a, (1, a.shape[0])), b), (-1,))
-    if b.ndim == 1:
-        return reshape(matmul(a, reshape(b, (b.shape[0], 1))), (-1,))
     if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
 
@@ -615,7 +508,7 @@ def matmul(a, b) -> Tensor:
             gb = matmul(transpose(rows), grows)
         return (matmul(g, transpose(b)) if need[0] else None, gb)
 
-    return _make("matmul", a.data @ b.data, (a, b), vjp)
+    return custom_op("matmul", a.data @ b.data, (a, b), vjp)
 
 
 def affine(x, w, b) -> Tensor:
@@ -624,14 +517,12 @@ def affine(x, w, b) -> Tensor:
 
 
 def channel_bias(x, b) -> Tensor:
-    """Add a per-channel bias (C,) to a channels-first (C, T) or (B, C, T) tensor."""
+    """Add a per-channel bias (C,) to a channels-first (B, C, T) tensor."""
     x, b = as_tensor(x), as_tensor(b)
-    if x.ndim == 2:
-        return add(x, expand(b, x.shape, 1))
-    if x.ndim == 3:
-        # (C, T) suffices: add broadcasts it over the batch, _reduce_to sums it back
-        return add(x, expand(b, x.shape[1:], 1))
-    raise ShapeError(f"channel_bias: expected 2-D or 3-D input, got {x.shape}")
+    if x.ndim != 3:
+        raise ShapeError(f"channel_bias: expected 3-D input, got {x.shape}")
+    # (C, T) suffices: add broadcasts it over the batch, _reduce_to sums it back
+    return add(x, expand(b, x.shape[1:], 1))
 
 
 def conv1d(x, w, dilation: int = 1) -> Tensor:
@@ -648,7 +539,7 @@ def conv1d(x, w, dilation: int = 1) -> Tensor:
     B, Cin, T = xd.shape
     Cout, _, K = w.shape
     pad = (K - 1) * dilation
-    # time-major, so the windows are taken along axis 0 like unfold's
+    # time-major, so window_view takes the windows along axis 0
     xp = np.pad(np.moveaxis(xd, 2, 0), ((pad, 0), (0, 0), (0, 0)))  # (T+pad, B, Cin)
     taps = window_view(xp, K, dilation)  # (T, K, B, Cin)
     # contract via BLAS: (B*T, Cin*K) @ (Cin*K, Cout)
@@ -668,7 +559,7 @@ def conv1d(x, w, dilation: int = 1) -> Tensor:
             gw = Tensor((gmat.T @ pmat).reshape(Cout, Cin, K))
         return (gx, gw)
 
-    return _make("conv1d", out_data[0] if squeeze else out_data, (x, w), vjp)
+    return custom_op("conv1d", out_data[0] if squeeze else out_data, (x, w), vjp)
 
 
 def maxpool1d(x, kernel: int) -> Tensor:
@@ -695,7 +586,7 @@ def maxpool1d(x, kernel: int) -> Tensor:
         buf[..., :kept] = routed.reshape(x.shape[:-1] + (kept,))
         return (Tensor(buf),)
 
-    return _make("maxpool1d", out_data, (x,), vjp)
+    return custom_op("maxpool1d", out_data, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

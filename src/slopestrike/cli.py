@@ -101,7 +101,7 @@ def _input_digests(cmd: Command, settings: dict) -> dict:
     """SHA-256 of every input file the command read, by its settings key."""
     keys = [_key(spec) for spec in cmd.inputs if isinstance(spec, str)
             and (not spec.startswith("--") or _key(spec) in ("data", "checkpoint", "bundle"))]
-    return {k: defense._digest_file(Path(settings[k])) for k in keys
+    return {k: defense.digest_file(Path(settings[k])) for k in keys
             if settings[k] and Path(settings[k]).is_file()}
 
 
@@ -268,18 +268,14 @@ def cmd_defend_train(settings) -> int:
         result = run_attack(s.head(n_in), model, acfg)
         real.append(s.adjprc[:n_in])
         attacked.append(result.x_adv.adjprc)
-    hold_idx = set(order[:n_hold].tolist())
-    clf, curve = defense.train_discriminator(
-        [real[i] for i in range(len(real)) if i not in hold_idx],
-        [attacked[i] for i in range(len(real)) if i not in hold_idx], d_cfg, seed=settings["seed"])
+    hold = sorted(order[:n_hold].tolist())
+    fit = [i for i in range(len(series)) if i not in hold]
+    clf, curve = defense.train_discriminator([real[i] for i in fit], [attacked[i] for i in fit],
+                                             d_cfg, seed=settings["seed"])
     clf.save(outdir / "discriminator.ckpt")
     _write_csv(outdir / "defense_curve.csv", ("epoch", "loss"), curve)
-    hold_real = [real[i] for i in sorted(hold_idx)]
-    hold_adv = [attacked[i] for i in sorted(hold_idx)]
-    labels = np.concatenate([np.zeros(len(hold_real), dtype=int),
-                             np.ones(len(hold_adv), dtype=int)])
-    preds = np.array([int(defense.classify(clf, x) >= 0.5) for x in hold_real + hold_adv])
-    rep = confusion(labels, preds)
+    rep = confusion(*defense.predict_labelled(clf, [real[i] for i in hold],
+                                              [attacked[i] for i in hold]))
     _write_csv(outdir / "defense_report.csv",
                ("set", "tp", "tn", "fp", "fn", "accuracy", "specificity", "kappa"),
                [("holdout", rep.tp, rep.tn, rep.fp, rep.fn,

@@ -53,6 +53,13 @@ def _standardise(x: np.ndarray) -> np.ndarray:
     return (x - mu) / (sd + 1e-8)
 
 
+def _labelled_windows(real, attacked) -> tuple[np.ndarray, np.ndarray]:
+    """Standardised windows stacked real first, and their labels: real 0, attacked 1."""
+    X = np.stack([_standardise(np.asarray(x, dtype=np.float64).reshape(-1))
+                  for x in list(real) + list(attacked)])
+    return X, np.concatenate([np.zeros(len(real), dtype=int), np.ones(len(attacked), dtype=int)])
+
+
 class Discriminator:
     """Three conv blocks (conv -> relu -> maxpool -> dropout) and a linear head."""
 
@@ -145,9 +152,7 @@ def train_discriminator(real: list[np.ndarray], attacked: list[np.ndarray],
     for x in list(real) + list(attacked):
         if np.asarray(x).reshape(-1).shape != (n,):
             raise ValueError(f"every window must have length {n}")
-    X = np.stack([_standardise(np.asarray(x, dtype=np.float64).reshape(-1))
-                  for x in list(real) + list(attacked)])
-    y = np.concatenate([np.zeros(len(real)), np.ones(len(attacked))])
+    X, y = _labelled_windows(real, attacked)
 
     clf = Discriminator(config, seed=seed)
     rng = np.random.default_rng(seed)
@@ -169,13 +174,17 @@ def train_discriminator(real: list[np.ndarray], attacked: list[np.ndarray],
     return clf, curve
 
 
+def predict_labelled(clf: Discriminator, real: list[np.ndarray],
+                     attacked: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (attacked 1) and predictions (1 where p >= 0.5) of raw windows, in one pass."""
+    X, labels = _labelled_windows(real, attacked)
+    return labels, (clf.probabilities(X) >= 0.5).astype(int)
+
+
 def discriminator_accuracy(clf: Discriminator, real: list[np.ndarray],
                            attacked: list[np.ndarray]) -> float:
-    X = np.stack([_standardise(np.asarray(x, dtype=np.float64).reshape(-1))
-                  for x in list(real) + list(attacked)])
-    y = np.concatenate([np.zeros(len(real)), np.ones(len(attacked))])
-    pred = (clf.probabilities(X) >= 0.5).astype(int)
-    return float(np.mean(pred == y))
+    labels, preds = predict_labelled(clf, real, attacked)
+    return float(np.mean(preds == labels))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +208,7 @@ class Verdict:
     modified: list[str] = field(default_factory=list)
 
 
-def _digest_file(path: Path) -> str:
+def digest_file(path: Path) -> str:
     h = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
@@ -225,7 +234,7 @@ def build_manifest(directory) -> IntegrityManifest:
     entries = []
     for p in sorted(base.rglob("*")):
         if p.is_file() and not p.is_symlink():
-            entries.append((p.relative_to(base).as_posix(), _digest_file(p)))
+            entries.append((p.relative_to(base).as_posix(), digest_file(p)))
     entries.sort()
     return IntegrityManifest(entries, _root_of(entries))
 

@@ -10,8 +10,8 @@ every 20-day window as a view, sum each window's last w days with one product
 and divide by the number of real days among them.  So the first w-1 days
 average over however many days exist, and the feature matrix stays aligned
 with the price series.  The stds take the raw-moment form E[y^2] - E[y]^2 on
-prices recentred per series, clamped at 0.  The EMAs run the ``ema``
-recurrence (beta = 2 / (w + 1), seeded with the first price).  The op repeats
+prices recentred per series, clamped at 0.  The EMAs scan e_t = beta p_t +
+(1-beta) e_{t-1} from e_0 = p_0 (beta = 2 / (w + 1)) in Python.  The op repeats
 the arithmetic of the per-op graph it replaced, including the order in which
 the engine added its gradients, so values and gradients are bit-identical to
 it; unrecorded, it keeps nothing for its vjp.  Time and memory are linear in
@@ -79,6 +79,28 @@ _LAST_W_T = np.ascontiguousarray(_LAST_W.T)
 _BETAS = tuple(2.0 / (w + 1.0) for w in _WINDOWS)
 
 
+def _decay_scan(x: np.ndarray, gain: float, decay: float) -> np.ndarray:
+    """r_0 = x_0, r_t = gain * x_t + decay * r_{t-1} along the last axis."""
+    if x.ndim == 1:  # Python floats step far faster than numpy scalars
+        r = x.tolist()
+    else:  # time-major rows: each step updates a whole batch of series
+        r = list(np.moveaxis(x, -1, 0))
+    for t in range(1, len(r)):
+        r[t] = gain * r[t] + decay * r[t - 1]
+    if x.ndim == 1:
+        return np.array(r)
+    # contiguous, so the ops that follow (exp, say) round as they do on one series
+    return np.ascontiguousarray(np.moveaxis(np.array(r), 0, -1))
+
+
+def _ema_adjoint(g: np.ndarray, beta: float) -> np.ndarray:
+    """The EMA's vjp: the same recurrence run backwards, a_t = g_t + (1-beta) a_{t+1};
+    x_t receives beta * a_t, except x_0, which seeds e_0 and receives a_0."""
+    a = _decay_scan(g[..., ::-1], 1.0, 1.0 - beta)[..., ::-1]
+    a[..., 1:] *= beta
+    return a
+
+
 def _price_features(p: np.ndarray, keep: bool):
     """The continuous channels (..., T, 12) of prices p (..., T) and, with
     ``keep``, what ``_price_features_vjp`` needs (else None)."""
@@ -111,7 +133,7 @@ def _price_features(p: np.ndarray, keep: bool):
     out[..., :5, 8] = 0.0
     out[..., 5:, 8] = (p[..., 5:] - p[..., :-5]) / p[..., :-5]
     for j, beta in enumerate(_BETAS):
-        out[..., 9 + j] = ad._decay_scan(p, beta, 1.0 - beta)
+        out[..., 9 + j] = _decay_scan(p, beta, 1.0 - beta)
     return out, ((p, counts, y, m1, var, std) if keep else None)
 
 
@@ -158,7 +180,7 @@ def _price_features_vjp(g: np.ndarray, saved) -> np.ndarray:
     g_base = (g_roc * -1.0) * ((p[..., 5:] - base) / (base * base))
     g_p = g_p + spread(g_base, (Ellipsis, slice(None, -5)))
     for j, beta in enumerate(_BETAS):
-        g_p = g_p + ad._ema_adjoint(g[..., 9 + j], beta)
+        g_p = g_p + _ema_adjoint(g[..., 9 + j], beta)
     return g_p
 
 

@@ -9,6 +9,7 @@ import datetime as dt
 import numpy as np
 
 from slopestrike import autodiff as ad
+from graph_ops import div, ema, fold, unfold
 from slopestrike.dataio import business_days
 from slopestrike.features import FeatureMatrix, compute_features
 from slopestrike.forecaster import NORM_EPS, NhitsConfig, NhitsModel, _interp_matrix
@@ -58,7 +59,7 @@ def _builders():
         def f(ts):
             y = ad.mul(ts[0], ts[1])
             y = ad.add(y, ad.texp(ad.mul(ts[0], 0.3)))
-            y = ad.div(y, ad.add(ad.tabs(ts[1]), 2.0))
+            y = div(y, ad.add(ad.tabs(ts[1]), 2.0))
             return ad.tsum(y)
 
         return [(6,), (6,)], f
@@ -116,7 +117,7 @@ def _builders():
         w = rng.uniform(-1, 1, (3, 2))
 
         def f(ts):
-            windows = ad.unfold(ts[0], 3)  # (5, 3, 2)
+            windows = unfold(ts[0], 3)  # (5, 3, 2)
             return ad.tmean(ad.tanh(ad.mul(windows, ad.constant(w))))
 
         return [(7, 2)], f
@@ -125,14 +126,14 @@ def _builders():
         w = rng.uniform(-1, 1, (4, 3))
 
         def f(ts):
-            days = ad.fold(ad.mul(ts[0], ad.constant(w)), 6)
+            days = fold(ad.mul(ts[0], ad.constant(w)), 6)
             return ad.tsum(ad.sigmoid(days))
 
         return [(4, 3)], f
 
     def smoothed(rng):
         def f(ts):
-            e = ad.ema(ts[0], 0.4)
+            e = ema(ts[0], 0.4)
             return ad.tsum(ad.mul(e, e))
 
         return [(8,)], f
@@ -148,7 +149,7 @@ def _builders():
         w = rng.uniform(-1, 1, (5,))
 
         def f(ts):
-            windows = ad.unfold(ts[0], 5, 1)  # (2, 3, 5)
+            windows = unfold(ts[0], 5, 1)  # (2, 3, 5)
             return ad.tmean(ad.tanh(ad.mul(windows, ad.constant(w))))
 
         return [(2, 7)], f
@@ -157,14 +158,14 @@ def _builders():
         w = rng.uniform(-1, 1, (2, 4, 3))
 
         def f(ts):
-            days = ad.fold(ad.mul(ts[0], ad.constant(w)), 6, 1)  # (2, 6)
+            days = fold(ad.mul(ts[0], ad.constant(w)), 6, 1)  # (2, 6)
             return ad.tsum(ad.sigmoid(days))
 
         return [(2, 4, 3)], f
 
     def smoothed_rows(rng):
         def f(ts):
-            e = ad.ema(ts[0], 0.4)  # along the last axis of each row
+            e = ema(ts[0], 0.4)  # along the last axis of each row
             return ad.tsum(ad.mul(e, e))
 
         return [(2, 7)], f
@@ -318,12 +319,12 @@ def nhits_forecast_reference(model, fm, n_windows):
         mean = ad.tmean(a, axis=axis)
         diff = ad.sub(a, ad.expand(mean, a.shape, axis))
         denom = ad.add(ad.tsqrt(ad.tmean(ad.mul(diff, diff), axis=axis)), NORM_EPS)
-        return ad.div(diff, ad.expand(denom, a.shape, axis)), mean, denom
+        return div(diff, ad.expand(denom, a.shape, axis)), mean, denom
 
-    adj_w = ad.reshape(ad.unfold(cont[..., :span, 0], E, days), (-1, E))
+    adj_w = ad.reshape(unfold(cont[..., :span, 0], E, days), (-1, E))
     z = standardise(cont, -2)[0]
     exo_days = ad.concat([z, fm.day_one_hot()], axis=-1)[..., :span, :]
-    exo = ad.reshape(ad.unfold(exo_days, E, days), (-1, cfg.exo_dim))
+    exo = ad.reshape(unfold(exo_days, E, days), (-1, cfg.exo_dim))
     x, wmean, denom = standardise(adj_w, 1)
     fore = model.stacks(x, exo)
     shape = fore.shape
@@ -347,7 +348,7 @@ def compute_features_reference(adjprc, dates):
         return ad.reshape(c, lead + (T, 1))
 
     def rolling_means(padded):
-        return ad.div(ad.matmul(ad.unfold(padded, 20, days), last_w), counts)
+        return div(ad.matmul(unfold(padded, 20, days), last_w), counts)
 
     padded = ad.concat([zeros(19), adjprc], axis=days)
     cols = [channel(adjprc), rolling_means(padded)]
@@ -358,10 +359,10 @@ def compute_features_reference(adjprc, dates):
     cols.append(ad.tsqrt(ad.clamp(ad.sub(m2, ad.mul(m1, m1)), lo=0.0)))
     logp = ad.tlog(adjprc)
     cols.append(channel(ad.concat([zeros(1), ad.sub(logp[..., 1:], logp[..., :-1])], axis=days)))
-    roc = ad.div(ad.sub(adjprc[..., 5:], adjprc[..., :-5]), adjprc[..., :-5])
+    roc = div(ad.sub(adjprc[..., 5:], adjprc[..., :-5]), adjprc[..., :-5])
     cols.append(channel(ad.concat([zeros(5), roc], axis=days)))
     for w in (5, 10, 20):
-        cols.append(channel(ad.ema(adjprc, 2.0 / (w + 1.0))))
+        cols.append(channel(ema(adjprc, 2.0 / (w + 1.0))))
     return FeatureMatrix(ad.concat(cols, axis=days + 1),
                          np.array([d.weekday() for d in dates], dtype=int))
 
@@ -371,4 +372,4 @@ def rolling_median_reference(out, cfg):
     q = ad.sort_last(ad.reshape(out, (-1, cfg.horizon, cfg.n_quantiles)))
     med = q[:, :, cfg.median_index]
     n_days = med.shape[0] + cfg.horizon - 1
-    return ad.div(ad.fold(med, n_days), ad.fold(ad.constant(np.ones(med.shape)), n_days))
+    return div(fold(med, n_days), fold(ad.constant(np.ones(med.shape)), n_days))

@@ -227,12 +227,10 @@ def _generator_inputs(cfg, B, seed):
     return gen, rng.standard_normal((B, 2, cfg.interval_length)), rng.normal(size=(B, cfg.interval_length))
 
 
-def _generator_run(forward, gen, z, weights, with_z=True):
-    """Outputs and the gradients of sum(out * weights) for the parameters (and z_cond)."""
-    zt = ad.Tensor(z.copy(), requires_grad=True)
-    out = forward(zt)
-    wrt = list(gen.params.values()) + ([zt] if with_z else [])
-    grads = ad.gradients(ad.tsum(ad.mul(out, ad.constant(weights))), wrt)
+def _generator_run(forward, gen, z, weights):
+    """Outputs and the gradients of sum(out * weights) for the parameters."""
+    out = forward(ad.constant(z))
+    grads = ad.gradients(ad.tsum(ad.mul(out, ad.constant(weights))), list(gen.params.values()))
     return out.data, [g.data for g in grads]
 
 
@@ -240,7 +238,7 @@ def test_generator_op_matches_primitive_reference():
     gen, z, weights = _generator_inputs(GanConfig(), 32, seed=41)
     out, grads = _generator_run(gen.forward, gen, z, weights)
     ref_out, ref_grads = _generator_run(lambda t: tcn_generator_reference(gen, t), gen, z, weights)
-    assert out.shape == (32, 99) and len(grads) == 11
+    assert out.shape == (32, 99) and len(grads) == 10
     # relative to the largest entry: single entries may nearly cancel
     assert np.max(np.abs(out - ref_out)) < 1e-12 * np.max(np.abs(ref_out))
     for got, want in zip(grads, ref_grads):
@@ -255,17 +253,18 @@ def test_generator_op_matches_finite_differences():
     names = list(gen.params)
 
     def loss(arrays):
-        for name, a in zip(names, arrays[1:]):
+        for name, a in zip(names, arrays):
             gen.params[name] = ad.Tensor(a, requires_grad=True)
         with ad.no_record():
-            return float(np.sum(gen.forward(ad.constant(arrays[0])).data * weights))
+            return float(np.sum(gen.forward(ad.constant(z)).data * weights))
 
-    arrays = [z] + [gen.params[n].data.copy() for n in names]
+    arrays = [gen.params[n].data.copy() for n in names]
     fd = finite_diff(loss, [a.copy() for a in arrays])
-    for name, a in zip(names, arrays[1:]):
+    for name, a in zip(names, arrays):
         gen.params[name] = ad.Tensor(a.copy(), requires_grad=True)
     _, grads = _generator_run(gen.forward, gen, z, weights)
-    for got, want in zip(grads, fd[1:] + fd[:1]):
+    assert len(grads) == len(fd) == len(names)
+    for got, want in zip(grads, fd):
         assert max_rel_err(got, want) < 1e-6
 
 
@@ -278,16 +277,25 @@ def test_generator_records_nothing_under_no_record():
 
 
 def test_generator_parameter_gradients_skip_input_gradient():
+    # the op has no input gradient, and asking for the head alone stops the
+    # sweep at the head: no layer below it forms a gradient
     gen, z, weights = _generator_inputs(GanConfig(), 8, seed=44)
-    _, with_z = _generator_run(gen.forward, gen, z, weights)
-    zt = ad.Tensor(z.copy(), requires_grad=True)
-    out = gen.forward(zt)
+    _, full = _generator_run(gen.forward, gen, z, weights)
+    out = gen.forward(ad.constant(z))
+    assert len(out.node.parents) == len(gen.params)
     results, vjp = [], out.node.vjp
     out.node.vjp = lambda g, need: results.append(vjp(g, need)) or results[-1]
-    grads = ad.gradients(ad.tsum(ad.mul(out, ad.constant(weights))), list(gen.params.values()))
-    assert results[0][0] is None  # z_cond's gradient is never formed
-    for got, want in zip(grads, with_z[:-1]):
+    head = [gen.params["head.w"], gen.params["head.b"]]
+    grads = ad.gradients(ad.tsum(ad.mul(out, ad.constant(weights))), head)
+    assert all(g is None for g in results[0][:-2])
+    for got, want in zip(grads, full[-2:]):
         assert np.array_equal(got.data, want)
+
+
+def test_generator_rejects_a_recorded_z_cond_that_requires_grad():
+    gen, z, _ = _generator_inputs(GanConfig(), 4, seed=45)
+    with pytest.raises(ad.GraphError, match="tcn_generator"):
+        gen.forward(ad.Tensor(z, requires_grad=True))
 
 
 def test_generator_rejects_wrong_input_shape():

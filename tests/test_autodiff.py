@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopestrike import autodiff as ad
+from graph_ops import div, fold, unfold
 from helpers import (finite_diff, max_rel_err, random_graph_cases, graph_gradients, eval_scalar,
                      _builders)
 
@@ -191,23 +192,42 @@ def test_shape_mismatch_names_operation():
         ad.add(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
     with pytest.raises(ad.ShapeError, match="slice"):
         ad.constant(np.ones(3))[[0, 0]]  # advanced indexing is not supported
+    with pytest.raises(ad.ShapeError, match="matmul"):
+        ad.matmul(ad.constant(np.ones(4)), ad.constant(np.ones((4, 2))))  # 1-D operands
+    with pytest.raises(ad.ShapeError, match="matmul"):
+        ad.matmul(ad.constant(np.ones((3, 4))), ad.constant(np.ones(4)))
+    with pytest.raises(ad.ShapeError, match="channel_bias"):
+        ad.channel_bias(ad.constant(np.ones((2, 5))), ad.constant(np.ones(2)))  # (C, T)
+
+
+def test_scalar_operand_gets_the_summed_gradient():
+    x0 = np.arange(1.0, 7.0).reshape(2, 3)
+    for op, want_s, want_x in [(ad.mul, x0.sum(), np.full((2, 3), 1.5)),
+                               (ad.add, 6.0, np.ones((2, 3)))]:
+        x = ad.Tensor(x0.copy(), requires_grad=True)
+        s = ad.Tensor(1.5, requires_grad=True)
+        gs, gx = ad.gradients(ad.tsum(op(x, s)), [s, x])
+        assert gs.shape == () and gs.item() == want_s
+        assert np.array_equal(gx.data, want_x)
+        gs2, = ad.gradients(ad.tsum(op(s, x)), [s])  # the scalar on either side
+        assert gs2.shape == () and gs2.item() == want_s
 
 
 def test_window_op_shape_errors_name_operation():
     with pytest.raises(ad.ShapeError, match="unfold"):
-        ad.unfold(ad.constant(np.ones((4, 2))), 5)
+        unfold(ad.constant(np.ones((4, 2))), 5)
     with pytest.raises(ad.ShapeError, match="fold"):
-        ad.fold(ad.constant(np.ones((3, 2))), 5)  # 3 windows of 2 tile 4 days
+        fold(ad.constant(np.ones((3, 2))), 5)  # 3 windows of 2 tile 4 days
     with pytest.raises(ad.ShapeError, match="unfold"):
-        ad.unfold(ad.constant(np.ones((2, 4))), 5, 1)
+        unfold(ad.constant(np.ones((2, 4))), 5, 1)
     with pytest.raises(ad.ShapeError, match="fold"):
-        ad.fold(ad.constant(np.ones((2, 3, 2))), 5, 1)
+        fold(ad.constant(np.ones((2, 3, 2))), 5, 1)
 
 
 @pytest.mark.parametrize("shape, size, axis", [((30, 4), 7, 0), ((3, 30, 4), 7, 1)])
 def test_unfold_returns_a_read_only_view_of_its_input(shape, size, axis):
     x = np.random.default_rng(0).normal(size=shape)
-    w = ad.unfold(ad.constant(x), size, axis).data
+    w = unfold(ad.constant(x), size, axis).data
     assert np.shares_memory(w, x) and not w.flags.writeable
     copies = np.stack([np.take(x, range(i, i + size), axis=axis)
                        for i in range(shape[axis] - size + 1)], axis=axis)
@@ -218,7 +238,7 @@ def test_log_and_div_domain_errors():
     with pytest.raises(ad.DomainError):
         ad.tlog(ad.constant([1.0, 0.0]))
     with pytest.raises(ad.DomainError):
-        ad.div(ad.constant([1.0]), ad.constant([0.0]))
+        div(ad.constant([1.0]), ad.constant([0.0]))
 
 
 def test_no_grad_buffer_without_requires_grad():

@@ -191,6 +191,20 @@ def test_defend_train_and_classify(tmp_path, workspace):
     assert (outdir / "discriminator.ckpt").exists()
     report = (outdir / "defense_report.csv").read_text().splitlines()
     assert report[0].startswith("set,tp,tn,fp,fn")
+    # the report's accuracy is discriminator_accuracy's on the same holdout,
+    # rebuilt here: the seed's permutation, 30 % of the 4 series, the same attack
+    from slopestrike import dataio, defense
+    from slopestrike.attacks import AttackConfig, run_attack
+    from slopestrike.forecaster import NhitsModel
+    series = dataio.load_csv(data)
+    hold = sorted(np.random.default_rng(1).permutation(len(series))[:1].tolist())
+    model = NhitsModel.load(ckpt)
+    real = [series[i].adjprc[:300] for i in hold]
+    adv = [run_attack(series[i].head(300), model,
+                      AttackConfig("GSA", eps_pct=2.0, iters=3)).x_adv.adjprc for i in hold]
+    clf = defense.Discriminator.load(outdir / "discriminator.ckpt")
+    accuracy = float(report[1].split(",")[5])
+    assert accuracy == 100.0 * defense.discriminator_accuracy(clf, real, adv)
     probs = tmp_path / "probs.csv"
     assert run("defend", "classify", "--model", outdir / "discriminator.ckpt",
                "--data", data, "--out", probs) == 0

@@ -459,7 +459,7 @@ def test_row_blocks_give_the_outputs_of_one_block(toy_model, n):
 
 
 def test_window_views_give_the_outputs_of_window_copies(toy_model, monkeypatch):
-    # oracle: an unfold that hands back a contiguous copy of the windows
+    # oracle: a window_view that hands back a contiguous copy of the windows
     series = dataio.synth_gbm(1, 300, 90.0, 7e-4, 0.009, seed=12)[0]
 
     def outputs():
@@ -467,15 +467,16 @@ def test_window_views_give_the_outputs_of_window_copies(toy_model, monkeypatch):
         return rolling_forecast(series, toy_model), res.x_adv.adjprc, np.array(res.trace)
 
     views = outputs()
-    unfold = ad.unfold
+    window_view, calls = ad.window_view, []
 
-    def copying_unfold(x, size, axis=0):
-        w = unfold(x, size, axis)
-        w.data = w.data.copy()
-        return w
+    def copying_window_view(*args, **kwargs):
+        calls.append(args[1])
+        return window_view(*args, **kwargs).copy()
 
-    monkeypatch.setattr(ad, "unfold", copying_unfold)
-    for got, want in zip(views, outputs()):
+    monkeypatch.setattr(ad, "window_view", copying_window_view)
+    copies = outputs()
+    assert calls  # the features, the windows and the head all took copies
+    for got, want in zip(views, copies):
         assert np.array_equal(got, want)
 
 
