@@ -335,7 +335,7 @@ def _forecaster_slope_loss(model: NhitsModel, fake: Tensor, p0s: np.ndarray,
     r = ad.add(ad.mul(fake, hi - lo), lo)   # unscale
     prices = ad.mul(ad.texp(ad.cumsum(r)), ad.constant(np.broadcast_to(p0, (B, L))))
     prices = ad.concat([ad.constant(p0), prices], axis=1)
-    med = model.forward(compute_features(prices, _PRICE_DATES[:L + 1])).median_path
+    med = model.forward(compute_features(prices, _PRICE_DATES[:L + 1]))
     return ad.tmean(slope_loss(ls_slope(med), 1, cfg.c, cfg.d))
 
 
@@ -434,7 +434,7 @@ def forecast_slopes(model: NhitsModel, scaled: np.ndarray, p0s: np.ndarray,
     prices = to_prices(unscale(scaled, bounds), p0s)
     with ad.no_record():
         fm = compute_features(ad.constant(prices), _PRICE_DATES[:prices.shape[1]])
-        med = model.forward(fm).median_path.data
+        med = model.forward(fm).data
     return general_slope_value(med), ls_slope_value(med)
 
 

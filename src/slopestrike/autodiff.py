@@ -11,7 +11,8 @@ product.  The engine never writes ``Tensor.grad``; callers may store a gradient
 there.  A restricted subset of operations additionally supports building the
 backward pass itself as a differentiable graph (``create_graph=True``), which
 is what the Wasserstein gradient penalty needs.  Ops that only the test oracles
-build (``div``, ``unfold``, ``fold``, ``ema``) live in ``tests/graph_ops.py``.
+build (``div``, ``unfold``, ``fold``, ``ema``, ``sort_last``) live in
+``tests/graph_ops.py``.
 
 Subgradient conventions (fixed for deterministic replay):
   * ``clamp``          -> pass-through inside [lo, hi], bounds count as inside
@@ -438,22 +439,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return custom_op("concat", out_data, tuple(tensors), vjp)
 
 
-def sort_last(a) -> Tensor:
-    """Sort along the last axis; gradients route back through the permutation."""
-    a = as_tensor(a)
-    if not records((a,)):  # no vjp, so no permutation to keep
-        return Tensor(np.sort(a.data, axis=-1, kind="stable"))
-    order = np.argsort(a.data, axis=-1, kind="stable")
-    out_data = np.take_along_axis(a.data, order, axis=-1)
-
-    def vjp(g):
-        buf = np.empty(a.shape)
-        np.put_along_axis(buf, order, g.data, axis=-1)
-        return (Tensor(buf),)
-
-    return custom_op("sort", out_data, (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # sliding windows
 # ---------------------------------------------------------------------------
@@ -528,19 +513,17 @@ def channel_bias(x, b) -> Tensor:
 def conv1d(x, w, dilation: int = 1) -> Tensor:
     """Causal 1-D convolution (cross-correlation), channels-first.
 
-    x: (C_in, T) or (B, C_in, T); w: (C_out, C_in, K).  The input is left-padded
-    with (K-1)*dilation zeros, so the output keeps length T.  First-order only.
+    x: (B, C_in, T); w: (C_out, C_in, K).  The input is left-padded with
+    (K-1)*dilation zeros, so the output keeps length T.  First-order only.
     """
     x, w = as_tensor(x), as_tensor(w)
-    squeeze = x.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 3 or w.ndim != 3 or xd.shape[1] != w.shape[1]:
+    if x.ndim != 3 or w.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
-    B, Cin, T = xd.shape
+    B, Cin, T = x.shape
     Cout, _, K = w.shape
     pad = (K - 1) * dilation
     # time-major, so window_view takes the windows along axis 0
-    xp = np.pad(np.moveaxis(xd, 2, 0), ((pad, 0), (0, 0), (0, 0)))  # (T+pad, B, Cin)
+    xp = np.pad(np.moveaxis(x.data, 2, 0), ((pad, 0), (0, 0), (0, 0)))  # (T+pad, B, Cin)
     taps = window_view(xp, K, dilation)  # (T, K, B, Cin)
     # contract via BLAS: (B*T, Cin*K) @ (Cin*K, Cout)
     pmat = taps.transpose(2, 0, 3, 1).reshape(B * T, Cin * K)
@@ -548,18 +531,16 @@ def conv1d(x, w, dilation: int = 1) -> Tensor:
     out_data = (pmat @ wmat).reshape(B, T, Cout).transpose(0, 2, 1)
 
     def vjp(g, need):
-        gd = g.data[None] if squeeze else g.data
-        gmat = gd.transpose(0, 2, 1).reshape(B * T, Cout)
+        gmat = g.data.transpose(0, 2, 1).reshape(B * T, Cout)
         gx = gw = None
         if need[0]:
             gtaps = (gmat @ wmat.T).reshape(B, T, Cin, K).transpose(1, 3, 0, 2)
-            gx = np.moveaxis(overlap_add(gtaps, T + pad, dilation)[pad:], 0, 2)
-            gx = Tensor(gx[0] if squeeze else gx)
+            gx = Tensor(np.moveaxis(overlap_add(gtaps, T + pad, dilation)[pad:], 0, 2))
         if need[1]:
             gw = Tensor((gmat.T @ pmat).reshape(Cout, Cin, K))
         return (gx, gw)
 
-    return custom_op("conv1d", out_data[0] if squeeze else out_data, (x, w), vjp)
+    return custom_op("conv1d", out_data, (x, w), vjp)
 
 
 def maxpool1d(x, kernel: int) -> Tensor:

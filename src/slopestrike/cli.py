@@ -290,11 +290,11 @@ def cmd_defend_classify(settings) -> int:
     clf = defense.Discriminator.load(settings["model"])
     series = _load_series(settings["data"], settings["tickers"])
     n_in = clf.config.input_length
-    rows = []
     for s in series:
         if len(s) < n_in:
             raise DataError(f"{s.ticker}: need {n_in} days, have {len(s)}")
-        rows.append((s.ticker, defense.classify(clf, s.adjprc[:n_in])))
+    probs = defense.classify(clf, [s.adjprc[:n_in] for s in series])
+    rows = [(s.ticker, p) for s, p in zip(series, probs)]
     out = Path(settings["out"])
     _write_csv(out, ("ticker", "prob_adversarial"), rows)
     print(f"classified {len(rows)} series; probabilities at {out}")

@@ -53,11 +53,18 @@ def _standardise(x: np.ndarray) -> np.ndarray:
     return (x - mu) / (sd + 1e-8)
 
 
-def _labelled_windows(real, attacked) -> tuple[np.ndarray, np.ndarray]:
-    """Standardised windows stacked real first, and their labels: real 0, attacked 1."""
-    X = np.stack([_standardise(np.asarray(x, dtype=np.float64).reshape(-1))
-                  for x in list(real) + list(attacked)])
-    return X, np.concatenate([np.zeros(len(real), dtype=int), np.ones(len(attacked), dtype=int)])
+def _standardised_windows(windows, length: int) -> np.ndarray:
+    """Raw windows, each standardised on its own, stacked: (n, length)."""
+    rows = [np.asarray(x, dtype=np.float64).reshape(-1) for x in windows]
+    for x in rows:
+        if x.shape != (length,):
+            raise ValueError(f"every window must have length {length}, got {x.shape[0]}")
+    return np.stack([_standardise(x) for x in rows])
+
+
+def _labels(real, attacked) -> np.ndarray:
+    """Real windows first, labelled 0, then attacked ones, labelled 1."""
+    return np.concatenate([np.zeros(len(real), dtype=int), np.ones(len(attacked), dtype=int)])
 
 
 class Discriminator:
@@ -120,13 +127,10 @@ class Discriminator:
         return p.data.reshape(-1).copy()
 
 
-def classify(classifier: Discriminator, series: np.ndarray) -> float:
-    """Probability that a single raw 300-day series is adversarial."""
-    x = np.asarray(series, dtype=np.float64).reshape(-1)
-    need = classifier.config.input_length
-    if x.shape != (need,):
-        raise ValueError(f"series must have length {need}, got {x.shape}")
-    return float(classifier.probabilities(_standardise(x)[None, :])[0])
+def classify(classifier: Discriminator, windows) -> np.ndarray:
+    """Probability that each raw window (of the input length) is adversarial,
+    from one batched pass: (n,)."""
+    return classifier.probabilities(_standardised_windows(windows, classifier.config.input_length))
 
 
 def _bce(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -148,11 +152,8 @@ def train_discriminator(real: list[np.ndarray], attacked: list[np.ndarray],
     ratio = max(len(real), len(attacked)) / min(len(real), len(attacked))
     if ratio > 10.0:
         logger.warning("class imbalance %.1f:1 between real and attacked sets", ratio)
-    n = config.input_length
-    for x in list(real) + list(attacked):
-        if np.asarray(x).reshape(-1).shape != (n,):
-            raise ValueError(f"every window must have length {n}")
-    X, y = _labelled_windows(real, attacked)
+    X = _standardised_windows(list(real) + list(attacked), config.input_length)
+    y = _labels(real, attacked)
 
     clf = Discriminator(config, seed=seed)
     rng = np.random.default_rng(seed)
@@ -177,14 +178,8 @@ def train_discriminator(real: list[np.ndarray], attacked: list[np.ndarray],
 def predict_labelled(clf: Discriminator, real: list[np.ndarray],
                      attacked: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Labels (attacked 1) and predictions (1 where p >= 0.5) of raw windows, in one pass."""
-    X, labels = _labelled_windows(real, attacked)
-    return labels, (clf.probabilities(X) >= 0.5).astype(int)
-
-
-def discriminator_accuracy(clf: Discriminator, real: list[np.ndarray],
-                           attacked: list[np.ndarray]) -> float:
-    labels, preds = predict_labelled(clf, real, attacked)
-    return float(np.mean(preds == labels))
+    probs = classify(clf, list(real) + list(attacked))
+    return _labels(real, attacked), (probs >= 0.5).astype(int)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ features and the 18 block weights) reads the price and exogenous windows as
 views of the days, standardises each series' exogenous days, normalises each
 price window, runs the stacks and denormalises.  The rolling head (kind
 ``rolling_median``) sorts each window's quantiles, picks the median path and
-overlap-averages it onto the days.  Both repeat the arithmetic of the per-op
-graph they replaced, including the order in which the engine added its
-gradients, so values and gradients are bit-identical to it.  The vjps follow
-the engine's conventions (first-max pooling routes to the lowest-index
-maximum, the ReLU and sqrt derivatives are 0 at 0) and compute only what
-``need`` asks for: an attack or the GAN's second critic gets no weight
+overlap-averages it onto the days; ``forward`` ends in the same head over one
+window per series, whose median path covers each day once.  Both ops repeat
+the arithmetic of the per-op graph they replaced, including the order in which
+the engine added its gradients, so values and gradients are bit-identical to
+it.  The vjps follow the engine's conventions (first-max pooling routes to the
+lowest-index maximum, the ReLU and sqrt derivatives are 0 at 0) and compute
+only what ``need`` asks for: an attack or the GAN's second critic gets no weight
 products.  Training runs the same window normalisation and the stacks alone
 (``NhitsModel.stacks``, kind ``nhits_stacks``, parents: the price windows, the
 exogenous windows and the weights) on its gathered windows, which are
@@ -30,8 +31,8 @@ blocks, from window normalisation to denormalisation: a long series' forecast
 never builds the first stack's input, or the denormalised temporaries, for
 every window at once.
 
-Quantile outputs are trained unsorted; at output time the quantile axis is
-sorted so reported quantile paths never cross.
+Quantile outputs are trained unsorted; the head sorts each day's quantiles
+only to pick their median, which is all a forecast reports.
 """
 
 from __future__ import annotations
@@ -124,17 +125,6 @@ def _saved_config(use_features=True, blocks_per_stack=1, **fields) -> NhitsConfi
         raise ValueError(f"use_features={use_features} and blocks_per_stack={blocks_per_stack} "
                          "are not supported; the forecaster needs true and 1")
     return NhitsConfig(**fields)
-
-
-@dataclass
-class ForecastOutput:
-    """Per-day quantile forecasts (sorted along the quantile axis) and the median path.
-
-    A batch of series adds a leading axis to both tensors."""
-
-    quantile_paths: Tensor  # (horizon, n_quantiles)
-    median_path: Tensor     # (horizon,)
-    quantiles: tuple[float, ...]
 
 
 def _interp_matrix(knots: int, length: int) -> np.ndarray:
@@ -399,15 +389,12 @@ class NhitsModel:
 
         return ad.custom_op("nhits_forecast", fore * denom[:, None] + wmean[:, None], parents, vjp)
 
-    def forward(self, window: FeatureMatrix) -> ForecastOutput:
-        """Forecast from exactly one encoder window of features, or one per series of a batch."""
-        cfg = self.config
-        if len(window) != cfg.encoder_length:
-            raise ValueError(f"window has {len(window)} days, need {cfg.encoder_length}")
-        out = self.core(window.continuous, window.day_one_hot().data, 1)
-        batch = window.continuous.shape[:-2]
-        qp = ad.sort_last(ad.reshape(out, batch + (cfg.horizon, cfg.n_quantiles)))
-        return ForecastOutput(qp, qp[..., cfg.median_index], cfg.quantiles)
+    def forward(self, window: FeatureMatrix) -> Tensor:
+        """The median path from exactly one encoder window of features, or one per
+        series of a batch: (horizon,) or (B, horizon)."""
+        if len(window) != self.config.encoder_length:
+            raise ValueError(f"window has {len(window)} days, need {self.config.encoder_length}")
+        return self._median_path(window, 1)
 
     def rolling_median_path(self, fm: FeatureMatrix) -> Tensor:
         """Overlap-averaged median-quantile path for every day after the encoder.
@@ -419,8 +406,14 @@ class NhitsModel:
         T = len(fm)
         if T < cfg.min_series_length:
             raise ValueError(f"need at least {cfg.min_series_length} days, got {T}")
-        out = self.core(fm.continuous, fm.day_one_hot().data, T - cfg.min_series_length + 1)
-        return _rolling_median(out, cfg.horizon, cfg.n_quantiles, cfg.median_index)
+        return self._median_path(fm, T - cfg.min_series_length + 1)
+
+    def _median_path(self, fm: FeatureMatrix, n_windows: int) -> Tensor:
+        """``core`` over the first n_windows windows of each series, then the rolling head."""
+        cfg = self.config
+        out = self.core(fm.continuous, fm.day_one_hot().data, n_windows)
+        return _rolling_median(out, cfg.horizon, cfg.n_quantiles, cfg.median_index,
+                               fm.continuous.shape[:-2])
 
 
 def _tensor(a: np.ndarray | None) -> Tensor | None:
@@ -473,30 +466,35 @@ def _exo_days(cont: np.ndarray, one_hot: np.ndarray):
     return np.concatenate([z, one_hot], axis=-1), saved
 
 
-def _rolling_median(out: Tensor, horizon: int, n_quantiles: int, median: int) -> Tensor:
+def _rolling_median(out: Tensor, horizon: int, n_quantiles: int, median: int,
+                    lead: tuple[int, ...]) -> Tensor:
     """Each window's median-quantile path, overlap-averaged onto the days, as
     one op (``rolling_median``).
 
-    ``out`` holds one window's forecast per row, the windows sliding by one
-    day.  The quantile axis is sorted stably; the vjp divides each day's
-    gradient by the number of forecasts covering it and routes it to the
+    ``out`` holds one window's forecast per row, series-major over the batch
+    shape ``lead``, the windows of a series sliding by one day; the output is
+    lead + (days,).  The quantile axis is sorted stably; the vjp divides each
+    day's gradient by the number of forecasts covering it and routes it to the
     entry that sorted into the median.  Under ``no_record`` nothing is kept.
     """
-    q = out.data.reshape(-1, horizon, n_quantiles)
-    n_days = q.shape[0] + horizon - 1
-    counts = ad.overlap_add(np.ones(q.shape[:2]), n_days)  # forecasts per day
+    q = out.data.reshape(lead + (-1, horizon, n_quantiles))
+    days = len(lead)  # the windows' axis, and the days' axis of the output
+    n_days = q.shape[days] + horizon - 1
+    counts = ad.overlap_add(np.ones(q.shape[days:days + 2]), n_days)  # forecasts per day
     if not ad.records((out,)):
         med = np.sort(q, axis=-1, kind="stable")[..., median]
-        return Tensor(ad.overlap_add(med, n_days) / counts)
+        return Tensor(ad.overlap_add(med, n_days, axis=days) / counts)
     src = np.argsort(q, axis=-1, kind="stable")[..., median:median + 1]  # where each median is
     med = np.take_along_axis(q, src, axis=-1)[..., 0]
 
     def vjp(g):
         gq = np.zeros(q.shape)
-        np.put_along_axis(gq, src, ad.window_view(g.data / counts, horizon)[..., None], axis=-1)
+        np.put_along_axis(gq, src, ad.window_view(g.data / counts, horizon, axis=days)[..., None],
+                          axis=-1)
         return (Tensor(gq.reshape(out.shape)),)
 
-    return ad.custom_op("rolling_median", ad.overlap_add(med, n_days) / counts, (out,), vjp)
+    return ad.custom_op("rolling_median", ad.overlap_add(med, n_days, axis=days) / counts,
+                        (out,), vjp)
 
 
 def _pinball(pred: Tensor, y: np.ndarray, q: np.ndarray) -> Tensor:
@@ -505,16 +503,6 @@ def _pinball(pred: Tensor, y: np.ndarray, q: np.ndarray) -> Tensor:
     diff = ad.sub(ad.constant(y), pred)
     return ad.tmean(ad.add(ad.mul(q, ad.relu(diff)),
                            ad.mul(ad.sub(1.0, q), ad.relu(ad.mul(diff, -1.0)))))
-
-
-def quantile_loss(pred: ForecastOutput, truth) -> Tensor:
-    """Mean pinball loss over days and quantiles."""
-    truth = np.asarray(truth, dtype=np.float64)
-    H, Q = pred.quantile_paths.shape
-    if truth.shape != (H,):
-        raise ValueError(f"truth shape {truth.shape} != ({H},)")
-    return _pinball(pred.quantile_paths, np.repeat(truth[:, None], Q, axis=1),
-                    np.asarray(pred.quantiles))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ class MomentReport:
     iqr: float
     skew: float
     kurtosis: float
-    mmd: float | None = None
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Graph ops that only the test oracles build: ``div``, ``unfold``, ``fold``, ``ema``.
+"""Graph ops that only the test oracles build: ``div``, ``unfold``, ``fold``, ``ema``,
+``sort_last``.
 
 The package's commands never record these, so they live beside the oracles
 that use them (the random-graph corpus and the primitive references in
@@ -70,3 +71,16 @@ def ema(x, beta: float):
         return (ad.Tensor(_ema_adjoint(g.data, beta)),)
 
     return ad.custom_op("ema", _decay_scan(x.data, beta, 1.0 - beta), (x,), vjp)
+
+
+def sort_last(a):
+    """Sort along the last axis; gradients route back through the permutation."""
+    a = ad.as_tensor(a)
+    order = np.argsort(a.data, axis=-1, kind="stable")
+
+    def vjp(g):
+        buf = np.empty(a.shape)
+        np.put_along_axis(buf, order, g.data, axis=-1)
+        return (ad.Tensor(buf),)
+
+    return ad.custom_op("sort", np.take_along_axis(a.data, order, axis=-1), (a,), vjp)

@@ -9,7 +9,7 @@ import datetime as dt
 import numpy as np
 
 from slopestrike import autodiff as ad
-from graph_ops import div, ema, fold, unfold
+from graph_ops import div, ema, fold, sort_last, unfold
 from slopestrike.dataio import business_days
 from slopestrike.features import FeatureMatrix, compute_features
 from slopestrike.forecaster import NORM_EPS, NhitsConfig, NhitsModel, _interp_matrix
@@ -82,7 +82,7 @@ def _builders():
         w = rng.uniform(-1, 1, (2, 1, 3))
 
         def f(ts):
-            x = ad.reshape(ts[0], (1, 10))
+            x = ad.reshape(ts[0], (1, 1, 10))
             y = ad.conv1d(x, ad.constant(w), dilation=2)
             return ad.tmean(leaky(y, 0.2))
 
@@ -369,7 +369,7 @@ def compute_features_reference(adjprc, dates):
 
 def rolling_median_reference(out, cfg):
     """The rolling head built from primitive ops: sort, median pick, overlap average."""
-    q = ad.sort_last(ad.reshape(out, (-1, cfg.horizon, cfg.n_quantiles)))
+    q = sort_last(ad.reshape(out, (-1, cfg.horizon, cfg.n_quantiles)))
     med = q[:, :, cfg.median_index]
     n_days = med.shape[0] + cfg.horizon - 1
     return div(fold(med, n_days), fold(ad.constant(np.ones(med.shape)), n_days))

@@ -338,7 +338,7 @@ def test_second_critic_batch_matches_per_sample_reference(cond_stock, toy_model)
     for i in range(len(fake)):
         r = ad.add(ad.mul(ref_leaf[i, :], hi - lo), lo)
         prices = ad.concat([ad.constant([p0s[i]]), ad.mul(ad.texp(ad.cumsum(r)), p0s[i])])
-        med = toy_model.forward(compute_features(prices, dates)).median_path
+        med = toy_model.forward(compute_features(prices, dates))
         per_sample.append(ad.reshape(slope_loss(ls_slope(med), 1, cfg.c, cfg.d), (1,)))
     ref = ad.tmean(ad.concat(per_sample))
     ref_grad = ad.gradient(ref, ref_leaf).data
@@ -357,7 +357,7 @@ def test_forecast_slopes_match_per_sample_reference(cond_stock, toy_model):
         prices = to_prices(unscale(fake[i], bounds), p0s[i])
         with ad.no_record():
             fm = compute_features(ad.constant(prices), _PRICE_DATES[:len(prices)])
-            med = toy_model.forward(fm).median_path.data
+            med = toy_model.forward(fm).data
         assert max_rel_err([gen[i]], [general_slope_value(med)], floor=1e-300) < 1e-12
         assert max_rel_err([ls[i]], [ls_slope_value(med)], floor=1e-300) < 1e-12
 

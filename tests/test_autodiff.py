@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopestrike import autodiff as ad
-from graph_ops import div, fold, unfold
+from graph_ops import div, fold, sort_last, unfold
 from helpers import (finite_diff, max_rel_err, random_graph_cases, graph_gradients, eval_scalar,
                      _builders)
 
@@ -38,11 +38,11 @@ def brute_conv1d(x, w, stride=1, dilation=1, causal=False):
 def test_conv1d_dilated_impulse_matches_brute_force():
     x = np.array([1.0, 0.0, 0.0, 0.0])
     w = np.array([1.0, 2.0])
-    got = ad.conv1d(ad.constant(x.reshape(1, 4)),
+    got = ad.conv1d(ad.constant(x.reshape(1, 1, 4)),
                     ad.constant(w.reshape(1, 1, 2)), dilation=2)
     expect = brute_conv1d(x, w, dilation=2, causal=True)
-    assert got.data.shape == (1, 4)
-    assert np.allclose(got.data[0], expect, atol=1e-15)
+    assert got.data.shape == (1, 1, 4)
+    assert np.allclose(got.data[0, 0], expect, atol=1e-15)
     # impulse at t=0: last tap responds first (causal), first tap after the
     # dilated offset
     assert expect[0] == w[1] and expect[2] == w[0] and expect[1] == expect[3] == 0.0
@@ -302,7 +302,7 @@ def test_trailing_broadcast_add_and_reduction():
 
 def test_sort_last_routes_gradients_through_permutation():
     x = ad.Tensor([3.0, 1.0, 2.0], requires_grad=True)
-    s = ad.sort_last(x)
+    s = sort_last(x)
     assert np.array_equal(s.data, [1.0, 2.0, 3.0])
     gx = ad.gradient(ad.tsum(ad.mul(s, ad.constant([10.0, 20.0, 30.0]))), x)
     assert np.array_equal(gx.data, [30.0, 10.0, 20.0])

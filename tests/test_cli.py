@@ -191,7 +191,7 @@ def test_defend_train_and_classify(tmp_path, workspace):
     assert (outdir / "discriminator.ckpt").exists()
     report = (outdir / "defense_report.csv").read_text().splitlines()
     assert report[0].startswith("set,tp,tn,fp,fn")
-    # the report's accuracy is discriminator_accuracy's on the same holdout,
+    # the report's accuracy is predict_labelled's on the same holdout,
     # rebuilt here: the seed's permutation, 30 % of the 4 series, the same attack
     from slopestrike import dataio, defense
     from slopestrike.attacks import AttackConfig, run_attack
@@ -204,7 +204,8 @@ def test_defend_train_and_classify(tmp_path, workspace):
                       AttackConfig("GSA", eps_pct=2.0, iters=3)).x_adv.adjprc for i in hold]
     clf = defense.Discriminator.load(outdir / "discriminator.ckpt")
     accuracy = float(report[1].split(",")[5])
-    assert accuracy == 100.0 * defense.discriminator_accuracy(clf, real, adv)
+    labels, preds = defense.predict_labelled(clf, real, adv)
+    assert accuracy == 100.0 * float(np.mean(preds == labels))
     probs = tmp_path / "probs.csv"
     assert run("defend", "classify", "--model", outdir / "discriminator.ckpt",
                "--data", data, "--out", probs) == 0

@@ -3,11 +3,12 @@ import pytest
 
 from slopestrike.defense import (
     Discriminator, DiscriminatorConfig, build_manifest, classify,
-    discriminator_accuracy, read_manifest, train_discriminator,
+    predict_labelled, read_manifest, train_discriminator,
     verify_manifest, write_manifest,
 )
 from slopestrike.forecaster import NhitsConfig, NhitsModel
 from slopestrike.metrics import confusion
+from helpers import max_rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +114,15 @@ def test_separable_toy_training_accuracy(separable_task, toy_classifier):
     real, adv = separable_task
     clf, curve = toy_classifier
     assert curve[-1][1] < curve[0][1]
-    assert discriminator_accuracy(clf, real[:30], adv[:30]) >= 0.95
+    labels, preds = predict_labelled(clf, real[:30], adv[:30])
+    assert np.mean(preds == labels) >= 0.95
 
 
 def test_heldout_accuracy_at_least_90(separable_task, toy_classifier):
     real, adv = separable_task
     clf, _ = toy_classifier
-    assert discriminator_accuracy(clf, real[30:], adv[30:]) >= 0.90
+    labels, preds = predict_labelled(clf, real[30:], adv[30:])
+    assert np.mean(preds == labels) >= 0.90
 
 
 def test_weight_decay_reaches_exactly_the_weight_tensors():
@@ -142,13 +145,21 @@ def test_probability_bounds_on_random_inputs(toy_classifier):
 def test_classify_deterministic(toy_classifier, separable_task):
     clf, _ = toy_classifier
     real, _ = separable_task
-    assert classify(clf, real[0]) == classify(clf, real[0])
+    assert np.array_equal(classify(clf, real[:3]), classify(clf, real[:3]))
+
+
+def test_classify_batch_matches_one_window_at_a_time(toy_classifier, separable_task):
+    clf, _ = toy_classifier
+    real, adv = separable_task
+    windows = real[:3] + adv[:2]
+    one_at_a_time = [classify(clf, [x])[0] for x in windows]
+    assert max_rel_err(classify(clf, windows), one_at_a_time) < 1e-12
 
 
 def test_classify_wrong_length_rejected(toy_classifier):
     clf, _ = toy_classifier
     with pytest.raises(ValueError, match="length 300"):
-        classify(clf, np.ones(200))
+        classify(clf, [np.ones(300), np.ones(200)])
 
 
 def test_output_stable_under_tiny_noise(toy_classifier, separable_task):
@@ -157,7 +168,7 @@ def test_output_stable_under_tiny_noise(toy_classifier, separable_task):
     rng = np.random.default_rng(9)
     noise = rng.normal(0, 1e-13, 300)
     noise -= noise.mean()
-    assert abs(classify(clf, real[0]) - classify(clf, real[0] + noise)) < 1e-8
+    assert abs(classify(clf, [real[0]])[0] - classify(clf, [real[0] + noise])[0]) < 1e-8
 
 
 def test_shuffled_labels_give_near_zero_kappa():
@@ -189,7 +200,7 @@ def test_discriminator_checkpoint_roundtrip(tmp_path, toy_classifier, separable_
     path = tmp_path / "discriminator.ckpt"
     clf.save(path)
     loaded = Discriminator.load(path)
-    assert classify(loaded, real[0]) == classify(clf, real[0])
+    assert np.array_equal(classify(loaded, real[:3]), classify(clf, real[:3]))
 
 
 @pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -3), ("batch_size", 0)])

@@ -10,10 +10,10 @@ from slopestrike import dataio
 from slopestrike.attacks import AttackConfig, run_attack
 from slopestrike.features import compute_features
 from slopestrike.forecaster import (
-    ROW_BLOCK, EarlyStopper, ForecastOutput, NhitsConfig, NhitsModel, _assemble_batch, _exo_days,
-    _interp_matrix, _mean_loss, _rolling_median, _series_days, _standardise, quantile_loss,
-    rolling_forecast, train,
+    ROW_BLOCK, EarlyStopper, NhitsConfig, NhitsModel, _assemble_batch, _exo_days, _interp_matrix,
+    _mean_loss, _pinball, _rolling_median, _series_days, _standardise, rolling_forecast, train,
 )
+from graph_ops import sort_last
 from helpers import (finite_diff, max_rel_err, nhits_forecast_reference, nhits_stacks_reference,
                      rolling_median_reference)
 
@@ -43,10 +43,10 @@ def test_zero_final_layers_forecast_equals_window_mean():
     rng = np.random.default_rng(1)
     prices = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 100)))
     fm, _ = _fm(prices)
-    out = model.forward(fm)
-    assert out.quantile_paths.shape == (20, 7)
-    assert np.allclose(out.quantile_paths.data, prices.mean(), atol=1e-9)
-    assert np.allclose(out.median_path.data, prices.mean(), atol=1e-9)
+    quantiles, median = _window_forecasts(model, fm, 1)[0], model.forward(fm)
+    assert quantiles.shape == (20, 7) and median.shape == (20,)
+    assert np.allclose(quantiles, prices.mean(), atol=1e-9)
+    assert np.allclose(median.data, prices.mean(), atol=1e-9)
 
 
 def test_degenerate_rates_interpolation_is_identity():
@@ -58,9 +58,8 @@ def test_degenerate_rates_interpolation_is_identity():
     rng = np.random.default_rng(2)
     prices = 40.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 100)))
     fm, _ = _fm(prices)
-    out = model.forward(fm)
-    assert out.median_path.shape == (20,)
-    assert out.quantile_paths.shape == (20, 7)
+    assert model.forward(fm).shape == (20,)
+    assert _window_forecasts(model, fm, 1).shape == (1, 20, 7)
 
 
 def _randomise_heads(model, seed=0, scale=0.05):
@@ -77,36 +76,36 @@ def test_quantile_axis_is_sorted_and_median_is_column_three():
     rng = np.random.default_rng(6)
     prices = 90.0 * np.exp(np.cumsum(rng.normal(0, 0.02, 100)))
     fm, _ = _fm(prices)
-    out = model.forward(fm)
-    qp = out.quantile_paths.data
-    assert np.all(np.diff(qp, axis=1) >= 0.0)
+    # core's quantiles are trained unsorted and cross here; forward reports the
+    # median of each day's sorted quantiles
+    unsorted = _window_forecasts(model, fm, 1)[0]
+    assert np.any(np.diff(unsorted, axis=1) < 0.0)
+    qp = np.sort(unsorted, axis=1)
     assert cfg.median_index == 3
-    assert np.array_equal(out.median_path.data, qp[:, 3])
+    assert not np.array_equal(unsorted[:, 3], qp[:, 3])
+    assert np.array_equal(model.forward(fm).data, qp[:, 3])
 
 
 def test_quantile_loss_perfect_prediction_zero():
-    truth = np.linspace(10, 12, 20)
-    qp = ad.constant(np.repeat(truth[:, None], 7, axis=1))
-    out = ForecastOutput(qp, qp[:, 3], NhitsConfig().quantiles)
-    assert quantile_loss(out, truth).item() == 0.0
+    truth = np.repeat(np.linspace(10, 12, 20)[:, None], 7, axis=1)
+    assert _pinball(ad.constant(truth), truth, np.asarray(NhitsConfig().quantiles)).item() == 0.0
 
 
 def test_quantile_loss_median_is_half_l1():
     rng = np.random.default_rng(3)
     truth = rng.normal(100, 5, 20)
     pred = truth + rng.normal(0, 2, 20)
-    out = ForecastOutput(ad.constant(pred[:, None]), ad.constant(pred), (0.5,))
     expected = 0.5 * np.mean(np.abs(truth - pred))
-    assert abs(quantile_loss(out, truth).item() - expected) < 1e-15
+    loss = _pinball(ad.constant(pred[:, None]), truth[:, None], np.array([0.5]))
+    assert abs(loss.item() - expected) < 1e-15
 
 
 def test_quantile_loss_one_sided_weights():
-    truth = np.zeros(1) + 1.0  # y - f = 1
-    out = ForecastOutput(ad.constant([[0.0]]), ad.constant([0.0]), (0.99,))
-    assert abs(quantile_loss(out, truth).item() - 0.99) < 1e-15
-    truth2 = np.zeros(1)  # f - y = 1
-    out2 = ForecastOutput(ad.constant([[1.0]]), ad.constant([1.0]), (0.99,))
-    assert abs(quantile_loss(out2, truth2).item() - 0.01) < 1e-15
+    q = np.array([0.99])
+    # y - f = 1
+    assert abs(_pinball(ad.constant([[0.0]]), np.ones((1, 1)), q).item() - 0.99) < 1e-15
+    # f - y = 1
+    assert abs(_pinball(ad.constant([[1.0]]), np.zeros((1, 1)), q).item() - 0.01) < 1e-15
 
 
 def test_early_stopper_counter_contract():
@@ -279,16 +278,58 @@ def test_rolling_median_op_finite_differences():
     w = rng.normal(size=9)  # 6 windows of a 4-day horizon cover 9 days
 
     def f(ts):
-        return ad.tsum(ad.mul(_rolling_median(ts[0], 4, 3, 1), ad.constant(w)))
+        return ad.tsum(ad.mul(_rolling_median(ts[0], 4, 3, 1, ()), ad.constant(w)))
 
     _check_op_gradients(f, [rng.normal(size=(6, 12))])
+
+    # a batch of two series: lead (2,) puts the windows on axis 1
+    w2 = rng.normal(size=(2, 9))
+
+    def f2(ts):
+        return ad.tsum(ad.mul(_rolling_median(ts[0], 4, 3, 1, (2,)), ad.constant(w2)))
+
+    batch = rng.normal(size=(2, 6, 12))
+    _check_op_gradients(f2, [batch])
+    paths = _rolling_median(ad.constant(batch), 4, 3, 1, (2,)).data
+    for i in range(2):
+        assert np.array_equal(paths[i], _rolling_median(ad.constant(batch[i]), 4, 3, 1, ()).data)
+
+
+@pytest.mark.parametrize("shape", [(6, 100), (100,)], ids=["6-series", "1-series"])
+def test_forward_equals_the_sorted_quantile_graph(shape):
+    # forward's head, against the graph it replaced: reshape, sort, median slice
+    model = NhitsModel(NhitsConfig(), seed=41)
+    _randomise_heads(model, seed=41, scale=0.3)
+    cfg = model.config
+    rng = np.random.default_rng(41)
+    prices = 60.0 * np.exp(np.cumsum(rng.normal(0, 0.01, shape), axis=-1))
+    dates = dataio.business_days(dt.date(2021, 3, 1), 100)
+    w = rng.normal(0, 0.01, shape[:-1] + (cfg.horizon,))
+    weights = list(model.params.values())
+    runs = []
+    for old in (False, True):
+        x = ad.Tensor(prices.copy(), requires_grad=True)
+        fm = compute_features(x, dates)
+        if old:
+            out = model.core(fm.continuous, fm.day_one_hot().data, 1)
+            q = sort_last(ad.reshape(out, shape[:-1] + (cfg.horizon, cfg.n_quantiles)))
+            med = q[..., cfg.median_index]
+        else:
+            med = model.forward(fm)
+        assert med.shape == shape[:-1] + (cfg.horizon,)
+        grads = ad.gradients(ad.tsum(ad.tanh(ad.mul(med, ad.constant(w)))), [x] + weights)
+        runs.append([med.data] + [g.data for g in grads])
+    assert len(runs[0]) == 20
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
+    assert np.count_nonzero(runs[0][1]) > prices.size // 2  # not trivially equal
 
 
 def test_rolling_median_op_keeps_nothing_without_recording():
     out = ad.Tensor(np.random.default_rng(6).normal(size=(5, 60)), requires_grad=True)
-    recorded = _rolling_median(out, 20, 3, 1)
+    recorded = _rolling_median(out, 20, 3, 1, ())
     with ad.no_record():
-        plain = _rolling_median(out, 20, 3, 1)
+        plain = _rolling_median(out, 20, 3, 1, ())
     assert recorded.node.kind == "rolling_median" and plain.node is None
     assert np.array_equal(plain.data, recorded.data)
 
@@ -505,14 +546,17 @@ def test_end_to_end_gradient_matches_finite_differences():
     truth = base[-1] * np.ones(20)
     dates = dataio.business_days(dt.date(2021, 3, 1), 100)
 
+    def loss(prices):
+        # prices -> features -> core -> head, scored at the median quantile
+        fm = compute_features(prices, dates)
+        return _pinball(model.forward(fm), truth, np.full(20, 0.5))
+
     def loss_value(prices):
         with ad.no_record():
-            fm = compute_features(ad.constant(prices), dates)
-            return quantile_loss(model.forward(fm), truth).item()
+            return loss(ad.constant(prices)).item()
 
     x = ad.Tensor(base.copy(), requires_grad=True)
-    fm = compute_features(x, dates)
-    gx = ad.gradient(quantile_loss(model.forward(fm), truth), x).data
+    gx = ad.gradient(loss(x), x).data
     h = 1e-5
     for i in rng.choice(100, size=5, replace=False):
         p, m = base.copy(), base.copy()

@@ -1,9 +1,11 @@
 import ast
+import re
 from pathlib import Path
 
 import slopestrike
 
 PACKAGE = Path(slopestrike.__file__).parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def _private(name: str) -> bool:
@@ -40,3 +42,74 @@ def test_the_check_sees_a_private_read(tmp_path):
     bad.write_text("from . import defense\nfrom .features import _decay_scan\n"
                    "defense._digest_file(None)\n")
     assert len(_cross_module_private_reads(bad)) == 2
+
+
+def _public_definitions(path: Path) -> list[tuple[str, str]]:
+    """(name, where) of each public module-level function or class and each
+    public method of a module-level class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            found.append((node.name, f"{path.stem}.{node.name}"))
+        if isinstance(node, ast.ClassDef):
+            found += [(m.name, f"{path.stem}.{node.name}.{m.name}") for m in node.body
+                      if isinstance(m, kinds) and not m.name.startswith("_")]
+    return found
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    kinds = (ast.Module, ast.FunctionDef, ast.ClassDef)
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, kinds) and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def _named(path: Path) -> set[str]:
+    """Every name a module uses: names, attributes, imported names and the
+    identifiers inside its string constants (docstrings aside)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docs, names = _docstrings(tree), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def _unnamed_public_api(package: list[Path], users: list[Path]) -> list[str]:
+    """Public functions, classes and methods of the package that no module of
+    ``users`` names; a definition does not name itself."""
+    named = set().union(*(_named(path) for path in users))
+    return sorted(where for path in package for name, where in _public_definitions(path)
+                  if name not in named)
+
+
+def test_every_public_function_class_and_method_is_named_outside_the_tests():
+    package = sorted(PACKAGE.glob("*.py"))
+    perfbench = sorted(PERFBENCH.glob("*.py"))
+    assert len(package) > 5 and perfbench
+    unnamed = _unnamed_public_api(package, package + perfbench)
+    assert not unnamed, unnamed
+
+
+def test_the_check_sees_public_api_that_only_tests_call(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text('"""used_in_docstring_only is no use."""\n'
+                   "class Model:\n    def run(self):\n        return helper()\n"
+                   "    def unused_method(self):\n        pass\n"
+                   "def helper():\n    return 1\n"
+                   "def used_in_docstring_only():\n    pass\n"
+                   "def _private():\n    pass\n"
+                   "def by_string():\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text('from lib import Model\nModel().run()\nTARGETS = [("lib", "by_string")]\n')
+    assert _unnamed_public_api([lib], [lib, user]) == ["lib.Model.unused_method",
+                                                       "lib.used_in_docstring_only"]
