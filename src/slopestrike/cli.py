@@ -85,6 +85,13 @@ def _outdir(settings: dict) -> Path:
     return out
 
 
+def _out(settings: dict) -> Path:
+    """The ``--out`` file's path, its parent directories made."""
+    out = Path(settings["out"])
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _environment() -> dict:
     """What a run's numbers depend on besides its settings: the code's versions,
     the BLAS library and its thread settings (sums can round differently with
@@ -155,8 +162,7 @@ def cmd_synth(settings) -> int:
     """generate synthetic GBM price CSV"""
     series = dataio.synth_gbm(settings["n_series"], settings["n_days"], settings["s0"],
                               settings["mu"], settings["sigma"], settings["seed"])
-    out = Path(settings["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out(settings)
     dataio.write_series_csv(series, out)
     print(f"wrote {len(series)} series x {settings['n_days']} days to {out}")
     return EXIT_OK
@@ -295,7 +301,7 @@ def cmd_defend_classify(settings) -> int:
             raise DataError(f"{s.ticker}: need {n_in} days, have {len(s)}")
     probs = defense.classify(clf, [s.adjprc[:n_in] for s in series])
     rows = [(s.ticker, p) for s, p in zip(series, probs)]
-    out = Path(settings["out"])
+    out = _out(settings)
     _write_csv(out, ("ticker", "prob_adversarial"), rows)
     print(f"classified {len(rows)} series; probabilities at {out}")
     return EXIT_OK
@@ -304,7 +310,7 @@ def cmd_defend_classify(settings) -> int:
 def cmd_defend_build_manifest(settings) -> int:
     """hash a deployment directory"""
     manifest = defense.build_manifest(settings["directory"])
-    defense.write_manifest(manifest, settings["out"])
+    defense.write_manifest(manifest, _out(settings))
     print(f"hashed {len(manifest.entries)} files; root {manifest.root_digest}")
     return EXIT_OK
 
@@ -356,7 +362,7 @@ def cmd_gan_generate(settings) -> int:
     for i, row in enumerate(generated):
         for day, v in enumerate(row):
             out_rows.append((i, day, v))
-    _write_csv(settings["out"], ("interval_id", "day", "scaled_log_return"), out_rows)
+    _write_csv(_out(settings), ("interval_id", "day", "scaled_log_return"), out_rows)
     print(f"generated {len(generated)} intervals conditioned on {stock.ticker}; "
           f"rows at {settings['out']}")
     return EXIT_OK

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -177,23 +178,30 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(body[:sep].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    try:
+        entries = [(str(e["name"]), tuple(int(n) for n in e["shape"])) for e in header["arrays"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed array list in header: {exc!r}") from None
+    arch = header.get("arch", {})
+    if not isinstance(arch, dict) or any(n < 0 for _, shape in entries for n in shape):
+        raise CheckpointError(f"{path}: malformed header: negative array size or non-object arch")
     arrays: dict[str, np.ndarray] = {}
     offset = sep + len(_HEADER_SEP)
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, shape in entries:
+        nbytes = math.prod(shape) * 8
         chunk = body[offset:offset + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: array '{entry['name']}' truncated")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+            raise CheckpointError(f"{path}: array '{name}' truncated")
+        arrays[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
         offset += nbytes
     if offset != len(body):
         raise CheckpointError(f"{path}: {len(body) - offset} trailing bytes after arrays")
-    return arrays, header.get("arch", {})
+    return arrays, arch
 
 
 def load_model_checkpoint(path, kind: str, label: str, config_cls, build):

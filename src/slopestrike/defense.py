@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataio import save_checkpoint, load_model_checkpoint
-from .forecaster import NumericalError
+from .forecaster import NumericalError, standardise
 
 logger = logging.getLogger(__name__)
 
@@ -47,19 +47,13 @@ class DiscriminatorConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-def _standardise(x: np.ndarray) -> np.ndarray:
-    mu = x.mean()
-    sd = x.std()
-    return (x - mu) / (sd + 1e-8)
-
-
 def _standardised_windows(windows, length: int) -> np.ndarray:
     """Raw windows, each standardised on its own, stacked: (n, length)."""
     rows = [np.asarray(x, dtype=np.float64).reshape(-1) for x in windows]
     for x in rows:
         if x.shape != (length,):
             raise ValueError(f"every window must have length {length}, got {x.shape[0]}")
-    return np.stack([_standardise(x) for x in rows])
+    return standardise(np.stack(rows), 1)[0]
 
 
 def _labels(real, attacked) -> np.ndarray:

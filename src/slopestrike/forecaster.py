@@ -9,29 +9,29 @@ skips the interpolation, which would multiply by the identity.  Each stack is
 one block.  The input is always the price window plus the 17-channel exogenous
 feature window, which enters the first stack as a flattened side input.
 
-Features reach a forecast through two recorded ops with hand-written numpy
-vjps.  ``NhitsModel.core`` (kind ``nhits_forecast``, parents: the continuous
+Features reach a forecast through one recorded op with a hand-written numpy
+vjp.  ``NhitsModel.core`` (kind ``nhits_forecast``, parents: the continuous
 features and the 18 block weights) reads the price and exogenous windows as
 views of the days, standardises each series' exogenous days, normalises each
-price window, runs the stacks and denormalises.  The rolling head (kind
-``rolling_median``) sorts each window's quantiles, picks the median path and
-overlap-averages it onto the days; ``forward`` ends in the same head over one
-window per series, whose median path covers each day once.  Both ops repeat
-the arithmetic of the per-op graph they replaced, including the order in which
-the engine added its gradients, so values and gradients are bit-identical to
-it.  The vjps follow the engine's conventions (first-max pooling routes to the
-lowest-index maximum, the ReLU and sqrt derivatives are 0 at 0) and compute
-only what ``need`` asks for: an attack or the GAN's second critic gets no weight
-products.  Training runs the same window normalisation and the stacks alone
-(``NhitsModel.stacks``, kind ``nhits_stacks``, parents: the price windows, the
-exogenous windows and the weights) on its gathered windows, which are
-constants, so it gets only the weight products.  Each window is forecast on
-its own, so with no vjp to run ``core`` takes the windows in near-equal row
-blocks, from window normalisation to denormalisation: a long series' forecast
-never builds the first stack's input, or the denormalised temporaries, for
-every window at once.
+price window, runs the stacks, denormalises, sorts each day's quantiles to
+pick the median path and overlap-averages the windows' median paths onto the
+days.  ``forward`` is the same op over one window per series, whose median
+path covers each day once.  The op repeats the arithmetic of the per-op graph
+it replaced, including the order in which the engine added its gradients, so
+values and gradients are bit-identical to it.  The vjp follows the engine's
+conventions (first-max pooling routes to the lowest-index maximum, the ReLU
+and sqrt derivatives are 0 at 0) and computes only what ``need`` asks for: an
+attack or the GAN's second critic gets no weight products.  Training runs the
+same window normalisation and the stacks alone (``NhitsModel.stacks``, kind
+``nhits_stacks``, parents: the price windows, the exogenous windows and the
+weights) on its gathered windows, which are constants, so it gets only the
+weight products.  Each window is forecast on its own, so ``core`` runs one
+block loop: one block of every window when a vjp will run, and near-equal row
+blocks when none will, from window normalisation to the median pick.  A long
+series' forecast then never builds the first stack's input, or its
+(windows, horizon*quantiles) forecasts, for every window at once.
 
-Quantile outputs are trained unsorted; the head sorts each day's quantiles
+Quantile outputs are trained unsorted; ``core`` sorts each day's quantiles
 only to pick their median, which is all a forecast reports.
 """
 
@@ -320,18 +320,21 @@ class NhitsModel:
         return ad.custom_op("nhits_stacks", fore, parents, vjp)
 
     def core(self, cont: Tensor, one_hot: np.ndarray, n_windows: int) -> Tensor:
-        """Features in, denormalised forecasts out, recorded as one op (``nhits_forecast``).
+        """Features in, overlap-averaged median path out, recorded as one op
+        (``nhits_forecast``).
 
         ``cont`` holds the continuous channels (..., T, 12) of one series or a
-        batch, ``one_hot`` the weekday columns (..., T, 5).  The output holds
-        the first n_windows encoder windows of every series, series-major:
-        (rows, horizon*n_quantiles).  The parents are ``cont`` and the weights:
-        the price windows come from channel 0 of ``cont``, not from the prices,
-        so their gradient meets the exogenous one there, added in the order the
-        per-op graph added them, and the prices' gradient stays bit-identical.
+        batch, ``one_hot`` the weekday columns (..., T, 5).  The first n_windows
+        encoder windows of every series are forecast, each day's quantiles are
+        sorted stably to pick the median, and each series' median paths are
+        averaged onto its days: (..., n_windows + horizon - 1).  The parents are
+        ``cont`` and the weights: the price windows come from channel 0 of
+        ``cont``, not from the prices, so their gradient meets the exogenous one
+        there, added in the order the per-op graph added them, and the prices'
+        gradient stays bit-identical.
         """
         cfg = self.config
-        E = cfg.encoder_length
+        E, H, Q = cfg.encoder_length, cfg.horizon, cfg.n_quantiles
         span = n_windows + E - 1
         c = cont.data
         lead, days = c.shape[:-2], c.ndim - 2  # batch shape, axis of the days
@@ -344,27 +347,30 @@ class NhitsModel:
         adj = ad.window_view(np.array(c[..., :span, 0]), E, axis=days).reshape(-1, E)
         exo_days, ex = _exo_days(c, one_hot)
         exo = ad.window_view(exo_days[..., :span, :], E, axis=days).reshape(-1, cfg.exo_dim)
-        if not ad.records(parents):
-            # no vjp will run: the windows go through in near-equal row blocks,
-            # so only one block of the first stack's input is ever built.  Each
-            # block is denormalised in place in ``out``, so no array of a block
-            # outlives it: one that did split the heap under the next block's
-            # larger buffers, which then stayed resident
-            N = adj.shape[0]
-            n_blocks = max(1, N // ROW_BLOCK)
-            out = np.empty((N, cfg.horizon * cfg.n_quantiles))
-            for j in range(n_blocks):
-                rows = slice(N * j // n_blocks, N * (j + 1) // n_blocks)
-                x, wmean, denom, _ = _standardise(adj[rows], 1)
-                out[rows] = self._stacks_forward(ws, x, exo[rows], False)[0]
-                out[rows] *= denom[:, None]
-                out[rows] += wmean[:, None]
-            return Tensor(out)
-        x, wmean, denom, win = _standardise(adj, 1)
-        fore, saved = self._stacks_forward(ws, x, exo, True)
+        # with no vjp to run, the windows go through in near-equal row blocks:
+        # only one block of the first stack's input is ever built, and only the
+        # median paths outlive a block
+        record = ad.records(parents)
+        N = adj.shape[0]
+        n_blocks = 1 if record else max(1, N // ROW_BLOCK)
+        med = np.empty((N, H))
+        for j in range(n_blocks):
+            rows = slice(N * j // n_blocks, N * (j + 1) // n_blocks)
+            kept = self._forecast_block(ws, adj[rows], exo[rows], med[rows], record)
+        n_days = n_windows + H - 1
+        counts = ad.overlap_add(np.ones((n_windows, H)), n_days)  # forecasts per day
+        path = ad.overlap_add(med.reshape(lead + (n_windows, H)), n_days, axis=days) / counts
+        if not record:
+            return Tensor(path)
+        saved, win, denom, fore, src = kept
 
         def vjp(g, need):
-            g = g.data
+            # each day's gradient, divided by the forecasts covering it, goes to
+            # the quantile that sorted into the median
+            gq = np.zeros((N, H, Q))
+            np.put_along_axis(gq, src, ad.window_view(g.data / counts, H, axis=days)
+                              .reshape(src.shape), axis=-1)
+            g = gq.reshape(N, H * Q)
             need_in = need[0]
             gx, gexo, gw = self._stacks_vjp(ws, saved, g * denom[:, None], need_in, need_in,
                                             need[1:])
@@ -387,14 +393,32 @@ class NhitsModel:
             grads[0] = Tensor(_standardise_vjp(g_z, ex, -2) + g_price)
             return tuple(grads)
 
-        return ad.custom_op("nhits_forecast", fore * denom[:, None] + wmean[:, None], parents, vjp)
+        return ad.custom_op("nhits_forecast", path, parents, vjp)
+
+    def _forecast_block(self, ws, adj, exo, med, keep):
+        """One row block of windows through window normalisation, the stacks and
+        denormalisation; each window's median path goes into ``med``.  Returns
+        what the vjp needs with ``keep``, else None, so no other array of the
+        block outlives it: one that did split the heap under the next block's
+        larger buffers, which then stayed resident."""
+        cfg = self.config
+        m = cfg.median_index
+        x, wmean, denom, win = standardise(adj, 1)
+        fore, saved = self._stacks_forward(ws, x, exo, keep)
+        q = (fore * denom[:, None] + wmean[:, None]).reshape(-1, cfg.horizon, cfg.n_quantiles)
+        if not keep:
+            med[:] = np.sort(q, axis=-1, kind="stable")[..., m]
+            return None
+        src = np.argsort(q, axis=-1, kind="stable")[..., m:m + 1]  # where each median is
+        med[:] = np.take_along_axis(q, src, axis=-1)[..., 0]
+        return saved, win, denom, fore, src
 
     def forward(self, window: FeatureMatrix) -> Tensor:
         """The median path from exactly one encoder window of features, or one per
         series of a batch: (horizon,) or (B, horizon)."""
         if len(window) != self.config.encoder_length:
             raise ValueError(f"window has {len(window)} days, need {self.config.encoder_length}")
-        return self._median_path(window, 1)
+        return self.core(window.continuous, window.day_one_hot().data, 1)
 
     def rolling_median_path(self, fm: FeatureMatrix) -> Tensor:
         """Overlap-averaged median-quantile path for every day after the encoder.
@@ -406,26 +430,20 @@ class NhitsModel:
         T = len(fm)
         if T < cfg.min_series_length:
             raise ValueError(f"need at least {cfg.min_series_length} days, got {T}")
-        return self._median_path(fm, T - cfg.min_series_length + 1)
-
-    def _median_path(self, fm: FeatureMatrix, n_windows: int) -> Tensor:
-        """``core`` over the first n_windows windows of each series, then the rolling head."""
-        cfg = self.config
-        out = self.core(fm.continuous, fm.day_one_hot().data, n_windows)
-        return _rolling_median(out, cfg.horizon, cfg.n_quantiles, cfg.median_index,
-                               fm.continuous.shape[:-2])
+        return self.core(fm.continuous, fm.day_one_hot().data, T - cfg.min_series_length + 1)
 
 
 def _tensor(a: np.ndarray | None) -> Tensor | None:
     return None if a is None else Tensor(a)
 
 
-def _standardise(a: np.ndarray, axis: int):
+def standardise(a: np.ndarray, axis: int):
     """(a - mean) / (std + NORM_EPS) along ``axis``, the population std.
 
     Returns that, the means, the denominators and what ``_standardise_vjp``
     needs.  The forecaster normalises each price window this way (axis 1) and
-    standardises each series' continuous channels over its days (axis -2).
+    standardises each series' continuous channels over its days (axis -2); the
+    discriminator standardises each of its input windows (axis 1).
     """
     mean = np.mean(a, axis=axis)
     diff = a - np.expand_dims(mean, axis)
@@ -462,39 +480,8 @@ def _standardise_vjp(g, saved, axis, g_mean=None, g_den=None):
 def _exo_days(cont: np.ndarray, one_hot: np.ndarray):
     """Each series' standardised continuous channels plus the weekday one-hot,
     (..., T, 17), and what ``_standardise_vjp`` needs."""
-    z, _, _, saved = _standardise(cont, -2)
+    z, _, _, saved = standardise(cont, -2)
     return np.concatenate([z, one_hot], axis=-1), saved
-
-
-def _rolling_median(out: Tensor, horizon: int, n_quantiles: int, median: int,
-                    lead: tuple[int, ...]) -> Tensor:
-    """Each window's median-quantile path, overlap-averaged onto the days, as
-    one op (``rolling_median``).
-
-    ``out`` holds one window's forecast per row, series-major over the batch
-    shape ``lead``, the windows of a series sliding by one day; the output is
-    lead + (days,).  The quantile axis is sorted stably; the vjp divides each
-    day's gradient by the number of forecasts covering it and routes it to the
-    entry that sorted into the median.  Under ``no_record`` nothing is kept.
-    """
-    q = out.data.reshape(lead + (-1, horizon, n_quantiles))
-    days = len(lead)  # the windows' axis, and the days' axis of the output
-    n_days = q.shape[days] + horizon - 1
-    counts = ad.overlap_add(np.ones(q.shape[days:days + 2]), n_days)  # forecasts per day
-    if not ad.records((out,)):
-        med = np.sort(q, axis=-1, kind="stable")[..., median]
-        return Tensor(ad.overlap_add(med, n_days, axis=days) / counts)
-    src = np.argsort(q, axis=-1, kind="stable")[..., median:median + 1]  # where each median is
-    med = np.take_along_axis(q, src, axis=-1)[..., 0]
-
-    def vjp(g):
-        gq = np.zeros(q.shape)
-        np.put_along_axis(gq, src, ad.window_view(g.data / counts, horizon, axis=days)[..., None],
-                          axis=-1)
-        return (Tensor(gq.reshape(out.shape)),)
-
-    return ad.custom_op("rolling_median", ad.overlap_add(med, n_days, axis=days) / counts,
-                        (out,), vjp)
 
 
 def _pinball(pred: Tensor, y: np.ndarray, q: np.ndarray) -> Tensor:
@@ -565,7 +552,7 @@ def _batch_loss(model: NhitsModel, starts, prices, exo) -> Tensor:
     """Pinball loss of the unsorted normalised outputs against the normalised truths."""
     cfg = model.config
     adj, truth, exo_w = _assemble_batch(starts, prices, exo, cfg)
-    x, wmean, denom, _ = _standardise(adj, 1)
+    x, wmean, denom, _ = standardise(adj, 1)
     fore = model.stacks(ad.constant(x), ad.constant(exo_w))
     truth_norm = (truth - wmean[:, None]) / denom[:, None]
     Q = cfg.n_quantiles  # outputs are day-major: (day 0, q 0), (day 0, q 1), ...

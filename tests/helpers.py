@@ -206,7 +206,7 @@ def _builders():
                                        quantiles=(0.1, 0.5, 0.9)))
         names = list(model.params)
         one_hot = np.broadcast_to(np.eye(5)[np.arange(10) % 5], (2, 10, 5))
-        w = rng.uniform(-1, 1, (6, 12))
+        w = rng.uniform(-1, 1, (2, 6))  # each series' median path covers 6 days
 
         def f(ts):
             model.params = dict(zip(names, ts[1:]))
@@ -306,9 +306,11 @@ def nhits_stacks_reference(model, x, exo):
 
 
 def nhits_forecast_reference(model, fm, n_windows):
-    """``NhitsModel.core`` built from primitive ops, as the forecaster recorded it
-    before the forecast op: the exo standardisation, the window views, the
-    window normalisation, the stacks op and the denormalisation."""
+    """The forecasts of ``NhitsModel.core`` built from primitive ops, as the
+    forecaster recorded them before the forecast op: the exo standardisation,
+    the window views, the window normalisation, the stacks op and the
+    denormalisation, (rows, horizon*n_quantiles).  ``rolling_median_reference``
+    takes them on to the median path."""
     cfg = model.config
     E = cfg.encoder_length
     span = n_windows + E - 1
@@ -367,9 +369,12 @@ def compute_features_reference(adjprc, dates):
                          np.array([d.weekday() for d in dates], dtype=int))
 
 
-def rolling_median_reference(out, cfg):
-    """The rolling head built from primitive ops: sort, median pick, overlap average."""
-    q = sort_last(ad.reshape(out, (-1, cfg.horizon, cfg.n_quantiles)))
-    med = q[:, :, cfg.median_index]
-    n_days = med.shape[0] + cfg.horizon - 1
-    return div(fold(med, n_days), fold(ad.constant(np.ones(med.shape)), n_days))
+def rolling_median_reference(out, cfg, lead=()):
+    """The end of ``NhitsModel.core`` built from primitive ops: sort, median pick
+    and overlap average of the forecasts ``out`` of each series of the batch
+    shape ``lead``."""
+    q = sort_last(ad.reshape(out, lead + (-1, cfg.horizon, cfg.n_quantiles)))
+    med = q[..., cfg.median_index]
+    days = len(lead)
+    n_days = med.shape[days] + cfg.horizon - 1
+    return div(fold(med, n_days, days), fold(ad.constant(np.ones(med.shape)), n_days, days))

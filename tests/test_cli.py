@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import shutil
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,61 @@ def test_gan_checkpoint_with_bad_generator_exits_3(tmp_path, workspace, capsys):
     _assert_one_line_data_errors(cases, lambda bad: (
         ("defend", "classify", "--model", bad, "--data", data, "--out", tmp_path / "p.csv"),),
         capsys)
+
+
+def _with_header(good, dst, edit):
+    """The checkpoint ``good`` with its JSON header replaced by ``edit(header)``,
+    saved at ``dst`` under a valid CRC-32."""
+    body = good.read_bytes()[:-4]
+    sep = body.index(b"\n\x00")
+    body = json.dumps(edit(json.loads(body[:sep]))).encode() + body[sep:]
+    dst.write_bytes(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
+    return dst
+
+
+def _first_shape(header, shape):
+    header["arrays"][0]["shape"] = shape
+    return header
+
+
+@pytest.mark.parametrize("edit,words", [
+    (lambda h: {k: v for k, v in h.items() if k != "arrays"}, "KeyError('arrays')"),
+    (lambda h: [h], "header is not a JSON object"),
+    (lambda h: _first_shape(h, ["x"]), "malformed array list in header"),
+    (lambda h: _first_shape(h, [-4, -16]), "negative array size"),
+    (lambda h: {**h, "arch": ["nhits"]}, "non-object arch"),
+], ids=["no-arrays-key", "list-header", "non-integer-shape", "negative-shape", "list-arch"])
+def test_malformed_checkpoint_headers_exit_3(tmp_path, workspace, capsys, edit, words):
+    _, data, ckpt = workspace
+    bad = _with_header(ckpt, tmp_path / "bad.ckpt", edit)
+    _assert_one_line_data_errors([(bad, words)], lambda bad: (
+        ("attack", "--data", data, "--checkpoint", bad, "--outdir", tmp_path / "o",
+         "--methods", "gsa", "--iters", 1, "--tickers", "SYN000", "--no-plots"),), capsys)
+
+
+def test_out_parent_directories_are_made(tmp_path, workspace):
+    from slopestrike import agan, defense
+    _, data, _ = workspace
+    cfg = agan.GanConfig()
+    bundle = tmp_path / "gan.ckpt"
+    agan.GanBundle(agan.TcnGenerator(cfg), agan.MlpCritic(cfg), cfg, (-0.05, 0.05)).save(bundle)
+    clf = tmp_path / "clf.ckpt"
+    defense.Discriminator(defense.DiscriminatorConfig()).save(clf)
+    deploy = tmp_path / "deploy"
+    deploy.mkdir()
+    (deploy / "config.ini").write_text("[train]\nepochs=2\n")
+    new = tmp_path / "new" / "deeper"
+    for argv, out in ((("synth", "--n-series", 1, "--n-days", 150), new / "prices.csv"),
+                      (("defend", "classify", "--model", clf, "--data", data), new / "probs.csv"),
+                      (("gan", "generate", "--bundle", bundle, "--data", data, "--ticker", "SYN000",
+                        "--n", 2), new / "gen.csv"),
+                      (("defend", "build-manifest", deploy), new / "deploy.manifest")):
+        assert run(*argv, "--out", out) == 0, argv[0]
+        assert out.is_file()
+        shutil.rmtree(tmp_path / "new")
+    manifest = tmp_path / "m" / "deploy.manifest"
+    assert run("defend", "build-manifest", deploy, "--out", manifest) == 0
+    assert run("defend", "verify", deploy, manifest) == 0
 
 
 def test_run_manifest_records_input_digests(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from slopestrike.attacks import AttackConfig, run_attack
 from slopestrike.features import compute_features
 from slopestrike.forecaster import (
     ROW_BLOCK, EarlyStopper, NhitsConfig, NhitsModel, _assemble_batch, _exo_days, _interp_matrix,
-    _mean_loss, _pinball, _rolling_median, _series_days, _standardise, rolling_forecast, train,
+    _mean_loss, _pinball, _series_days, rolling_forecast, standardise, train,
 )
 from graph_ops import sort_last
 from helpers import (finite_diff, max_rel_err, nhits_forecast_reference, nhits_stacks_reference,
@@ -31,9 +31,10 @@ def _val_loss(model, series):
 
 
 def _window_forecasts(model, fm, n):
-    """The unsorted (n, horizon, n_quantiles) forecasts of the first n windows."""
+    """The unsorted (n, horizon, n_quantiles) forecasts of the first n windows,
+    from the per-op graph that ``core``'s forecasts are bit-identical to."""
     with ad.no_record():
-        out = model.core(fm.continuous, fm.day_one_hot().data, n)
+        out = nhits_forecast_reference(model, fm, n)
     return out.data.reshape(n, model.config.horizon, model.config.n_quantiles)
 
 
@@ -76,8 +77,8 @@ def test_quantile_axis_is_sorted_and_median_is_column_three():
     rng = np.random.default_rng(6)
     prices = 90.0 * np.exp(np.cumsum(rng.normal(0, 0.02, 100)))
     fm, _ = _fm(prices)
-    # core's quantiles are trained unsorted and cross here; forward reports the
-    # median of each day's sorted quantiles
+    # the forecast quantiles are trained unsorted and cross here; forward
+    # reports the median of each day's sorted quantiles
     unsorted = _window_forecasts(model, fm, 1)[0]
     assert np.any(np.diff(unsorted, axis=1) < 0.0)
     qp = np.sort(unsorted, axis=1)
@@ -128,7 +129,7 @@ def test_backcast_residual_telescoping_single_block():
     rng = np.random.default_rng(10)
     adj = 70.0 * np.exp(np.cumsum(rng.normal(0, 0.01, (1, 100)), axis=1))
     exo = ad.constant(rng.normal(size=(1, cfg.exo_dim)))
-    x = _standardise(adj, 1)[0]
+    x = standardise(adj, 1)[0]
     # the op returns no residual: read it from the reference graph, whose forecast the op's equals
     fore, blocks, residual = nhits_stacks_reference(model, ad.constant(x), exo)
     assert max_rel_err(model.stacks(ad.constant(x), exo).data, fore.data) < 1e-12
@@ -200,7 +201,7 @@ def test_stacks_gradient_wrt_x_skips_weight_products():
 
 def test_stacks_training_pass_skips_input_products():
     model, xa, ea, weights = _random_stack_inputs()
-    x = _standardise(50.0 + xa, 1)[0]
+    x = standardise(50.0 + xa, 1)[0]
     fore = model.stacks(ad.constant(x), ad.constant(ea))
     returned = _record_vjp_results(fore)
     ad.gradients(_stack_loss(fore, weights), list(model.params.values()))
@@ -231,12 +232,13 @@ def test_forecast_op_matches_primitive_reference(batch):
     for reference in (False, True):
         x = ad.Tensor(prices.copy(), requires_grad=True)
         fm = compute_features(x, dates)
-        if batch:  # the batched windows of the op alone
-            out = nhits_forecast_reference(model, fm, n) if reference else \
-                model.core(fm.continuous, fm.day_one_hot().data, n)
-        else:  # the rolling path: forecast op and head
-            out = rolling_median_reference(nhits_forecast_reference(model, fm, n), cfg) \
-                if reference else model.rolling_median_path(fm)
+        if reference:  # the per-op forecast, sort, median pick and overlap average
+            out = rolling_median_reference(nhits_forecast_reference(model, fm, n), cfg,
+                                           prices.shape[:-1])
+        elif batch:  # three series through the op at once
+            out = model.core(fm.continuous, fm.day_one_hot().data, n)
+        else:  # the rolling path
+            out = model.rolling_median_path(fm)
         w = np.random.default_rng(5).normal(size=out.shape)
         grads = ad.gradients(ad.tsum(ad.tanh(ad.mul(out, ad.constant(w * 0.01)))),
                              [x, fm.continuous] + weights)
@@ -264,40 +266,24 @@ def test_forecast_op_finite_differences_every_parent():
     arrays = [rng.normal(size=(2, 11, 12))] + [rng.normal(0, 0.5, model.params[k].shape)
                                               for k in names]
     one_hot = np.broadcast_to(np.eye(5)[np.arange(11) % 5], (2, 11, 5))
-    w = rng.normal(size=(8, cfg.horizon * cfg.n_quantiles))
+    w = rng.normal(size=(2, 7))  # 4 windows of a 4-day horizon cover 7 days
 
     def f(ts):
         model.params = dict(zip(names, ts[1:]))
         return ad.tsum(ad.tanh(ad.mul(model.core(ts[0], one_hot, 4), ad.constant(w))))
 
     _check_op_gradients(f, arrays)
-
-
-def test_rolling_median_op_finite_differences():
-    rng = np.random.default_rng(4)
-    w = rng.normal(size=9)  # 6 windows of a 4-day horizon cover 9 days
-
-    def f(ts):
-        return ad.tsum(ad.mul(_rolling_median(ts[0], 4, 3, 1, ()), ad.constant(w)))
-
-    _check_op_gradients(f, [rng.normal(size=(6, 12))])
-
-    # a batch of two series: lead (2,) puts the windows on axis 1
-    w2 = rng.normal(size=(2, 9))
-
-    def f2(ts):
-        return ad.tsum(ad.mul(_rolling_median(ts[0], 4, 3, 1, (2,)), ad.constant(w2)))
-
-    batch = rng.normal(size=(2, 6, 12))
-    _check_op_gradients(f2, [batch])
-    paths = _rolling_median(ad.constant(batch), 4, 3, 1, (2,)).data
+    # the batch axis comes first: each series' path is the one it gets alone
+    model.params = {k: ad.Tensor(a, requires_grad=True) for k, a in zip(names, arrays[1:])}
+    paths = model.core(ad.constant(arrays[0]), one_hot, 4).data
     for i in range(2):
-        assert np.array_equal(paths[i], _rolling_median(ad.constant(batch[i]), 4, 3, 1, ()).data)
+        assert np.array_equal(paths[i], model.core(ad.constant(arrays[0][i]), one_hot[i], 4).data)
 
 
 @pytest.mark.parametrize("shape", [(6, 100), (100,)], ids=["6-series", "1-series"])
 def test_forward_equals_the_sorted_quantile_graph(shape):
-    # forward's head, against the graph it replaced: reshape, sort, median slice
+    # forward, against the graph it replaced: the per-op forecast, reshape, sort,
+    # median slice
     model = NhitsModel(NhitsConfig(), seed=41)
     _randomise_heads(model, seed=41, scale=0.3)
     cfg = model.config
@@ -311,7 +297,7 @@ def test_forward_equals_the_sorted_quantile_graph(shape):
         x = ad.Tensor(prices.copy(), requires_grad=True)
         fm = compute_features(x, dates)
         if old:
-            out = model.core(fm.continuous, fm.day_one_hot().data, 1)
+            out = nhits_forecast_reference(model, fm, 1)
             q = sort_last(ad.reshape(out, shape[:-1] + (cfg.horizon, cfg.n_quantiles)))
             med = q[..., cfg.median_index]
         else:
@@ -325,12 +311,20 @@ def test_forward_equals_the_sorted_quantile_graph(shape):
     assert np.count_nonzero(runs[0][1]) > prices.size // 2  # not trivially equal
 
 
-def test_rolling_median_op_keeps_nothing_without_recording():
-    out = ad.Tensor(np.random.default_rng(6).normal(size=(5, 60)), requires_grad=True)
-    recorded = _rolling_median(out, 20, 3, 1, ())
+def test_forecast_op_keeps_nothing_without_recording():
+    # a rolling path records two nodes, the features and the forecast; without
+    # recording the forecast op keeps nothing and gives the same path
+    model = NhitsModel(NhitsConfig(), seed=6)
+    _randomise_heads(model, seed=6, scale=0.3)
+    fm, x = _fm(60.0 * np.exp(np.cumsum(np.random.default_rng(6).normal(0, 0.01, 140))),
+                grad=True)
+    recorded = model.rolling_median_path(fm)
     with ad.no_record():
-        plain = _rolling_median(out, 20, 3, 1, ())
-    assert recorded.node.kind == "rolling_median" and plain.node is None
+        plain = model.rolling_median_path(fm)
+    assert recorded.shape == (40,)
+    assert recorded.node.kind == "nhits_forecast" and plain.node is None
+    assert recorded.node.parents == (fm.continuous,) + tuple(model._weights())
+    assert fm.continuous.node.kind == "price_features" and fm.continuous.node.parents == (x,)
     assert np.array_equal(plain.data, recorded.data)
 
 
@@ -376,7 +370,7 @@ def test_training_batch_rows_equal_inference_windows():
         assert np.array_equal(exo_b[0], exo_days[w:w + E].ravel())
         assert np.array_equal(truth[0], s.adjprc[w + E:w + cfg.min_series_length])
         # the training path's forecast, denormalised, is the inference op's
-        x, wmean, denom, _ = _standardise(adj, 1)
+        x, wmean, denom, _ = standardise(adj, 1)
         fore = model.stacks(ad.constant(x), ad.constant(exo_b)).data
         assert max_rel_err(fore * denom[:, None] + wmean[:, None], inference[w:w + 1]) < 1e-12
 
@@ -455,13 +449,13 @@ def test_rolling_forecast_overlap_averaging_counts():
     assert np.allclose(got, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("days,bound_mib", [(2400, 16), (9600, 28)])
+@pytest.mark.parametrize("days,bound_mib", [(2400, 16), (9600, 20)])
 def test_rolling_forecast_memory_linear_in_length(days, bound_mib):
     # memory must stay linear in the series length: at 2,400 days one dense
     # T x T operator is 44 MiB and an (N*H) x (N+H-1) one 800 MiB, and
     # nothing may stay allocated once the call returns.  Only one row block of
-    # the (N, 100*17) exogenous windows is copied, and each row block is
-    # denormalised on its own, so at 9,600 days no (N, 140) temporaries pile up
+    # the (N, 100*17) exogenous windows is copied, and each row block goes on to
+    # its median paths, so at 9,600 days no (N, 140) forecasts are held
     model = NhitsModel(NhitsConfig(), seed=0)
     series = dataio.synth_gbm(1, days, 60.0, 0.0, 0.01, seed=6)[0]
     tracemalloc.start()
@@ -481,7 +475,8 @@ def test_rolling_forecast_memory_linear_in_length(days, bound_mib):
 def test_row_blocks_give_the_outputs_of_one_block(toy_model, n):
     # with no vjp to run, core takes the windows in near-equal row blocks of
     # ROW_BLOCK to 2 * ROW_BLOCK - 1 rows; recording runs them all as one
-    # block.  The stacks never block, with or without a vjp
+    # block.  The stacks never block, with or without a vjp.  The path compare
+    # alone is weak: adding the window means rounds most GEMM bit differences away
     cfg = toy_model.config
     fm, _ = _fm(60.0 * np.exp(np.cumsum(np.random.default_rng(n).normal(0, 0.01, n + 119))))
     rng = np.random.default_rng(n + 1)
@@ -497,6 +492,14 @@ def test_row_blocks_give_the_outputs_of_one_block(toy_model, n):
         runs.append((core.data, stacks.data))
     for blocked, whole in zip(*runs):
         assert np.array_equal(blocked, whole)
+    # below the denormalisation: the stacks over each of core's blocks give the
+    # rows of one pass over all of them
+    n_blocks = max(1, n // ROW_BLOCK)
+    for j in range(n_blocks):
+        rows = slice(n * j // n_blocks, n * (j + 1) // n_blocks)
+        with ad.no_record():
+            block = toy_model.stacks(ad.constant(x[rows]), ad.constant(exo[rows]))
+        assert np.array_equal(block.data, runs[0][1][rows])
 
 
 def test_window_views_give_the_outputs_of_window_copies(toy_model, monkeypatch):
@@ -516,7 +519,7 @@ def test_window_views_give_the_outputs_of_window_copies(toy_model, monkeypatch):
 
     monkeypatch.setattr(ad, "window_view", copying_window_view)
     copies = outputs()
-    assert calls  # the features, the windows and the head all took copies
+    assert calls  # the features, the windows and the vjp's head all took copies
     for got, want in zip(views, copies):
         assert np.array_equal(got, want)
 
