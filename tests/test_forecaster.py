@@ -280,6 +280,43 @@ def test_forecast_op_finite_differences_every_parent():
         assert np.array_equal(paths[i], model.core(ad.constant(arrays[0][i]), one_hot[i], 4).data)
 
 
+def test_rolling_median_op_finite_differences():
+    # the median head of core over six overlapping windows: wide random heads
+    # make the quantile sort permute, and the gradient flows to the features
+    # and to the head weights through the picked median and the overlap average
+    cfg = NhitsConfig(encoder_length=8, horizon=4, hidden_size=5, quantiles=(0.1, 0.5, 0.9))
+    model = NhitsModel(cfg, seed=4)
+    _randomise_heads(model, seed=4, scale=1.0)
+    rng = np.random.default_rng(4)
+    heads = [k for k in model.params if k.endswith("w3") or k.endswith("b3")]
+    head_arrays = [model.params[k].data.copy() for k in heads]
+    one_hot = np.eye(5)[np.arange(13) % 5]
+    w = rng.normal(size=9)  # 6 windows of a 4-day horizon cover 9 days
+
+    def f(ts):
+        model.params.update(zip(heads, ts[1:]))
+        return ad.tsum(ad.mul(model.core(ts[0], one_hot, 6), ad.constant(w)))
+
+    cont = rng.normal(size=(13, 12))
+    _check_op_gradients(f, [cont] + head_arrays)
+
+    # a batch of two series: lead (2,) puts the windows on axis 1
+    w2 = rng.normal(size=(2, 9))
+    one_hot2 = np.broadcast_to(one_hot, (2, 13, 5))
+
+    def f2(ts):
+        model.params.update(zip(heads, ts[1:]))
+        return ad.tsum(ad.mul(model.core(ts[0], one_hot2, 6), ad.constant(w2)))
+
+    batch = rng.normal(size=(2, 13, 12))
+    _check_op_gradients(f2, [batch] + head_arrays)
+    model.params.update((k, ad.Tensor(a, requires_grad=True)) for k, a in zip(heads, head_arrays))
+    paths = model.core(ad.constant(batch), one_hot2, 6).data
+    assert paths.shape == (2, 9)
+    for i in range(2):
+        assert np.array_equal(paths[i], model.core(ad.constant(batch[i]), one_hot, 6).data)
+
+
 @pytest.mark.parametrize("shape", [(6, 100), (100,)], ids=["6-series", "1-series"])
 def test_forward_equals_the_sorted_quantile_graph(shape):
     # forward, against the graph it replaced: the per-op forecast, reshape, sort,
