@@ -5,8 +5,8 @@ concatenated with a real (min-max scaled) log-return interval as the
 condition.  ``TcnGenerator.forward`` records the whole network as one graph
 node, kind ``tcn_generator``, with a numpy forward over time-major rows (one
 GEMM per tap, bias and leaky ReLU fused in) and a hand-written vjp that
-computes only what ``need`` asks for.  Noise and condition are data, not a
-parent, so the op has no input gradient; a critic step, run under
+computes only what ``need`` asks for.  Noise and condition come in as numpy
+arrays, not tensors, so the op has no input gradient; a critic step, run under
 ``no_record``, keeps nothing for the vjp.  The
 critic is a tanh MLP over the flattened (interval, condition) pair so that the
 gradient penalty's second-order pass stays inside the supported operation
@@ -86,16 +86,9 @@ def _positive_int(v) -> bool:
 
 @dataclass
 class ScaledInterval:
-    log_returns: np.ndarray          # scaled to [0,1] with the training bounds
+    log_returns: np.ndarray          # scaled to [0,1] with the training bounds; also the condition
     scale_bounds: tuple[float, float]
-    condition: np.ndarray            # the real scaled interval used as condition
-    p0: float                        # first price of the condition window
-
-    def __post_init__(self):
-        self.log_returns = np.asarray(self.log_returns, dtype=np.float64)
-        self.condition = np.asarray(self.condition, dtype=np.float64)
-        if self.log_returns.shape != self.condition.shape:
-            raise ValueError("interval and condition lengths differ")
+    p0: float                        # first price of the interval's window
 
 
 def series_log_returns(series: PriceSeries) -> np.ndarray:
@@ -133,7 +126,7 @@ def sample_intervals(series: PriceSeries, n: int, seed: int,
     out = []
     for s in starts:
         scaled = scale(returns[s:s + length], bounds)
-        out.append(ScaledInterval(scaled, bounds, scaled.copy(), float(series.adjprc[s])))
+        out.append(ScaledInterval(scaled, bounds, float(series.adjprc[s])))
     return out
 
 
@@ -175,22 +168,21 @@ class TcnGenerator:
         self.params["head.w"] = ad.Tensor(np.zeros((1, chans[-1], 1)), requires_grad=True)
         self.params["head.b"] = ad.Tensor(np.full(1, 0.5), requires_grad=True)
 
-    def forward(self, z_cond: Tensor) -> Tensor:
-        """(B, 2, L) noise+condition -> (B, L) scaled log returns, as one op.
+    def forward(self, z: np.ndarray, cond: np.ndarray) -> Tensor:
+        """(B, L) noise and (B, L) condition arrays -> (B, L) scaled log returns, as one op.
 
-        Recorded as ``tcn_generator`` with the parameters as parents; z_cond is
-        data (``GraphError`` if it requires grad).  Rows are time-major, row
-        t*B + b, so a causal tap that looks d steps back is the row block
+        Recorded as ``tcn_generator`` with the parameters as parents.  Rows are
+        time-major, row t*B + b with the noise and condition as its two
+        channels, so a causal tap that looks d steps back is the row block
         shifted by d*B: each layer is one GEMM per tap added into the output in
         place, with no padding and no im2col copy.
         """
         cfg = self.config
         L = cfg.interval_length
-        if z_cond.ndim != 3 or z_cond.shape[1:] != (2, L):
-            raise ad.ShapeError(f"tcn_generator: expected (B, 2, {L}) input, got {z_cond.shape}")
-        if ad.records((z_cond,)):
-            raise ad.GraphError("tcn_generator: no gradient flows to z_cond")
-        B = z_cond.shape[0]
+        if z.ndim != 2 or z.shape[1] != L or cond.shape != z.shape:
+            raise ad.ShapeError(f"tcn_generator: expected (B, {L}) noise and condition, "
+                                f"got {z.shape} and {cond.shape}")
+        B = z.shape[0]
         n = L * B
         names = [f"tcn{i}.{p}" for i in range(len(cfg.gen_kernels)) for p in "wb"]
         weights = tuple(self.params[k] for k in names + ["head.w", "head.b"])
@@ -198,7 +190,7 @@ class TcnGenerator:
         layers = [_tap_shifts(k, d, B, L) for k, d in zip(cfg.gen_kernels, cfg.gen_dilations)]
         layers.append(_tap_shifts(1, 1, B, L))  # the 1x1 head
         slope = cfg.leaky_slope
-        h = np.ascontiguousarray(z_cond.data.transpose(2, 0, 1)).reshape(n, 2)
+        h = np.stack([z.T, cond.T], axis=-1).reshape(n, 2)
         inputs, factors = [], []
         for i, taps in enumerate(layers):
             w, b = weights[2 * i].data, weights[2 * i + 1].data
@@ -372,14 +364,13 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
                 for step in range(steps_per_epoch):
                     batch = intervals[step * cfg.batch_size:(step + 1) * cfg.batch_size]
                     real = np.stack([iv.log_returns for iv in batch])
-                    cond = np.stack([iv.condition for iv in batch])
+                    cond = real  # each real interval is its own condition
                     p0s = np.array([iv.p0 for iv in batch])
                     z = rng.standard_normal(real.shape)
 
                     # critic step on detached generator output
                     with ad.no_record():
-                        zc = np.stack([z, cond], axis=1)
-                        fake_np = gen.forward(ad.constant(zc)).data
+                        fake_np = gen.forward(z, cond).data
                     real_flat = np.concatenate([real, cond], axis=1)
                     fake_flat = np.concatenate([fake_np, cond], axis=1)
                     loss_c = ad.sub(ad.tmean(crit.forward(ad.constant(fake_flat))),
@@ -399,8 +390,7 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
                     # counted across epoch boundaries
                     if global_step % cfg.critic_iters == 0:
                         z2 = rng.standard_normal(real.shape)
-                        zc2 = np.stack([z2, cond], axis=1)
-                        fake = gen.forward(ad.constant(zc2))
+                        fake = gen.forward(z2, cond)
                         flat = ad.concat([fake, ad.constant(cond)], axis=1)
                         crit_score = ad.tmean(crit.forward(flat))
                         adv = _forecaster_slope_loss(model, fake, p0s, bounds, cfg)
@@ -484,11 +474,11 @@ def evaluate_gan(bundle: GanBundle, series: PriceSeries, model: NhitsModel | Non
 def generate(bundle: GanBundle, conditions: list[ScaledInterval], seed: int) -> np.ndarray:
     """Seeded synthesis: one scaled 99-return interval per condition, (n, L)."""
     cfg = bundle.config
-    cond = np.stack([iv.condition for iv in conditions])
+    cond = np.stack([iv.log_returns for iv in conditions])
     if cond.shape[1] != cfg.interval_length:
         raise ValueError(f"condition length {cond.shape[1]} != {cfg.interval_length}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(cond.shape)
     with ad.no_record():
-        out = bundle.generator.forward(ad.constant(np.stack([z, cond], axis=1)))
+        out = bundle.generator.forward(z, cond)
     return out.data

@@ -2,14 +2,14 @@
 
 All ten methods share one loop: recompute the features from the current
 prices (so gradients reach the raw series), run the rolling forecast, take a
-loss on the averaged median path and backpropagate to the loop's leaf.  The
-sign methods step the prices by ``step * sign(gradient)`` and clamp them into
-the epsilon ball around the original series; the C&W variants take plain
-gradient steps on an additive noise vector under an L2-norm penalty, with no
-clamp.  The L1 methods measure the distance to a target path and the slope
-methods (GSA, LSSA, CW_GSA, CW_LSSA) take an objective on the forecast's
-slope.  The first iteration runs on the clean prices: its forecast is the
-unattacked path.
+loss on the averaged median path and its gradient with respect to the loop's
+leaf alone: the prices, or the C&W noise.  The sign methods step the prices by
+``step * sign(gradient)`` and clamp them into the epsilon ball around the
+original series; the C&W variants take plain gradient steps on an additive
+noise vector under an L2-norm penalty, with no clamp.  The L1 methods measure
+the distance to a target path and the slope methods (GSA, LSSA, CW_GSA,
+CW_LSSA) take an objective on the forecast's slope.  The first iteration runs
+on the clean prices: its forecast is the unattacked path.
 
 Methods: FGSM, BIM, MIFGSM, SIM, TIM, GSA, LSSA, CW, CW_GSA, CW_LSSA.
 """
@@ -220,7 +220,7 @@ def _loss_builder(cfg: AttackConfig, window: PriceSeries, eps: float, encoder: i
 
 
 def _run_iterative(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
-                   loss_fn, eps: float, iters: int, on_iteration=None):
+                   loss_fn, eps: float, iters: int):
     """Returns (x_adv, trace, path_before, l2_norm); the C&W leaf is the noise
     eta (prices = adj + eta) and its loss ||eta||_2 + lambda * loss_fn."""
     adj = window.adjprc
@@ -252,13 +252,7 @@ def _run_iterative(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
         if not np.isfinite(lval):
             raise NumericalError(f"{cfg.method}: loss became non-finite at iteration {i}")
         trace.append((i, lval, slope))
-        if on_iteration is None:
-            grad = ad.gradient(loss, leaf).data
-        else:
-            gleaf, gpath = ad.gradients(loss, [leaf, path])
-            grad = leaf.grad = gleaf.data
-            path.grad = gpath.data
-            on_iteration(i, path, leaf)
+        grad = ad.gradient(loss, leaf).data
         if cw:
             eta = eta - cw_step * grad
             continue
@@ -277,24 +271,20 @@ def _run_iterative(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
     return x, trace, path_before, None
 
 
-def run_attack(series: PriceSeries, model: NhitsModel, config: AttackConfig,
-               on_iteration=None) -> AttackResult:
+def run_attack(series: PriceSeries, model: NhitsModel, config: AttackConfig) -> AttackResult:
     """Attack the first 300 days (or the whole series if shorter).
 
     Every iterative method's output satisfies max|x_adv - adjprc| <= eps; the
     C&W variants are unconstrained and report the L2 norm of their noise.
     Each iteration differentiates only with respect to its leaf (the prices,
-    or the C&W noise), so the forecaster's ``grad`` buffers are never written.
-    ``on_iteration(i, path, leaf)``, if given, is called after every
-    iteration's gradient for every method, with the loss gradient in
-    ``path.grad`` (median path) and ``leaf.grad``.
+    or the C&W noise), so no product reaches the forecaster's weights.
     """
     window = _attack_window(series, model)
     eps = eps_abs(window, config.eps_pct)
     encoder = model.config.encoder_length
     loss_fn = _loss_builder(config, window, eps, encoder)
     x_adv, trace, path_before, l2 = _run_iterative(window, model, config, loss_fn, eps,
-                                                   config.resolved_iters(), on_iteration)
+                                                   config.resolved_iters())
     with ad.no_record():
         path_after = _predict_path(model, ad.constant(x_adv), window.dates).data.copy()
     truth = window.adjprc[encoder:]

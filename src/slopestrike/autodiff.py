@@ -7,8 +7,8 @@ graph in reverse topological order.  ``gradient``/``gradients`` return the
 gradients of the tensors they are given, and the sweep computes only the
 vector-Jacobian products that reach one of them, so a caller that needs a
 subset (an attack's price gradient, a generator's parameters) skips every other
-product.  The engine never writes ``Tensor.grad``; callers may store a gradient
-there.  A restricted subset of operations additionally supports building the
+product.  Tensors carry no gradient slot: a gradient is only ever a return
+value.  A restricted subset of operations additionally supports building the
 backward pass itself as a differentiable graph (``create_graph=True``), which
 is what the Wasserstein gradient penalty needs.  Ops that only the test oracles
 build (``div``, ``unfold``, ``fold``, ``ema``, ``sort_last``) live in
@@ -85,17 +85,13 @@ class Node:
 
 
 class Tensor:
-    """Dense float64 tensor with an optional graph node.
+    """Dense float64 tensor with an optional graph node and no gradient slot."""
 
-    ``grad`` is a slot for a caller's gradient (``run_attack`` stores its
-    price and median-path gradients there); the engine never fills it."""
-
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self.node: Node | None = None
 
     # -- bookkeeping ------------------------------------------------------
@@ -651,7 +647,7 @@ def _run_backward(root: Tensor, create_graph: bool, sinks: list[Tensor]) -> dict
 
 
 def gradients(root: Tensor, wrt: list[Tensor], create_graph: bool = False) -> list[Tensor]:
-    """Return d(root)/d(t) for each tensor in ``wrt`` without touching ``grad`` buffers.
+    """Return d(root)/d(t) for each tensor in ``wrt``.
 
     ``wrt`` may hold interior tensors as well as leaves.  Only the products
     that reach a tensor in ``wrt`` are computed.  Without ``create_graph`` the

@@ -450,7 +450,7 @@ COMMANDS = {
                                  ("--bundle", "--data", "--ticker?", ("n", int, 2000, Bounds(1)),
                                   "--out")),
     ("eval",): Command(cmd_eval, "eval", ("--data", "--bundle", "--checkpoint?", "--outdir"), (
-        ("ticker", str, None), ("n", int, 2000, Bounds(1)))),
+        ("ticker", str, None), ("n", int, 2000, Bounds(2)))),
 }
 GROUP_HELP = {"defend": "discriminator and integrity tooling",
               "gan": "adversarial GAN training and generation"}

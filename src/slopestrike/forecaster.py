@@ -569,8 +569,7 @@ def _mean_loss(model: NhitsModel, starts, prices, exo) -> float:
 
 
 def train(train_series: list[PriceSeries], val_series: list[PriceSeries],
-          config: NhitsConfig, seed: int = 0,
-          init_model: NhitsModel | None = None):
+          config: NhitsConfig, seed: int = 0):
     """Minibatch gradient descent with decoupled weight decay and early stopping.
 
     Returns (model, log) where log rows are (epoch, train_loss, val_loss).
@@ -580,7 +579,7 @@ def train(train_series: list[PriceSeries], val_series: list[PriceSeries],
     for s in train_series + val_series:
         if len(s) < cfg.min_series_length:
             raise ValueError(f"{s.ticker}: {len(s)} days < {cfg.min_series_length}")
-    model = init_model if init_model is not None else NhitsModel(cfg, seed=seed)
+    model = NhitsModel(cfg, seed=seed)
     prices, exo, (train_starts, val_starts) = _series_days(model, [train_series, val_series])
 
     rng = np.random.default_rng(seed)

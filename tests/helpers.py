@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences and a corpus of random small graphs.
+"""Shared test oracles: finite differences, a corpus of random small graphs and
+the median-path gradient of an attack iteration.
 
 The oracles here deliberately avoid the library's backward pass so gradient
 tests stay two-sided.
@@ -9,6 +10,7 @@ import datetime as dt
 import numpy as np
 
 from slopestrike import autodiff as ad
+from slopestrike.attacks import _loss_builder, _predict_path, eps_abs
 from graph_ops import div, ema, fold, sort_last, unfold
 from slopestrike.dataio import business_days
 from slopestrike.features import FeatureMatrix, compute_features
@@ -232,11 +234,15 @@ def _builders():
 
 
 def random_graph_cases(n, seed=20240501):
-    """Yield (forward_fn, input_arrays) pairs, kink-safe for finite differences."""
-    rng = np.random.default_rng(seed)
+    """Yield (forward_fn, input_arrays) pairs, kink-safe for finite differences.
+
+    Case i draws from its own generator, seeded (seed, i), so a builder that
+    draws more or fewer numbers moves no other case's inputs.
+    """
     builders = _builders()
     cases = []
     for i in range(n):
+        rng = np.random.default_rng([seed, i])
         shapes, f = builders[i % len(builders)](rng)
         arrays = []
         for shp in shapes:
@@ -264,10 +270,13 @@ def leaky(h, slope):
     return ad.sub(ad.relu(h), ad.mul(ad.relu(ad.mul(h, -1.0)), slope))
 
 
-def tcn_generator_reference(gen, z_cond):
-    """``TcnGenerator.forward`` built from primitive ops: conv1d, channel_bias, leaky."""
+def tcn_generator_reference(gen, z, cond):
+    """``TcnGenerator.forward`` built from primitive ops: conv1d, channel_bias, leaky.
+
+    The (B, L) noise and condition become the two channels of a (B, 2, L) input.
+    """
     cfg = gen.config
-    h = z_cond
+    h = ad.constant(np.stack([z, cond], axis=1))
     for i, dil in enumerate(cfg.gen_dilations):
         h = ad.conv1d(h, gen.params[f"tcn{i}.w"], dilation=dil)
         h = leaky(ad.channel_bias(h, gen.params[f"tcn{i}.b"]), cfg.leaky_slope)
@@ -378,3 +387,17 @@ def rolling_median_reference(out, cfg, lead=()):
     days = len(lead)
     n_days = med.shape[days] + cfg.horizon - 1
     return div(fold(med, n_days, days), fold(ad.constant(np.ones(med.shape)), n_days, days))
+
+
+def attack_path_gradient(model, cfg, window, prices):
+    """d(loss)/d(median path) of one ``cfg`` attack iteration at ``prices``.
+
+    Builds the graph an iteration of the attack loop builds on ``window``: a
+    prices leaf, the rolling median path and the method's objective.
+    """
+    x = ad.Tensor(prices, requires_grad=True)
+    path = _predict_path(model, x, window.dates)
+    loss_fn = _loss_builder(cfg, window, eps_abs(window, cfg.eps_pct),
+                            model.config.encoder_length)
+    loss, _ = loss_fn(path)
+    return ad.gradients(loss, [path])[0].data

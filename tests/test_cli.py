@@ -541,10 +541,12 @@ def test_run_manifest_records_input_digests(tmp_path, monkeypatch):
     (("synth", "--n-series", "0"), "n-series must be >= 1, got 0"),
     (("synth", "--n-series", "-2"), "n-series must be >= 1, got -2"),
     (("synth", "--n-days", "1"), "n-days must be >= 120, got 1"),
-    (("eval", "--n", "0"), "n must be >= 1, got 0"),
+    (("eval", "--n", "0"), "n must be >= 2, got 0"),
     (("gan", "generate", "--n", "0"), "n must be >= 1, got 0"),
     (("defend", "train", "--holdout", "1.0"), "holdout must be in (0, 1), got 1"),
     (("defend", "train", "--epochs", "0"), "epochs must be >= 1, got 0"),
+    # the MMD compares two intervals or more, so one interval is a usage error
+    (("eval", "--n", "1"), "n must be >= 2, got 1"),
 ])
 def test_out_of_range_settings_exit_2_before_creating_or_reading(tmp_path, argv, words, capsys):
     missing = tmp_path / "missing"  # no input file exists: the settings are checked first

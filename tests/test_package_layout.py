@@ -113,3 +113,97 @@ def test_the_check_sees_public_api_that_only_tests_call(tmp_path):
     user.write_text('from lib import Model\nModel().run()\nTARGETS = [("lib", "by_string")]\n')
     assert _unnamed_public_api([lib], [lib, user]) == ["lib.Model.unused_method",
                                                        "lib.used_in_docstring_only"]
+
+
+# cli.main's argv: the console script calls main() with none, and the tests
+# drive the entry point through it
+_UNPASSED_DEFAULT_EXEMPT = {("main", "argv")}
+
+
+def _defaulted_parameters(path: Path) -> list[tuple[str, str, str, int | None]]:
+    """(call name, parameter, where, position) of each defaulted parameter of a
+    function or method; the call name of ``__init__`` is its class's, and the
+    position (None: keyword-only) does not count ``self`` or ``cls``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {id(m): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for m in cls.body if isinstance(m, ast.FunctionDef)}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        cls = owner.get(id(fn))
+        skip = 0 if cls is None else 1
+        name = cls.name if cls is not None and fn.name == "__init__" else fn.name
+        where = f"{path.stem}.{cls.name + '.' if cls else ''}{fn.name}"
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        found += [(name, p.arg, where, i - skip) for i, p in enumerate(positional) if i >= first]
+        found += [(name, p.arg, where, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                  if d is not None]
+    return found
+
+
+def _calls_and_references(paths: list[Path]) -> tuple[dict[str, list[ast.Call]], set[str]]:
+    """The calls of each callee name, and every name used other than as a callee."""
+    calls, referenced = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callees.add(id(node.func))
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+        for node in ast.walk(tree):
+            if id(node) in callees:
+                continue
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return calls, referenced
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return True  # *args or **kwargs may pass anything
+    return ((position is not None and len(call.args) > position)
+            or any(k.arg == param for k in call.keywords))
+
+
+def _unpassed_defaults(package: list[Path], callers: list[Path]) -> list[str]:
+    """Defaulted parameters of the package that no call in ``callers`` passes,
+    by position or keyword.  Calls are matched by name, and a function named
+    other than as a callee is skipped: its caller is not visible."""
+    calls, referenced = _calls_and_references(callers)
+    return sorted(f"{where}:{param}" for path in package
+                  for name, param, where, position in _defaulted_parameters(path)
+                  if name not in referenced and (name, param) not in _UNPASSED_DEFAULT_EXEMPT
+                  and not any(_passes(c, param, position) for c in calls.get(name, ())))
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    package = sorted(PACKAGE.glob("*.py"))
+    tests = Path(__file__).parent
+    callers = package + sorted(PERFBENCH.glob("*.py")) + [tests / "helpers.py",
+                                                          tests / "graph_ops.py"]
+    assert len(package) > 5 and all(path.exists() for path in callers)
+    unpassed = _unpassed_defaults(package, callers)
+    assert not unpassed, unpassed
+
+
+def test_the_check_sees_a_default_no_caller_passes(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class Model:\n"
+                   "    def __init__(self, seed=0, scale=1.0):\n        pass\n"
+                   "    def run(self, x, hook=None, *, log=False):\n        pass\n"
+                   "def chart(path, width=900, title=''):\n    pass\n"
+                   "def callback(value=1):\n    pass\n"
+                   "def main(argv=None):\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("m = Model(3)\nm.run(1, log=True)\nchart('a.svg', title='t')\n"
+                    "handlers = [callback]\n")
+    assert _unpassed_defaults([lib], [lib, user]) == [
+        "lib.Model.__init__:scale", "lib.Model.run:hook", "lib.chart:width"]
