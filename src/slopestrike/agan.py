@@ -12,8 +12,9 @@ critic is a tanh MLP over the flattened (interval, condition) pair so that the
 gradient penalty's second-order pass stays inside the supported operation
 subset.  A frozen forecaster acts as a second critic: the whole batch of
 generated returns is converted back to prices and forecast in one graph, and
-each forecast's least-squares slope is pushed positive.  Training runs in
-transfer-learning blocks with a rising adversarial scale.
+each forecast's least-squares slope is pushed positive, through the attacks'
+slope loss and its constants.  Training runs in transfer-learning blocks with a
+rising adversarial scale.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import datetime as dt
 import logging
 from dataclasses import dataclass, asdict
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .dataio import (PriceSeries, business_days, save_checkpoint, load_model_che
                      CheckpointError)
 from .features import compute_features
 from .forecaster import NhitsModel, NumericalError
-from .attacks import general_slope_value, ls_slope, ls_slope_value, slope_loss
+from .attacks import AttackConfig, general_slope_value, ls_slope, ls_slope_value, slope_loss
 
 logger = logging.getLogger(__name__)
 
@@ -39,32 +41,30 @@ _PRICE_DATES = business_days(dt.date(2020, 1, 6), 200)
 
 @dataclass
 class GanConfig:
+    lambda_gp: ClassVar[float] = 1.0
+    gp_apply_prob: ClassVar[float] = 0.6
+    c: ClassVar[float] = AttackConfig.c
+    d: ClassVar[float] = AttackConfig.d
+    leaky_slope: ClassVar[float] = 0.2
+    critic_hidden: ClassVar[tuple[int, ...]] = (128, 64)
     interval_length: int = 99
     batch_size: int = 32
     samples_per_epoch: int = 512
     critic_iters: int = 5
-    lambda_gp: float = 1.0
-    gp_apply_prob: float = 0.6
     lr_g: float = 1e-4
     lr_c: float = 1e-4
     adv_scale_schedule: tuple[float, ...] = (0.25, 0.25, 0.3, 0.35, 0.35)
     epochs_per_block: tuple[int, ...] = (50, 50, 50, 50, 50)
-    c: float = 5.0
-    d: float = 2.0
     gen_hidden: tuple[int, ...] = (64, 128, 64, 32)
     gen_kernels: tuple[int, ...] = (3, 5, 5, 3)
     gen_dilations: tuple[int, ...] = (1, 2, 4, 8)
-    leaky_slope: float = 0.2
-    critic_hidden: tuple[int, ...] = (128, 64)
 
     def __post_init__(self):
         for name in ("adv_scale_schedule", "epochs_per_block", "gen_hidden",
-                     "gen_kernels", "gen_dilations", "critic_hidden"):
+                     "gen_kernels", "gen_dilations"):
             setattr(self, name, tuple(getattr(self, name)))
         if len(self.adv_scale_schedule) != len(self.epochs_per_block):
             raise ValueError("adv_scale_schedule and epochs_per_block lengths differ")
-        if not (0.0 <= self.gp_apply_prob <= 1.0):
-            raise ValueError(f"gp_apply_prob must be in [0,1], got {self.gp_apply_prob}")
         if any(a <= 0 for a in self.adv_scale_schedule):
             raise ValueError(f"adv_scale_schedule must be positive, got {self.adv_scale_schedule}")
         if not _positive_int(self.samples_per_epoch):
@@ -76,8 +76,6 @@ class GanConfig:
                 raise ValueError(f"{name} must hold positive ints, got {getattr(self, name)}")
         if not (_positive_int(self.interval_length) and self.interval_length >= 2):
             raise ValueError(f"interval_length must be an int >= 2, got {self.interval_length}")
-        if not (0.0 <= self.leaky_slope <= 1.0):
-            raise ValueError(f"leaky_slope must be in [0,1], got {self.leaky_slope}")
 
 
 def _positive_int(v) -> bool:
@@ -342,9 +340,6 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
         raise ValueError(f"{series.ticker}: too short for {cfg.interval_length}-return windows")
     bounds = scale_bounds(series)
     snapshot = model.param_bytes()
-    grad_flags = {k: p.requires_grad for k, p in model.params.items()}
-    for p in model.params.values():
-        p.requires_grad = False
 
     gen = TcnGenerator(cfg, seed=seed)
     crit = MlpCritic(cfg, seed=seed + 1)
@@ -354,61 +349,56 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
     steps_per_epoch = max(1, cfg.samples_per_epoch // cfg.batch_size)
     global_step = 0
 
-    try:
-        for block, (alpha, n_epochs) in enumerate(zip(cfg.adv_scale_schedule,
-                                                      cfg.epochs_per_block)):
-            for epoch in range(n_epochs):
-                intervals = sample_intervals(series, cfg.samples_per_epoch,
-                                             seed=int(rng.integers(2 ** 31)), length=L)
-                c_losses, g_losses, a_losses = [], [], []
-                for step in range(steps_per_epoch):
-                    batch = intervals[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-                    real = np.stack([iv.log_returns for iv in batch])
-                    cond = real  # each real interval is its own condition
-                    p0s = np.array([iv.p0 for iv in batch])
-                    z = rng.standard_normal(real.shape)
+    for block, (alpha, n_epochs) in enumerate(zip(cfg.adv_scale_schedule, cfg.epochs_per_block)):
+        for epoch in range(n_epochs):
+            intervals = sample_intervals(series, cfg.samples_per_epoch,
+                                         seed=int(rng.integers(2 ** 31)), length=L)
+            c_losses, g_losses, a_losses = [], [], []
+            for step in range(steps_per_epoch):
+                batch = intervals[step * cfg.batch_size:(step + 1) * cfg.batch_size]
+                real = np.stack([iv.log_returns for iv in batch])
+                cond = real  # each real interval is its own condition
+                p0s = np.array([iv.p0 for iv in batch])
+                z = rng.standard_normal(real.shape)
 
-                    # critic step on detached generator output
-                    with ad.no_record():
-                        fake_np = gen.forward(z, cond).data
-                    real_flat = np.concatenate([real, cond], axis=1)
-                    fake_flat = np.concatenate([fake_np, cond], axis=1)
-                    loss_c = ad.sub(ad.tmean(crit.forward(ad.constant(fake_flat))),
-                                    ad.tmean(crit.forward(ad.constant(real_flat))))
-                    if rng.random() < cfg.gp_apply_prob:
-                        x_hat = interpolate(real_flat, fake_flat, rng)
-                        loss_c = ad.add(loss_c, ad.mul(gradient_penalty(crit.forward, x_hat),
-                                                       cfg.lambda_gp))
-                    cval = loss_c.item()
-                    if not np.isfinite(cval):
-                        raise NumericalError(f"critic loss non-finite (block {block}, epoch {epoch})")
-                    ad.sgd_step(crit.params, loss_c, cfg.lr_c)
-                    c_losses.append(cval)
-                    global_step += 1
+                # critic step on detached generator output
+                with ad.no_record():
+                    fake_np = gen.forward(z, cond).data
+                real_flat = np.concatenate([real, cond], axis=1)
+                fake_flat = np.concatenate([fake_np, cond], axis=1)
+                loss_c = ad.sub(ad.tmean(crit.forward(ad.constant(fake_flat))),
+                                ad.tmean(crit.forward(ad.constant(real_flat))))
+                if rng.random() < cfg.gp_apply_prob:
+                    x_hat = interpolate(real_flat, fake_flat, rng)
+                    loss_c = ad.add(loss_c, ad.mul(gradient_penalty(crit.forward, x_hat),
+                                                   cfg.lambda_gp))
+                cval = loss_c.item()
+                if not np.isfinite(cval):
+                    raise NumericalError(f"critic loss non-finite (block {block}, epoch {epoch})")
+                ad.sgd_step(crit.params, loss_c, cfg.lr_c)
+                c_losses.append(cval)
+                global_step += 1
 
-                    # one generator update per critic_iters critic updates,
-                    # counted across epoch boundaries
-                    if global_step % cfg.critic_iters == 0:
-                        z2 = rng.standard_normal(real.shape)
-                        fake = gen.forward(z2, cond)
-                        flat = ad.concat([fake, ad.constant(cond)], axis=1)
-                        crit_score = ad.tmean(crit.forward(flat))
-                        adv = _forecaster_slope_loss(model, fake, p0s, bounds, cfg)
-                        loss_g = ad.add(ad.mul(crit_score, -1.0), ad.mul(adv, alpha))
-                        gval, aval = loss_g.item(), adv.item()
-                        if not np.isfinite(gval):
-                            raise NumericalError(
-                                f"generator loss non-finite (block {block}, epoch {epoch})")
-                        ad.sgd_step(gen.params, loss_g, cfg.lr_g)
-                        g_losses.append(gval)
-                        a_losses.append(aval)
-                log.append((block, epoch,
-                            float(np.mean(c_losses)),
-                            float(np.mean(g_losses)) if g_losses else np.nan,
-                            float(np.mean(a_losses)) if a_losses else np.nan))
-    finally:
-        for k, p in model.params.items():
-            p.requires_grad = grad_flags[k]
+                # one generator update per critic_iters critic updates,
+                # counted across epoch boundaries
+                if global_step % cfg.critic_iters == 0:
+                    z2 = rng.standard_normal(real.shape)
+                    fake = gen.forward(z2, cond)
+                    flat = ad.concat([fake, ad.constant(cond)], axis=1)
+                    crit_score = ad.tmean(crit.forward(flat))
+                    adv = _forecaster_slope_loss(model, fake, p0s, bounds, cfg)
+                    loss_g = ad.add(ad.mul(crit_score, -1.0), ad.mul(adv, alpha))
+                    gval, aval = loss_g.item(), adv.item()
+                    if not np.isfinite(gval):
+                        raise NumericalError(
+                            f"generator loss non-finite (block {block}, epoch {epoch})")
+                    ad.sgd_step(gen.params, loss_g, cfg.lr_g)
+                    g_losses.append(gval)
+                    a_losses.append(aval)
+            log.append((block, epoch,
+                        float(np.mean(c_losses)),
+                        float(np.mean(g_losses)) if g_losses else np.nan,
+                        float(np.mean(a_losses)) if a_losses else np.nan))
     if model.param_bytes() != snapshot:
         raise NumericalError("forecaster parameters changed during GAN training")
     return GanBundle(gen, crit, cfg, bounds), log

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,12 +43,12 @@ CW_STEP_FACTOR = 0.01        # C&W gradient-descent step = factor * median price
 
 @dataclass
 class AttackConfig:
+    c: ClassVar[float] = 5.0     # slope loss c * exp(-t*d*m)
+    d: ClassVar[float] = 2.0
     method: str
     eps_pct: float = 2.0
     iters: int | None = None     # None -> per-method default
     target_dir: int = 1          # t in {-1, 0, +1}
-    c: float = 5.0
-    d: float = 2.0
     mu: float = 0.35             # MI-FGSM decay
     gamma: float | None = None   # TIM margin; None -> epsilon
     lambda_cw: float = 20.0      # C&W trade-off, desk-tuned

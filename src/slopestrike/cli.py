@@ -24,6 +24,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, NamedTuple
+from urllib.parse import quote
 
 import numpy as np
 
@@ -223,13 +224,14 @@ def cmd_attack(settings) -> int:
             a = result.after
             rows.append((s.ticker, method, eps, a["mae"], a["rmse"], a["mape"],
                          a["gen_slope"], a["ls_slope"]))
-            _write_csv(traces_dir / f"trace_{s.ticker}_{method}_{_fmt(eps)}.csv",
-                       ("iter", "loss", "slope"), result.trace)
+            # percent-encoded: a '/' makes no directory, no two tickers share a stem
+            stem = f"{quote(s.ticker, safe='')}_{method}_{_fmt(eps)}"
+            _write_csv(traces_dir / f"trace_{stem}.csv", ("iter", "loss", "slope"), result.trace)
             if settings["plots"]:
                 enc = model.config.encoder_length
                 days = np.arange(enc, enc + len(result.path_before))
                 svgplot.line_chart(
-                    outdir / f"overlay_{s.ticker}_{method}_{_fmt(eps)}.svg",
+                    outdir / f"overlay_{stem}.svg",
                     [("truth", days, s.adjprc[enc:enc + len(days)]),
                      ("normal forecast", days, result.path_before),
                      ("attacked forecast", days, result.path_after)],
@@ -271,7 +273,7 @@ def cmd_defend_train(settings) -> int:
     for s in series:
         if len(s) < n_in:
             raise DataError(f"{s.ticker}: need {n_in} days for the discriminator input")
-        result = run_attack(s.head(n_in), model, acfg)
+        result = run_attack(s, model, acfg)
         real.append(s.adjprc[:n_in])
         attacked.append(result.x_adv.adjprc)
     hold = sorted(order[:n_hold].tolist())

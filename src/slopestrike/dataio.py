@@ -8,6 +8,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
+from typing import ClassVar, get_origin, get_type_hints
 
 import numpy as np
 
@@ -209,14 +210,23 @@ def load_model_checkpoint(path, kind: str, label: str, config_cls, build):
 
     ``build(config)`` makes the model and returns it with its parameter dicts,
     keyed by the prefix their checkpoint names carry.  The model kind, the
-    config (``config_cls`` of the saved fields) and every parameter's name and
-    shape are checked; any mismatch is a ``CheckpointError``.
+    config (``config_cls`` of the saved settings) and every parameter's name and
+    shape are checked; any mismatch is a ``CheckpointError``.  A saved setting
+    that ``config_cls`` declares as a ``ClassVar`` (older checkpoints name some)
+    must equal it, compared as JSON, and is dropped before the config is built.
     """
     arrays, arch = load_checkpoint(path)
     if arch.get("model") != kind:
         raise CheckpointError(f"{path}: not a {label} checkpoint")
+    fixed = {name: getattr(config_cls, name) for name, hint in get_type_hints(config_cls).items()
+             if get_origin(hint) is ClassVar}
     try:
-        model, groups = build(config_cls(**arch["config"]))
+        saved = {**arch["config"]}  # a TypeError unless a JSON object
+        changed = [k for k in saved if k in fixed and json.dumps(saved[k]) != json.dumps(fixed[k])]
+        if changed:
+            raise ValueError(", ".join(f"{k}={saved[k]}" for k in changed) + " are not supported; "
+                             f"the {label} fixes " + ", ".join(f"{k}={fixed[k]}" for k in changed))
+        model, groups = build(config_cls(**{k: v for k, v in saved.items() if k not in fixed}))
     except (TypeError, ValueError, KeyError) as exc:
         raise CheckpointError(f"{path}: bad {label} config: {exc}") from exc
     expected = {prefix + k: p.shape for prefix, params in groups.items() for k, p in params.items()}

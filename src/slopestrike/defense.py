@@ -1,9 +1,11 @@
 """Defences: an adversarial-input discriminator and a directory integrity manifest.
 
 The discriminator is a small CNN over per-series standardised 300-day price
-windows; it outputs the probability that the window was tampered with.  The
-manifest is a sorted list of SHA-256 file digests plus a root digest, used to
-detect any modification of a deployed model directory before inference.
+windows, the windows the attacks perturb; it outputs the probability that the
+window was tampered with.  Its architecture is fixed: only the learning rate
+and the epoch count are settings.  The manifest is a sorted list of SHA-256
+file digests plus a root digest, used to detect any modification of a
+deployed model directory before inference.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ import hashlib
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import autodiff as ad
+from .attacks import ATTACK_WINDOW
 from .autodiff import Tensor
 from .dataio import save_checkpoint, load_model_checkpoint
 from .forecaster import NumericalError, standardise
@@ -27,24 +31,18 @@ PROB_EPS = 1e-7  # BCE clamp
 
 @dataclass
 class DiscriminatorConfig:
-    conv_channels: tuple[int, int, int] = (16, 32, 16)
-    kernel: int = 5
-    dropout: float = 0.2
+    conv_channels: ClassVar[tuple[int, int, int]] = (16, 32, 16)
+    kernel: ClassVar[int] = 5
+    dropout: ClassVar[float] = 0.2
+    weight_decay: ClassVar[float] = 1e-5
+    batch_size: ClassVar[int] = 32
+    input_length: ClassVar[int] = ATTACK_WINDOW  # it scores the windows the attacks perturb
     lr: float = 1e-4
-    weight_decay: float = 1e-5
-    batch_size: int = 32
     epochs: int = 200
-    input_length: int = 300
 
     def __post_init__(self):
-        self.conv_channels = tuple(int(c) for c in self.conv_channels)
-        if len(self.conv_channels) != 3:
-            raise ValueError("conv_channels must list exactly 3 conv layers")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError(f"dropout must be in [0,1), got {self.dropout}")
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def _standardised_windows(windows, length: int) -> np.ndarray:
@@ -108,7 +106,7 @@ class Discriminator:
             h = ad.channel_bias(h, self.params[f"conv{i}.b"])
             h = ad.relu(h)
             h = ad.maxpool1d(h, 2)
-            if dropout_rng is not None and self.config.dropout > 0.0:
+            if dropout_rng is not None:
                 keep = 1.0 - self.config.dropout
                 mask = (dropout_rng.random(h.shape) < keep) / keep
                 h = ad.mul(h, ad.constant(mask))

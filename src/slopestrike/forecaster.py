@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, asdict
+from typing import ClassVar
 
 import numpy as np
 
@@ -67,6 +68,9 @@ class NumericalError(Exception):
 
 @dataclass
 class NhitsConfig:
+    # the fixed input layout, which older checkpoints name
+    use_features: ClassVar[bool] = True
+    blocks_per_stack: ClassVar[int] = 1
     encoder_length: int = 100
     horizon: int = 20
     n_stacks: int = 3
@@ -116,15 +120,6 @@ class NhitsConfig:
     @property
     def min_series_length(self) -> int:
         return self.encoder_length + self.horizon
-
-
-def _saved_config(use_features=True, blocks_per_stack=1, **fields) -> NhitsConfig:
-    """A checkpoint's config.  Older checkpoints also name the input layout,
-    which is now fixed: features on and one block per stack."""
-    if use_features is not True or blocks_per_stack != 1:
-        raise ValueError(f"use_features={use_features} and blocks_per_stack={blocks_per_stack} "
-                         "are not supported; the forecaster needs true and 1")
-    return NhitsConfig(**fields)
 
 
 def _interp_matrix(knots: int, length: int) -> np.ndarray:
@@ -221,7 +216,7 @@ class NhitsModel:
             model = cls(config)
             return model, {"": model.params}
 
-        return load_model_checkpoint(path, "nhits", "forecaster", _saved_config, build)[0]
+        return load_model_checkpoint(path, "nhits", "forecaster", NhitsConfig, build)[0]
 
     def param_bytes(self) -> bytes:
         return b"".join(self.params[k].data.tobytes() for k in sorted(self.params))

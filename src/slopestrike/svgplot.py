@@ -5,6 +5,8 @@ Deterministic output: fixed palette, fixed float formatting, no timestamps.
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -27,7 +29,7 @@ def line_chart(path, series, title: str = "", x_label: str = "", y_label: str = 
 
     ``series`` is a list of (label, xs, ys) tuples.
     """
-    norm = [(str(label), np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    norm = [(escape(str(label)), np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
             for label, xs, ys in series]
     if not norm:
         raise ValueError("no series to plot")
@@ -55,7 +57,7 @@ def line_chart(path, series, title: str = "", x_label: str = "", y_label: str = 
            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
     if title:
         out.append(f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{title}</text>')
+                   f'font-family="sans-serif" font-size="15">{escape(title)}</text>')
     # axes
     out.append(f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
                f'y2="{HEIGHT - MARGIN}" stroke="black" stroke-width="1"/>')
@@ -69,11 +71,11 @@ def line_chart(path, series, title: str = "", x_label: str = "", y_label: str = 
                    f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>')
     if x_label:
         out.append(f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12">{x_label}</text>')
+                   f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>')
     if y_label:
         out.append(f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="12" '
-                   f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">{y_label}</text>')
+                   f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">{escape(y_label)}</text>')
     # polylines and legend
     for i, (label, xs, ys) in enumerate(norm):
         color = PALETTE[i % len(PALETTE)]

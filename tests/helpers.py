@@ -1,5 +1,6 @@
 """Shared test oracles: finite differences, a corpus of random small graphs and
-the median-path gradient of an attack iteration.
+the median-path gradient of an attack iteration; and a checkpoint re-saved with
+the config settings an older version wrote.
 
 The oracles here deliberately avoid the library's backward pass so gradient
 tests stay two-sided.
@@ -12,9 +13,16 @@ import numpy as np
 from slopestrike import autodiff as ad
 from slopestrike.attacks import _loss_builder, _predict_path, eps_abs
 from graph_ops import div, ema, fold, sort_last, unfold
-from slopestrike.dataio import business_days
+from slopestrike.dataio import business_days, load_checkpoint, save_checkpoint
 from slopestrike.features import FeatureMatrix, compute_features
 from slopestrike.forecaster import NORM_EPS, NhitsConfig, NhitsModel, _interp_matrix
+
+
+def resaved_with(path, dst, **fields):
+    """The checkpoint at ``path`` saved again at ``dst`` with extra config fields."""
+    arrays, arch = load_checkpoint(path)
+    save_checkpoint(arrays, dst, {**arch, "config": {**arch["config"], **fields}})
+    return dst
 
 
 def finite_diff(fn, arrays, h=1e-5):

@@ -10,7 +10,7 @@ from slopestrike.agan import (
 )
 from slopestrike.attacks import general_slope_value, ls_slope, ls_slope_value, slope_loss
 from slopestrike.features import compute_features
-from helpers import finite_diff, max_rel_err, tcn_generator_reference
+from helpers import finite_diff, max_rel_err, resaved_with, tcn_generator_reference
 
 
 @pytest.fixture(scope="module")
@@ -198,11 +198,26 @@ def test_bundle_checkpoint_roundtrip(tmp_path, tiny_bundle, cond_stock):
     assert loaded.scale_bounds == bundle.scale_bounds
 
 
+def test_bundle_checkpoint_naming_the_fixed_settings_loads(tmp_path, tiny_bundle, cond_stock):
+    # an older version saved these settings in every GAN checkpoint, at the
+    # values the GAN now fixes
+    legacy = dict(lambda_gp=1.0, gp_apply_prob=0.6, c=5.0, d=2.0, leaky_slope=0.2,
+                  critic_hidden=[128, 64])
+    bundle, _, _ = tiny_bundle
+    path = tmp_path / "gan.ckpt"
+    bundle.save(path)
+    old = resaved_with(path, tmp_path / "old.ckpt", **legacy)
+    conds = sample_intervals(cond_stock, 4, seed=3)
+    assert np.array_equal(generate(GanBundle.load(old), conds, seed=1),
+                          generate(bundle, conds, seed=1))
+    other = resaved_with(path, tmp_path / "other.ckpt", **{**legacy, "leaky_slope": 0.1})
+    with pytest.raises(dataio.CheckpointError, match="leaky_slope=0.1 are not supported"):
+        GanBundle.load(other)
+
+
 def test_gan_config_validation():
     with pytest.raises(ValueError):
         GanConfig(adv_scale_schedule=(0.25,), epochs_per_block=(50, 50))
-    with pytest.raises(ValueError):
-        GanConfig(gp_apply_prob=1.5)
     with pytest.raises(ValueError):
         GanConfig(adv_scale_schedule=(0.0, 0.1), epochs_per_block=(1, 1))
     for field, value in [("epochs_per_block", (50, 0, 50, 50, 50)),
@@ -210,11 +225,10 @@ def test_gan_config_validation():
                          ("gen_kernels", (3, 0, 5, 3)), ("gen_kernels", (3, 2.0, 5, 3)),
                          ("gen_dilations", (1, 0, 4, 8)), ("gen_dilations", (1, -2, 4, 8)),
                          ("gen_hidden", (64, 0, 64, 32)), ("gen_hidden", (64, True, 64, 32)),
-                         ("interval_length", 1), ("interval_length", 9.0),
-                         ("leaky_slope", -0.1), ("leaky_slope", 1.5)]:
+                         ("interval_length", 1), ("interval_length", 9.0)]:
         with pytest.raises(ValueError, match=field):
             GanConfig(**{field: value})
-    GanConfig(leaky_slope=0.0, interval_length=2, gen_kernels=(1, 1, 1, 1))
+    GanConfig(interval_length=2, gen_kernels=(1, 1, 1, 1))
 
 
 def _generator_inputs(cfg, B, seed):

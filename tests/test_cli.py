@@ -1,7 +1,10 @@
+import csv
 import hashlib
 import json
 import logging
 import shutil
+import urllib.parse
+import xml.etree.ElementTree as ET
 import zlib
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 
 from slopestrike import cli
 from slopestrike.cli import main
+from helpers import resaved_with
 
 
 def run(*argv) -> int:
@@ -96,6 +100,32 @@ def test_attack_reports_and_determinism(tmp_path, workspace):
     assert trace.exists()
     assert trace.read_text().splitlines()[0] == "iter,loss,slope"
     assert (outs[0] / "overlay_SYN000_GSA_2.svg").exists()
+
+
+def test_attack_file_names_encode_any_ticker(tmp_path, workspace):
+    _, data, ckpt = workspace
+    odd = {"SYN001": "BRK/B", "SYN002": "AT&T", "SYN003": "A B"}
+    renamed = tmp_path / "odd.csv"
+    lines = data.read_text().splitlines(keepends=True)
+    renamed.write_text("".join(odd[line[:6]] + line[6:] if line[:6] in odd else line
+                               for line in lines))
+    tickers = ["SYN000", *odd.values()]
+    out, plain = tmp_path / "odd", tmp_path / "plain"
+    for path, names, outdir in ((renamed, tickers, out), (data, ["SYN000"], plain)):
+        assert run("attack", "--data", path, "--checkpoint", ckpt, "--outdir", outdir,
+                   "--methods", "gsa", "--iters", 1, "--tickers", ",".join(names)) == 0
+    assert (out / "run_manifest.json").is_file()
+    for svg in out.glob("overlay_*.svg"):
+        ET.parse(svg)
+    for prefix, suffix, where in (("overlay_", ".svg", out), ("trace_", ".csv", out / "traces")):
+        stems = sorted(p.name[len(prefix):-len(f"_GSA_2{suffix}")] for p in where.iterdir()
+                       if p.name.startswith(prefix))
+        assert sorted(map(urllib.parse.unquote, stems)) == sorted(tickers)
+    with open(out / "attack_report.csv", newline="") as fh:
+        normal = [row[0] for row in csv.reader(fh) if row[1] == "normal"]
+    assert sorted(normal) == sorted(tickers)
+    for name in ("overlay_SYN000_GSA_2.svg", "traces/trace_SYN000_GSA_2.csv"):
+        assert (out / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_attack_eps_zero_rows_match_normal(tmp_path, workspace):
@@ -442,7 +472,8 @@ def test_gan_checkpoint_with_bad_generator_exits_3(tmp_path, workspace, capsys):
                            {**arch, "config": {**arch["config"], "gen_kernels": [3, 0, 5, 3]}})
     no_bounds = tmp_path / "no_bounds.ckpt"
     dataio.save_checkpoint(arrays, no_bounds, {k: v for k, v in arch.items() if k != "scale_bounds"})
-    cases = [(zero_kernel, "gen_kernels"), (no_bounds, "scale bounds")]
+    leaky = resaved_with(good, tmp_path / "leaky.ckpt", leaky_slope=0.1)  # the GAN fixes 0.2
+    cases = [(zero_kernel, "gen_kernels"), (no_bounds, "scale bounds"), (leaky, "leaky_slope=0.1")]
     cases += _broken_checkpoints(tmp_path, good, "gen_width", ("g.tcn1.w", lambda a: a[:, :, :3]))
     _assert_one_line_data_errors(cases, lambda bad: (
         ("gan", "generate", "--bundle", bad, "--data", data, "--ticker", "SYN000",
@@ -463,6 +494,8 @@ def test_gan_checkpoint_with_bad_generator_exits_3(tmp_path, workspace, capsys):
     clf = tmp_path / "clf.ckpt"
     defense.Discriminator(defense.DiscriminatorConfig()).save(clf)
     cases = _broken_checkpoints(tmp_path, clf, "conv_width", ("conv1.w", lambda a: a[:, :, :3]))
+    narrow = resaved_with(clf, tmp_path / "narrow.ckpt", conv_channels=[16, 32, 8])
+    cases.append((narrow, "conv_channels=[16, 32, 8]"))
     _assert_one_line_data_errors(cases, lambda bad: (
         ("defend", "classify", "--model", bad, "--data", data, "--out", tmp_path / "p.csv"),),
         capsys)

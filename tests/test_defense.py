@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slopestrike.dataio import CheckpointError
 from slopestrike.defense import (
     Discriminator, DiscriminatorConfig, build_manifest, classify,
     predict_labelled, read_manifest, train_discriminator,
@@ -8,7 +9,7 @@ from slopestrike.defense import (
 )
 from slopestrike.forecaster import NhitsConfig, NhitsModel
 from slopestrike.metrics import confusion
-from helpers import max_rel_err
+from helpers import max_rel_err, resaved_with
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,26 @@ def test_discriminator_checkpoint_roundtrip(tmp_path, toy_classifier, separable_
     assert np.array_equal(classify(loaded, real[:3]), classify(clf, real[:3]))
 
 
-@pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -3), ("batch_size", 0)])
+def test_checkpoint_naming_the_fixed_settings_loads(tmp_path, toy_classifier, separable_task):
+    # an older version saved these settings in every discriminator checkpoint,
+    # at the values the discriminator now fixes
+    legacy = dict(conv_channels=[16, 32, 16], kernel=5, dropout=0.2, weight_decay=1e-5,
+                  batch_size=32, input_length=300)
+    clf, _ = toy_classifier
+    real, adv = separable_task
+    path = tmp_path / "discriminator.ckpt"
+    clf.save(path)
+    old = resaved_with(path, tmp_path / "old.ckpt", **legacy)
+    windows = real[:3] + adv[:3]
+    assert np.array_equal(classify(Discriminator.load(old), windows), classify(clf, windows))
+    other = resaved_with(path, tmp_path / "other.ckpt",
+                         **{**legacy, "kernel": 3, "conv_channels": [16, 32, 8]})
+    with pytest.raises(CheckpointError,
+                       match=r"conv_channels=\[16, 32, 8\], kernel=3 are not supported"):
+        Discriminator.load(other)
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -3)])
 def test_config_rejects_non_positive_counts(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
         DiscriminatorConfig(**{field: value})

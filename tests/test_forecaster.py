@@ -15,7 +15,7 @@ from slopestrike.forecaster import (
 )
 from graph_ops import sort_last
 from helpers import (finite_diff, max_rel_err, nhits_forecast_reference, nhits_stacks_reference,
-                     rolling_median_reference)
+                     resaved_with, rolling_median_reference)
 
 
 def _fm(prices, start=dt.date(2021, 3, 1), grad=False):
@@ -436,25 +436,23 @@ def test_checkpoint_roundtrip_reproduces_forecasts(tmp_path, toy_model, eval_ser
     assert np.array_equal(a, b)
 
 
-def _resaved_with(path, dst, **fields):
-    """The checkpoint at ``path`` saved again with extra config fields."""
-    arrays, arch = dataio.load_checkpoint(path)
-    dataio.save_checkpoint(arrays, dst, {**arch, "config": {**arch["config"], **fields}})
-    return dst
-
-
 def test_checkpoint_naming_the_fixed_input_layout_loads(tmp_path, toy_model, eval_series):
     # older checkpoints also saved use_features and blocks_per_stack
     path = tmp_path / "toy.ckpt"
     toy_model.save(path)
-    old = _resaved_with(path, tmp_path / "old.ckpt", use_features=True, blocks_per_stack=1)
+    old = resaved_with(path, tmp_path / "old.ckpt", use_features=True, blocks_per_stack=1)
     s = eval_series[0].head(160)
     assert np.array_equal(rolling_forecast(s, NhitsModel.load(old)), rolling_forecast(s, toy_model))
     for layout in ({"use_features": False, "blocks_per_stack": 1},
-                   {"use_features": True, "blocks_per_stack": 2}):
-        other = _resaved_with(path, tmp_path / "other.ckpt", **layout)
+                   {"use_features": True, "blocks_per_stack": 2},
+                   {"use_features": 1, "blocks_per_stack": 1}):  # compared as JSON
+        other = resaved_with(path, tmp_path / "other.ckpt", **layout)
         with pytest.raises(dataio.CheckpointError, match="are not supported"):
             NhitsModel.load(other)
+    # only a ClassVar is a fixed setting: a property such as n_quantiles is not one
+    other = resaved_with(path, tmp_path / "other.ckpt", n_quantiles=7)
+    with pytest.raises(dataio.CheckpointError, match="n_quantiles"):
+        NhitsModel.load(other)
 
 
 def test_rolling_forecast_single_window_length():

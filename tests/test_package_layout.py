@@ -207,3 +207,110 @@ def test_the_check_sees_a_default_no_caller_passes(tmp_path):
                     "handlers = [callback]\n")
     assert _unpassed_defaults([lib], [lib, user]) == [
         "lib.Model.__init__:scale", "lib.Model.run:hook", "lib.chart:width"]
+
+
+def _is_classvar(annotation: ast.expr) -> bool:
+    base = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return (isinstance(base, ast.Name) and base.id == "ClassVar") or (
+        isinstance(base, ast.Attribute) and base.attr == "ClassVar")
+
+
+def _config_fields(path: Path) -> list[tuple[str, list[str], list[str]]]:
+    """(class, fields in order, defaulted fields) of each ``@dataclass`` named
+    ``*Config``; a ``ClassVar`` is not a field."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name.endswith("Config") and any(
+                _callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in cls.decorator_list)):
+            continue
+        fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
+                  and isinstance(s.target, ast.Name) and not _is_classvar(s.annotation)]
+        found.append((cls.name, [s.target.id for s in fields],
+                      [s.target.id for s in fields if s.value is not None]))
+    return found
+
+
+def _constant_keys(node: ast.expr) -> list[str]:
+    """The keys of a dict display, or of a ``dict(...)`` call, with constant keys."""
+    if isinstance(node, ast.Dict) and all(isinstance(k, ast.Constant) for k in node.keys):
+        return [k.value for k in node.keys]
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict"
+            and not node.args and all(k.arg is not None for k in node.keywords)):
+        return [k.arg for k in node.keywords]
+    return []
+
+
+def _callee(node: ast.expr) -> str | None:
+    return node.id if isinstance(node, ast.Name) else (
+        node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _set_config_fields(paths: list[Path], fields: dict[str, list[str]]) -> set[tuple[str, str]]:
+    """(class, field) of each config field that a call passes: to the class, or
+    to a call whose first positional argument names the class, by position, by
+    keyword or through ``**`` of a dict display with constant keys or of a
+    module-level name bound to one.  Calls inside ``with pytest.raises`` do not count."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {t.id: _constant_keys(s.value) for s in tree.body if isinstance(s, ast.Assign)
+                 for t in s.targets if isinstance(t, ast.Name)}
+        raising = {id(n) for w in ast.walk(tree) if isinstance(w, ast.With)
+                   and any(isinstance(i.context_expr, ast.Call)
+                           and _callee(i.context_expr.func) == "raises" for i in w.items)
+                   for s in w.body for n in ast.walk(s)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call) or id(call) in raising:
+                continue
+            args = call.args
+            cls = _callee(call.func)
+            if cls not in fields and args and _callee(args[0]) in fields:
+                cls, args = _callee(args[0]), args[1:]
+            if cls not in fields:
+                continue
+            names = fields[cls][:len(args)]
+            for k in call.keywords:
+                if k.arg is not None:
+                    names.append(k.arg)
+                elif isinstance(k.value, ast.Name):
+                    names += bound.get(k.value.id, [])
+                else:
+                    names += _constant_keys(k.value)
+            found.update((cls, name) for name in names)
+    return found
+
+
+def _unset_config_fields(package: list[Path], callers: list[Path]) -> list[str]:
+    """Defaulted fields of the package's config dataclasses that no call in
+    ``callers`` sets."""
+    configs = [c for path in package for c in _config_fields(path)]
+    set_fields = _set_config_fields(callers, {name: fields for name, fields, _ in configs})
+    return sorted(f"{name}.{f}" for name, _, defaulted in configs for f in defaulted
+                  if (name, f) not in set_fields)
+
+
+def test_every_config_field_is_set_by_some_call():
+    package = sorted(PACKAGE.glob("*.py"))
+    callers = package + sorted(PERFBENCH.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(package) > 5 and any(_config_fields(path) for path in package)
+    unset = _unset_config_fields(package, callers)
+    assert not unset, unset
+
+
+def test_the_check_sees_a_config_field_no_call_sets(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("from dataclasses import dataclass\nfrom typing import ClassVar\n"
+                   "@dataclass\nclass ModelConfig:\n"
+                   "    fixed: ClassVar[int] = 3\n    name: str\n    width: int = 8\n"
+                   "    depth: int = 2\n    lr: float = 0.1\n    seed: int = 0\n"
+                   "    decay: float = 0.0\n    unset: int = 1\n    only_raising: int = 1\n"
+                   "class OtherConfig:\n    plain: int = 1\n")
+    user = tmp_path / "user.py"
+    user.write_text("import pytest\nSMALL = dict(depth=1)\n"
+                    "ModelConfig('m', 4, **SMALL)\ncheck(lib.ModelConfig, lr=0.2)\n"
+                    "ModelConfig('m', **{'seed': 1}, **{k: 2 for k in ('decay',)})\n"
+                    "with pytest.raises(ValueError):\n    ModelConfig('m', only_raising=0)\n")
+    assert _unset_config_fields([lib], [lib, user]) == [
+        "ModelConfig.decay", "ModelConfig.only_raising", "ModelConfig.unset"]

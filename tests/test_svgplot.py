@@ -64,3 +64,13 @@ def test_flat_series_still_draws(tmp_path):
     assert len(lines) == 1 and lines[0].shape == (10, 2)
     _assert_inside(box, lines[0])
     assert np.all(lines[0][:, 1] == lines[0][0, 1])
+
+
+def test_markup_in_text_is_escaped(tmp_path):
+    path = tmp_path / "amp.svg"
+    texts = ["AT&T GSA eps%=2", "day <t>", "price & \"size\"", "A&B", "x < y"]
+    title, x_label, y_label, *labels = texts
+    series = [(label, xs, ys) for label, (_, xs, ys) in zip(labels, _line_series())]
+    svgplot.line_chart(path, series, title=title, x_label=x_label, y_label=y_label)
+    root = ET.parse(path).getroot()
+    assert [el.text for el in root.iter(f"{SVG}text") if not el.text[0].isdigit()] == texts
