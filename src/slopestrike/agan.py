@@ -67,6 +67,9 @@ class GanConfig:
             raise ValueError("adv_scale_schedule and epochs_per_block lengths differ")
         if any(a <= 0 for a in self.adv_scale_schedule):
             raise ValueError(f"adv_scale_schedule must be positive, got {self.adv_scale_schedule}")
+        for name in ("lr_g", "lr_c"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not _positive_int(self.samples_per_epoch):
             raise ValueError(f"samples_per_epoch must be a positive int, got {self.samples_per_epoch}")
         if not (len(self.gen_hidden) == len(self.gen_kernels) == len(self.gen_dilations)):

@@ -673,11 +673,11 @@ def sgd_step(params: dict[str, Tensor], loss: Tensor, lr: float,
 
     Only the parameters' gradients are computed.  Decoupled weight decay
     shrinks every matrix or filter (``ndim > 1``) before the step; biases are
-    not decayed.
+    not decayed.  Each parameter's array is updated in place, so it must be
+    one the model owns, as every constructor and checkpoint load makes it.
     """
     plist = list(params.values())
     for p, g in zip(plist, gradients(loss, plist)):
-        d = p.data
         if weight_decay and p.ndim > 1:
-            d = d * (1.0 - lr * weight_decay)
-        p.data = d - lr * g.data
+            p.data *= 1.0 - lr * weight_decay
+        p.data -= lr * g.data

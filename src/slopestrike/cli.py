@@ -124,11 +124,14 @@ def _write_run_manifest(outdir: Path, command: str, settings: dict, digests: dic
 
 
 def _load_series(path, tickers: str | None = None):
+    """The file's series, or those ``tickers`` selects: a ticker of the file
+    whole, so a ticker may hold a comma, else a comma-separated list."""
     if not Path(path).is_file():
         raise UsageError(f"data file not found: {path}")
     series = dataio.load_csv(path)
     if tickers:
-        wanted = {t.strip() for t in tickers.split(",") if t.strip()}
+        wanted = ({tickers} if tickers in {s.ticker for s in series}
+                  else {t.strip() for t in tickers.split(",") if t.strip()})
         series = [s for s in series if s.ticker in wanted]
         missing = wanted - {s.ticker for s in series}
         if missing:
@@ -136,6 +139,14 @@ def _load_series(path, tickers: str | None = None):
     if not series:
         raise DataError(f"no usable series in {path}")
     return series
+
+
+def _load_one(path, ticker: str):
+    """The series ``--ticker`` names, or the file's first without one."""
+    series = _load_series(path, ticker)
+    if ticker and len(series) > 1:
+        raise UsageError(f"ticker must name one series; '{ticker}' selects {len(series)}")
+    return series[0]
 
 
 def _split(settings: dict, key: str, cast) -> tuple:
@@ -344,7 +355,7 @@ def cmd_gan_train(settings) -> int:
         raise UsageError(msg) from None
     outdir = _outdir(settings)
     model = NhitsModel.load(settings["checkpoint"])
-    stock = _load_series(settings["data"], settings["ticker"])[0]
+    stock = _load_one(settings["data"], settings["ticker"])
     bundle, log = agan.train_agan(stock, model, g_cfg, seed=settings["seed"])
     bundle.save(outdir / "gan.ckpt")
     _write_csv(outdir / "gan_log.csv",
@@ -356,7 +367,7 @@ def cmd_gan_train(settings) -> int:
 def cmd_gan_generate(settings) -> int:
     """sample synthetic intervals"""
     bundle = agan.GanBundle.load(settings["bundle"])
-    stock = _load_series(settings["data"], settings["ticker"])[0]
+    stock = _load_one(settings["data"], settings["ticker"])
     conditions = agan.sample_intervals(stock, settings["n"], settings["seed"],
                                        length=bundle.config.interval_length)
     out_rows = []
@@ -375,8 +386,8 @@ def cmd_eval(settings) -> int:
     outdir = _outdir(settings)
     bundle = agan.GanBundle.load(settings["bundle"])
     model = NhitsModel.load(settings["checkpoint"]) if settings["checkpoint"] else None
-    series = _load_series(settings["data"], settings["ticker"])
-    report = agan.evaluate_gan(bundle, series[0], model, settings["n"], settings["seed"])
+    stock = _load_one(settings["data"], settings["ticker"])
+    report = agan.evaluate_gan(bundle, stock, model, settings["n"], settings["seed"])
     rm, fm = report["real_moments"], report["fake_moments"]
     _write_csv(outdir / "moments.csv",
                ("data", "mu", "sigma", "iqr", "skew", "kurtosis", "mmd"),

@@ -43,6 +43,8 @@ class DiscriminatorConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
 def _standardised_windows(windows, length: int) -> np.ndarray:

@@ -11,23 +11,26 @@ feature window, which enters the first stack as a flattened side input.
 
 Features reach a forecast through one recorded op with a hand-written numpy
 vjp.  ``NhitsModel.core`` (kind ``nhits_forecast``, parents: the continuous
-features and the 18 block weights) reads the price and exogenous windows as
-views of the days, standardises each series' exogenous days, normalises each
-price window, runs the stacks, denormalises, sorts each day's quantiles to
-pick the median path and overlap-averages the windows' median paths onto the
-days.  ``forward`` is the same op over one window per series, whose median
-path covers each day once.  The op repeats the arithmetic of the per-op graph
+features and the 18 block weights) reads the price windows as views of the
+days, standardises each series' exogenous days, normalises each price window,
+runs the stacks, denormalises, sorts each day's quantiles to pick the median
+path and overlap-averages the windows' median paths onto the days.
+``forward`` is the same op over one window per series, whose median path
+covers each day once.  The op repeats the arithmetic of the per-op graph
 it replaced, including the order in which the engine added its gradients, so
 values and gradients are bit-identical to it.  The vjp follows the engine's
 conventions (first-max pooling routes to the lowest-index maximum, the ReLU
 and sqrt derivatives are 0 at 0) and computes only what ``need`` asks for: an
 attack or the GAN's second critic gets no weight products.  Training runs the
 same window normalisation and the stacks alone (``NhitsModel.stacks``, kind
-``nhits_stacks``, parents: the price windows, the exogenous windows and the
-weights) on its gathered windows, which are constants, so it gets only the
-weight products.  Each window is forecast on its own, so ``core`` runs one
-block loop: one block of every window when a vjp will run, and near-equal row
-blocks when none will, from window normalisation to the median pick.  A long
+``nhits_stacks``, parents: the price windows, the first stack's input and
+the weights) on its gathered windows, which are constants, so it gets only
+the weight products.  Training and ``core`` build the first stack's input
+one way: one gather copies each window's exogenous days, behind room for the
+pooled prices, which the stacks write there.  Each window is forecast on its
+own, so ``core`` runs one block loop: one block of every window when a vjp
+will run, and near-equal row blocks when none will, from window
+normalisation to the median pick.  A long
 series' forecast then never builds the first stack's input, or its
 (windows, horizon*quantiles) forecasts, for every window at once.
 
@@ -88,9 +91,13 @@ class NhitsConfig:
         self.pool_kernels = tuple(int(k) for k in self.pool_kernels)
         self.downsample_ratios = tuple(int(r) for r in self.downsample_ratios)
         self.quantiles = tuple(float(q) for q in self.quantiles)
-        for name in ("epochs", "batch_size"):
+        for name in ("epochs", "batch_size", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if len(self.pool_kernels) != self.n_stacks or len(self.downsample_ratios) != self.n_stacks:
             raise ValueError("pool_kernels and downsample_ratios must have one entry per stack")
         for k in self.pool_kernels:
@@ -116,6 +123,11 @@ class NhitsConfig:
     @property
     def exo_dim(self) -> int:
         return self.encoder_length * 17
+
+    @property
+    def pooled_dim(self) -> int:
+        """The first stack's pooled price columns, which lead its input."""
+        return self.encoder_length // self.pool_kernels[0]
 
     @property
     def min_series_length(self) -> int:
@@ -226,10 +238,11 @@ class NhitsModel:
     def _weights(self) -> list[Tensor]:
         return [self.params[f"b{i}.{p}"] for i in range(len(self._blocks)) for p in _BLOCK_PARAMS]
 
-    def _stacks_forward(self, ws, x, exo, keep):
-        """Every block's pooled MLP in numpy, on normalised windows x (N, E) plus,
-        for the first block, exo (N, exo_dim).  Returns the summed forecast
-        (N, horizon*n_quantiles) and, with ``keep``, what ``_stacks_vjp`` needs."""
+    def _stacks_forward(self, ws, x, first, keep):
+        """Every block's pooled MLP in numpy, on normalised windows x (N, E) and
+        the first block's input ``first``, filled as ``stacks`` says.  Returns the
+        summed forecast (N, horizon*n_quantiles) and, with ``keep``, what
+        ``_stacks_vjp`` needs."""
         N, E = x.shape
         residual, fore, saved = x, None, []
         for i, (k, eb, ib, iff) in enumerate(self._blocks):
@@ -237,7 +250,10 @@ class NhitsModel:
             pooled, arg = residual, None
             if k > 1:
                 pooled, arg = _pool_taps(residual.reshape(N, E // k, k), keep)
-            inp = np.concatenate([pooled, exo], axis=1) if i == 0 else pooled
+            inp = pooled
+            if i == 0:  # drop this name, so a buffer no caller holds is freed after block 0
+                inp, first = first, None
+                inp[:, :E // k] = pooled
             h1, m1 = _relu(inp @ w1 + b1)
             h2, m2 = _relu(h1 @ w2 + b2)
             theta = h2 @ w3 + b3
@@ -273,18 +289,21 @@ class NhitsModel:
                 gz2 = (gtheta @ _tc(w3)) * m2
             if below or any(nw[:2]):
                 gz1 = (gz2 @ _tc(w2)) * m1
+            # the input's product reads its transpose in place: BLAS sums it as
+            # it sums a contiguous copy at every input and batch size tried, which
+            # the (64, 60) hidden product does not, so the hidden ones keep copies
             for j, (a, gz) in enumerate(((inp, gz1), (h1, gz2), (h2, gtheta))):
                 if nw[2 * j]:
-                    gw[6 * i + 2 * j] = _tc(a) @ gz
+                    gw[6 * i + 2 * j] = (a.T if j == 0 else _tc(a)) @ gz
                 if nw[2 * j + 1]:
                     gw[6 * i + 2 * j + 1] = gz.sum(axis=0)
             if not below:
                 continue
             P = E // k
-            # in block 0 the exo columns follow the pooled ones.  That input is a
-            # concatenation of the forward's own, dead once the weight products
-            # are taken, so its buffer takes the input gradient: no second array
-            # of that size is allocated and freed in every backward
+            # in block 0 the exo columns follow the pooled ones.  That input is
+            # the caller's buffer, dead once the weight products are taken, so it
+            # takes the input gradient: no second array of that size is
+            # allocated and freed in every backward
             gin = np.matmul(gz1, _tc(w1), out=inp if i == 0 else None)
             if i == 0 and need_exo:
                 g_exo = gin[:, P:]
@@ -296,20 +315,25 @@ class NhitsModel:
             g_res = gp if g_res is None else g_res + gp
         return (g_res if need_x else None), g_exo, gw
 
-    def stacks(self, x: Tensor, exo: Tensor) -> Tensor:
+    def stacks(self, x: Tensor, first: Tensor) -> Tensor:
         """Every block's pooled MLP, recorded as one op (``nhits_stacks``).
 
-        Normalised windows x (N, E), plus exo (N, exo_dim) for the first block,
-        in; the sum of the blocks' forecasts (N, horizon*n_quantiles) out.  The
-        parents are x, exo and the weights.
+        Normalised windows x (N, E) and the first block's input ``first``
+        (N, P + exo_dim), P = ``config.pooled_dim``, in; the sum of the blocks'
+        forecasts (N, horizon*n_quantiles) out.  The parents are x, first and
+        the weights.  The op takes ``first`` over: it writes the pooled prices
+        into its first P columns, whose gradient is therefore 0, and a vjp that
+        wants an input gradient writes it over the buffer.
         """
         weights = self._weights()
-        parents = (x, exo) + tuple(weights)
+        parents = (x, first) + tuple(weights)
         ws = [w.data for w in weights]
-        fore, saved = self._stacks_forward(ws, x.data, exo.data, ad.records(parents))
+        fore, saved = self._stacks_forward(ws, x.data, first.data, ad.records(parents))
 
         def vjp(g, need):
             gx, gexo, gw = self._stacks_vjp(ws, saved, g.data, need[0], need[1], need[2:])
+            if gexo is not None:
+                gexo = np.concatenate([np.zeros((len(gexo), self.config.pooled_dim)), gexo], 1)
             return tuple(_tensor(a) for a in (gx, gexo, *gw))
 
         return ad.custom_op("nhits_stacks", fore, parents, vjp)
@@ -340,8 +364,9 @@ class NhitsModel:
         ws = [w.data for w in weights]
         # the price channel copied out, so the window means sum as the graph's did
         adj = ad.window_view(np.array(c[..., :span, 0]), E, axis=days).reshape(-1, E)
-        exo_days, ex = _exo_days(c, one_hot)
-        exo = ad.window_view(exo_days[..., :span, :], E, axis=days).reshape(-1, cfg.exo_dim)
+        exo, ex = _exo_days(c, one_hot, cfg.pooled_dim)
+        T = c.shape[-2]
+        starts = (T * np.arange(c[..., 0, 0].size)[:, None] + np.arange(n_windows)).ravel()
         # with no vjp to run, the windows go through in near-equal row blocks:
         # only one block of the first stack's input is ever built, and only the
         # median paths outlive a block
@@ -351,7 +376,7 @@ class NhitsModel:
         med = np.empty((N, H))
         for j in range(n_blocks):
             rows = slice(N * j // n_blocks, N * (j + 1) // n_blocks)
-            kept = self._forecast_block(ws, adj[rows], exo[rows], med[rows], record)
+            kept = self._forecast_block(ws, adj[rows], exo, starts[rows], med[rows], record)
         n_days = n_windows + H - 1
         counts = ad.overlap_add(np.ones((n_windows, H)), n_days)  # forecasts per day
         path = ad.overlap_add(med.reshape(lead + (n_windows, H)), n_days, axis=days) / counts
@@ -390,7 +415,7 @@ class NhitsModel:
 
         return ad.custom_op("nhits_forecast", path, parents, vjp)
 
-    def _forecast_block(self, ws, adj, exo, med, keep):
+    def _forecast_block(self, ws, adj, exo, starts, med, keep):
         """One row block of windows through window normalisation, the stacks and
         denormalisation; each window's median path goes into ``med``.  Returns
         what the vjp needs with ``keep``, else None, so no other array of the
@@ -399,7 +424,7 @@ class NhitsModel:
         cfg = self.config
         m = cfg.median_index
         x, wmean, denom, win = standardise(adj, 1)
-        fore, saved = self._stacks_forward(ws, x, exo, keep)
+        fore, saved = self._stacks_forward(ws, x, _first_inputs(exo, starts, cfg), keep)
         q = (fore * denom[:, None] + wmean[:, None]).reshape(-1, cfg.horizon, cfg.n_quantiles)
         if not keep:
             med[:] = np.sort(q, axis=-1, kind="stable")[..., m]
@@ -472,11 +497,23 @@ def _standardise_vjp(g, saved, axis, g_mean=None, g_den=None):
     return g_diff + np.expand_dims(g_mu, axis) * inv_n
 
 
-def _exo_days(cont: np.ndarray, one_hot: np.ndarray):
+def _exo_days(cont: np.ndarray, one_hot: np.ndarray, lead: int):
     """Each series' standardised continuous channels plus the weekday one-hot,
-    (..., T, 17), and what ``_standardise_vjp`` needs."""
+    17 values a day, raveled series after series and day after day behind
+    ``lead`` zeros, and what ``_standardise_vjp`` needs."""
     z, _, _, saved = standardise(cont, -2)
-    return np.concatenate([z, one_hot], axis=-1), saved
+    flat = np.zeros(lead + z[..., 0].size * 17)
+    days = flat[lead:].reshape(z.shape[:-1] + (17,))
+    days[..., :12] = z
+    days[..., 12:] = one_hot
+    return flat, saved
+
+
+def _first_inputs(exo: np.ndarray, starts: np.ndarray, cfg: NhitsConfig) -> np.ndarray:
+    """The first stack's input (B, pooled_dim + exo_dim) of the windows that begin
+    at the given days of ``exo`` (``_exo_days`` behind pooled_dim zeros), in one
+    gather: each row is a run of ``exo`` whose head the stacks overwrite."""
+    return ad.window_view(exo, cfg.pooled_dim + cfg.exo_dim)[17 * starts]
 
 
 def _pinball(pred: Tensor, y: np.ndarray, q: np.ndarray) -> Tensor:
@@ -513,9 +550,10 @@ class EarlyStopper:
 def _series_days(model: NhitsModel, pools: list[list[PriceSeries]]):
     """Every series' days, concatenated, and each pool's windows as start days.
 
-    Returns the prices (D,), the standardised exogenous rows (D, 17) as
-    ``NhitsModel.core`` makes them, and per pool an array with the first day
-    of each of its windows.
+    Returns the prices (D,), the standardised exogenous days as
+    ``NhitsModel.core`` lays them out (17 values a day behind
+    ``cfg.pooled_dim`` zeros), and per pool an array with the first day of
+    each of its windows.
     """
     cfg = model.config
     # keyed by ticker, so a later series replaces an earlier one of the same
@@ -526,7 +564,9 @@ def _series_days(model: NhitsModel, pools: list[list[PriceSeries]]):
     offsets = dict(zip(lookup, np.cumsum([0] + [len(s) for s in lookup.values()])))
     prices = np.concatenate([s.adjprc for s in lookup.values()])
     fms = [compute_features(ad.constant(s.adjprc), s.dates) for s in lookup.values()]
-    exo = np.concatenate([_exo_days(fm.continuous.data, fm.day_one_hot().data)[0] for fm in fms])
+    exo = np.concatenate([np.zeros(cfg.pooled_dim)]
+                         + [_exo_days(fm.continuous.data, fm.day_one_hot().data, 0)[0]
+                            for fm in fms])
     starts = [np.array([offsets[s.ticker] + w for s in pool
                         for w in range(min(len(s), len(lookup[s.ticker]))
                                        - cfg.min_series_length + 1)], dtype=np.intp)
@@ -535,20 +575,20 @@ def _series_days(model: NhitsModel, pools: list[list[PriceSeries]]):
 
 
 def _assemble_batch(starts: np.ndarray, prices: np.ndarray, exo: np.ndarray, cfg: NhitsConfig):
-    """The encoder windows (B, E), horizon truths (B, H) and exogenous windows
-    (B, E*17) that begin at the given days, gathered with one index each: an
-    exogenous window is one contiguous row of the unfolded (D, 17) days."""
+    """The encoder windows (B, E), horizon truths (B, H) and first stack inputs
+    (B, pooled_dim + E*17) that begin at the given days, gathered with one
+    index each."""
     E = cfg.encoder_length
     path = prices[starts[:, None] + np.arange(cfg.min_series_length)]
-    return path[:, :E], path[:, E:], ad.window_view(exo, E).reshape(-1, cfg.exo_dim)[starts]
+    return path[:, :E], path[:, E:], _first_inputs(exo, starts, cfg)
 
 
 def _batch_loss(model: NhitsModel, starts, prices, exo) -> Tensor:
     """Pinball loss of the unsorted normalised outputs against the normalised truths."""
     cfg = model.config
-    adj, truth, exo_w = _assemble_batch(starts, prices, exo, cfg)
+    adj, truth, first = _assemble_batch(starts, prices, exo, cfg)
     x, wmean, denom, _ = standardise(adj, 1)
-    fore = model.stacks(ad.constant(x), ad.constant(exo_w))
+    fore = model.stacks(ad.constant(x), ad.constant(first))
     truth_norm = (truth - wmean[:, None]) / denom[:, None]
     Q = cfg.n_quantiles  # outputs are day-major: (day 0, q 0), (day 0, q 1), ...
     return _pinball(fore, np.repeat(truth_norm, Q, axis=1), np.tile(cfg.quantiles, cfg.horizon))

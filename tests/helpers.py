@@ -197,7 +197,8 @@ def _builders():
         return [(2, 3, 4), (4, 2)], f
 
     def nhits_stacks(rng):
-        # a tiny forecaster: its windows, exogenous rows and all 18 parameters are inputs
+        # a tiny forecaster: its windows, first stack inputs (the pooled columns
+        # included, which the op overwrites) and all 18 parameters are inputs
         model = NhitsModel(NhitsConfig(encoder_length=8, horizon=4, hidden_size=4,
                                        quantiles=(0.1, 0.5, 0.9)))
         names = list(model.params)
@@ -207,7 +208,9 @@ def _builders():
             model.params = dict(zip(names, ts[2:]))
             return ad.tmean(ad.tanh(ad.mul(model.stacks(ts[0], ts[1]), ad.constant(w))))
 
-        return [(2, 8), (2, model.config.exo_dim)] + [model.params[n].shape for n in names], f
+        cfg = model.config
+        return ([(2, 8), (2, cfg.pooled_dim + cfg.exo_dim)]
+                + [model.params[n].shape for n in names], f)
 
     def nhits_forecast(rng):
         # the same forecaster's forecast op: the features of two 10-day series
@@ -292,8 +295,10 @@ def tcn_generator_reference(gen, z, cond):
     return ad.reshape(h, (h.shape[0], cfg.interval_length))
 
 
-def nhits_stacks_reference(model, x, exo):
+def nhits_stacks_reference(model, x, first):
     """``NhitsModel.stacks`` built from primitive ops: the per-block graph loop.
+    The pooled prices are concatenated in front of ``first``'s exogenous
+    columns, so its first ``pooled_dim`` columns get a zero gradient.
 
     Returns the summed forecast (N, H*Q), each block's (backcast, forecast) and
     the final residual, all as graph-connected tensors.
@@ -310,7 +315,7 @@ def nhits_stacks_reference(model, x, exo):
         p = {name: model.params[f"b{i}.{name}"] for name in ("w1", "b1", "w2", "b2", "w3", "b3")}
         pooled = ad.maxpool1d(residual, k) if k > 1 else residual
         if i == 0:
-            pooled = ad.concat([pooled, exo], axis=1)
+            pooled = ad.concat([pooled, first[:, cfg.pooled_dim:]], axis=1)
         h = ad.relu(ad.affine(pooled, p["w1"], p["b1"]))
         h = ad.relu(ad.affine(h, p["w2"], p["b2"]))
         theta = ad.affine(h, p["w3"], p["b3"])
@@ -345,7 +350,8 @@ def nhits_forecast_reference(model, fm, n_windows):
     exo_days = ad.concat([z, fm.day_one_hot()], axis=-1)[..., :span, :]
     exo = ad.reshape(unfold(exo_days, E, days), (-1, cfg.exo_dim))
     x, wmean, denom = standardise(adj_w, 1)
-    fore = model.stacks(x, exo)
+    fore = model.stacks(x, ad.concat([ad.constant(np.zeros((exo.shape[0], cfg.pooled_dim))),
+                                      exo], axis=1))
     shape = fore.shape
     return ad.add(ad.mul(fore, ad.expand(denom, shape, 1)), ad.expand(wmean, shape, 1))
 

@@ -283,11 +283,14 @@ def test_sgd_step_decays_matrices_and_leaves_biases_undecayed():
     params = {"w": ad.Tensor(w0.copy(), requires_grad=True),
               "b": ad.Tensor(b0.copy(), requires_grad=True)}
     loss = ad.tsum(ad.affine(ad.constant([[1.0, 2.0]]), params["w"], params["b"]))
+    arrays = {k: p.data for k, p in params.items()}
     ad.sgd_step(params, loss, lr=0.1, weight_decay=0.5)
     # d loss / dw = x^T 1 and d loss / db = 1; only w is shrunk by 1 - lr * decay
     gw = np.array([[1.0, 1.0], [2.0, 2.0]])
     assert np.array_equal(params["w"].data, w0 * (1.0 - 0.1 * 0.5) - 0.1 * gw)
     assert np.array_equal(params["b"].data, b0 - 0.1 * np.ones(2))
+    # updated in place: each parameter keeps its array
+    assert all(params[k].data is a for k, a in arrays.items())
 
 
 def test_trailing_broadcast_add_and_reduction():

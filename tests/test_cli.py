@@ -154,10 +154,11 @@ def test_attack_aggregate_means_match_report(tmp_path, workspace):
 
 
 def test_log_level_info_shows_early_stop(tmp_path, workspace, capsys):
-    # lr 0 keeps the validation loss flat, so patience 1 stops at epoch 2
+    # a rate too small to move any weight keeps the validation loss flat, so
+    # patience 1 stops at epoch 2 (a rate of 0 is a usage error)
     _, data, _ = workspace
     argv = ("train", "--data", data, "--outdir", tmp_path / "o", "--epochs", 3,
-            "--min-length", 300, "--lr", 0, "--patience", 1, "--seed", 5)
+            "--min-length", 300, "--lr", 1e-300, "--patience", 1, "--seed", 5)
     assert run(*argv) == 0
     assert "early stop" not in capsys.readouterr().err
     log = logging.getLogger("slopestrike")
@@ -580,17 +581,28 @@ def test_run_manifest_records_input_digests(tmp_path, monkeypatch):
     (("defend", "train", "--epochs", "0"), "epochs must be >= 1, got 0"),
     # the MMD compares two intervals or more, so one interval is a usage error
     (("eval", "--n", "1"), "n must be >= 2, got 1"),
+    # each trainer's step settings: a patience of 0 stopped after one epoch,
+    # and a negative rate overflowed into a numerical failure
+    (("train", "--patience", "0"), "early_stop_patience must be >= 1, got 0"),
+    (("train", "--lr", "-5"), "lr must be > 0, got -5.0"),
+    (("train", "--lr", "0"), "lr must be > 0, got 0.0"),
+    (("train", "--lr", "nan"), "lr must be > 0, got nan"),
+    (("train", "--weight-decay", "-1e-4"), "weight_decay must be >= 0, got -0.0001"),
+    (("defend", "train", "--lr", "0"), "lr must be > 0, got 0.0"),
+    (("gan", "train", "--lr-g", "0"), "lr-g must be > 0, got 0.0"),
+    (("gan", "train", "--lr-c", "-1"), "lr-c must be > 0, got -1.0"),
 ])
 def test_out_of_range_settings_exit_2_before_creating_or_reading(tmp_path, argv, words, capsys):
     missing = tmp_path / "missing"  # no input file exists: the settings are checked first
     out = tmp_path / "out"
+    trained = ["--data", missing / "p.csv", "--checkpoint", missing / "m.ckpt", "--outdir", out]
     inputs = {"synth": ["--out", out / "prices.csv"],
+              "train": ["--data", missing / "p.csv", "--outdir", out],
               "eval": ["--data", missing / "p.csv", "--bundle", missing / "g.ckpt",
                        "--outdir", out],
-              "gan": ["--bundle", missing / "g.ckpt", "--data", missing / "p.csv",
-                      "--out", out / "x.csv"],
-              "defend": ["--data", missing / "p.csv", "--checkpoint", missing / "m.ckpt",
-                         "--outdir", out]}[argv[0]]
+              "generate": ["--bundle", missing / "g.ckpt", "--data", missing / "p.csv",
+                           "--out", out / "x.csv"],
+              "defend": trained, "gan": trained}[argv[1] if argv[1] == "generate" else argv[0]]
     code = run(*argv, *inputs)
     err = capsys.readouterr().err
     assert code == 2
@@ -647,3 +659,37 @@ def test_bad_attack_settings_exit_2_before_loading(tmp_path, argv, words, capsys
     assert err.startswith("usage error:") and words in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_a_ticker_with_a_comma_is_selected_whole(tmp_path, capsys):
+    from slopestrike import agan, dataio, defense
+    base = dataio.synth_gbm(3, 320, 80.0, 4e-4, 0.01, seed=3)
+    both = tmp_path / "both.csv"  # "A,B" beside "A" and "B"
+    dataio.write_series_csv([dataio.PriceSeries(t, s.dates, s.adjprc)
+                             for t, s in zip(("A,B", "A", "B"), base)], both)
+    cfg = agan.GanConfig()
+    bundle = tmp_path / "gan.ckpt"
+    agan.GanBundle(agan.TcnGenerator(cfg), agan.MlpCritic(cfg), cfg, (-0.05, 0.05)).save(bundle)
+    clf = tmp_path / "clf.ckpt"
+    defense.Discriminator(defense.DiscriminatorConfig()).save(clf)
+    assert run("gan", "generate", "--bundle", bundle, "--data", both, "--ticker", "A,B",
+               "--n", 2, "--out", tmp_path / "gen.csv") == 0
+    assert "conditioned on A,B;" in capsys.readouterr().out
+    probs = tmp_path / "probs.csv"
+    assert run("defend", "classify", "--model", clf, "--data", both, "--tickers", "A,B",
+               "--out", probs) == 0
+    assert [r["ticker"] for r in csv.DictReader(probs.open())] == ["A,B"]
+    # where no ticker is "A,B", the selector is a list of two
+    two = tmp_path / "two.csv"
+    dataio.write_series_csv([dataio.PriceSeries(t, s.dates, s.adjprc)
+                             for t, s in zip(("A", "B"), base)], two)
+    assert run("defend", "classify", "--model", clf, "--data", two, "--tickers", "A,B",
+               "--out", probs) == 0
+    assert [r["ticker"] for r in csv.DictReader(probs.open())] == ["A", "B"]
+    capsys.readouterr()
+    # --ticker names one series: two is a usage error, not a run on the first
+    assert run("gan", "generate", "--bundle", bundle, "--data", two, "--ticker", "A,B",
+               "--n", 2, "--out", tmp_path / "gen2.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "'A,B' selects 2" in err
+    assert not (tmp_path / "gen2.csv").exists()

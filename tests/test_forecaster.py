@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from slopestrike import autodiff as ad
-from slopestrike import dataio
+from slopestrike import dataio, forecaster
 from slopestrike.attacks import AttackConfig, run_attack
 from slopestrike.features import compute_features
 from slopestrike.forecaster import (
-    ROW_BLOCK, EarlyStopper, NhitsConfig, NhitsModel, _assemble_batch, _exo_days, _interp_matrix,
-    _mean_loss, _pinball, _series_days, rolling_forecast, standardise, train,
+    ROW_BLOCK, EarlyStopper, NhitsConfig, NhitsModel, _assemble_batch, _batch_loss, _exo_days,
+    _first_inputs, _interp_matrix, _mean_loss, _pinball, _series_days, rolling_forecast,
+    standardise, train,
 )
 from graph_ops import sort_last
 from helpers import (finite_diff, max_rel_err, nhits_forecast_reference, nhits_stacks_reference,
@@ -128,7 +129,7 @@ def test_backcast_residual_telescoping_single_block():
     _randomise_heads(model, seed=9, scale=0.2)
     rng = np.random.default_rng(10)
     adj = 70.0 * np.exp(np.cumsum(rng.normal(0, 0.01, (1, 100)), axis=1))
-    exo = ad.constant(rng.normal(size=(1, cfg.exo_dim)))
+    exo = ad.constant(rng.normal(size=(1, cfg.pooled_dim + cfg.exo_dim)))
     x = standardise(adj, 1)[0]
     # the op returns no residual: read it from the reference graph, whose forecast the op's equals
     fore, blocks, residual = nhits_stacks_reference(model, ad.constant(x), exo)
@@ -151,7 +152,10 @@ def _random_stack_inputs(seed=21, n=6, ties=False):
         x = np.round(2.0 * x)
     exo = rng.normal(size=(n, cfg.exo_dim))
     weights = rng.normal(size=(n, cfg.horizon * cfg.n_quantiles))
-    return model, x, exo, weights
+    # the first stack's input: the op writes the pooled prices over the
+    # leading columns, so what they hold must not matter
+    first = np.concatenate([rng.normal(size=(n, cfg.pooled_dim)), exo], axis=1)
+    return model, x, first, weights
 
 
 def _stack_loss(fore, weights):
@@ -200,13 +204,35 @@ def test_stacks_gradient_wrt_x_skips_weight_products():
 
 
 def test_stacks_training_pass_skips_input_products():
-    model, xa, ea, weights = _random_stack_inputs()
-    x = standardise(50.0 + xa, 1)[0]
-    fore = model.stacks(ad.constant(x), ad.constant(ea))
-    returned = _record_vjp_results(fore)
-    ad.gradients(_stack_loss(fore, weights), list(model.params.values()))
-    assert returned[0][0] is None and returned[0][1] is None
-    assert all(g is not None for g in returned[0][2:])
+    # batches of 1 and 7 rows too: the weight products read the input's
+    # transpose in place, and BLAS takes other kernels at those sizes
+    for n in (6, 1, 7):
+        model, xa, ea, weights = _random_stack_inputs(n=n)
+        x = standardise(50.0 + xa, 1)[0]
+        fore = model.stacks(ad.constant(x), ad.constant(ea.copy()))
+        returned = _record_vjp_results(fore)
+        got = ad.gradients(_stack_loss(fore, weights), list(model.params.values()))
+        assert returned[0][0] is None and returned[0][1] is None
+        assert all(g is not None for g in returned[0][2:])
+        ref = nhits_stacks_reference(model, ad.constant(x), ad.constant(ea))[0]
+        want = ad.gradients(_stack_loss(ref, weights), list(model.params.values()))
+        for g, w in zip(got, want):
+            assert max_rel_err(g.data, w.data) < 1e-12
+
+
+def test_training_step_copies_no_block_input(monkeypatch):
+    # the weight products read each block's input in place
+    cfg = NhitsConfig(batch_size=16)
+    model = NhitsModel(cfg, seed=2)
+    series = dataio.synth_gbm(1, 160, 60.0, 3e-4, 0.01, seed=2)
+    prices, exo, (starts,) = _series_days(model, [series])
+    tc, copied = forecaster._tc, []
+    monkeypatch.setattr(forecaster, "_tc", lambda a: copied.append(a.shape) or tc(a))
+    ad.sgd_step(model.params, _batch_loss(model, starts[:16], prices, exo), cfg.lr,
+                cfg.weight_decay)
+    inputs = {(16, model.params[f"b{i}.w1"].shape[0]) for i in range(cfg.n_stacks)}
+    assert copied and inputs == {(16, 1725), (16, 50), (16, 100)}
+    assert not inputs & set(copied)
 
 
 def _forecast_case(batch, seed=31):
@@ -399,12 +425,12 @@ def test_training_batch_rows_equal_inference_windows():
     first = len(pool[0]) - cfg.min_series_length + 1  # the windows of pool[0] come first
     prices, exo, (starts,) = _series_days(model, [pool])
     fm = compute_features(ad.constant(s.adjprc), s.dates)
-    exo_days = _exo_days(fm.continuous.data, fm.day_one_hot().data)[0]
+    exo_days = _exo_days(fm.continuous.data, fm.day_one_hot().data, 0)[0].reshape(-1, 17)
     inference = _window_forecasts(model, fm, n).reshape(n, -1)
     for w in (0, 7, n - 1):
         adj, truth, exo_b = _assemble_batch(starts[[first + w]], prices, exo, cfg)
         assert np.array_equal(adj[0], s.adjprc[w:w + E])
-        assert np.array_equal(exo_b[0], exo_days[w:w + E].ravel())
+        assert np.array_equal(exo_b[0, cfg.pooled_dim:], exo_days[w:w + E].ravel())
         assert np.array_equal(truth[0], s.adjprc[w + E:w + cfg.min_series_length])
         # the training path's forecast, denormalised, is the inference op's
         x, wmean, denom, _ = standardise(adj, 1)
@@ -516,13 +542,14 @@ def test_row_blocks_give_the_outputs_of_one_block(toy_model, n):
     fm, _ = _fm(60.0 * np.exp(np.cumsum(np.random.default_rng(n).normal(0, 0.01, n + 119))))
     rng = np.random.default_rng(n + 1)
     x = rng.normal(size=(n, cfg.encoder_length))
-    exo = ad.window_view(rng.normal(size=(n + cfg.encoder_length - 1, 17)),
-                         cfg.encoder_length).reshape(n, cfg.exo_dim)  # a view, as core's is
+    # first stack inputs gathered as core gathers them
+    exo = rng.normal(size=cfg.pooled_dim + (n + cfg.encoder_length - 1) * 17)
     runs = []
     for record in (False, True):
         with contextlib.nullcontext() if record else ad.no_record():
             core = toy_model.core(fm.continuous, fm.day_one_hot().data, n)
-            stacks = toy_model.stacks(ad.constant(x), ad.constant(exo))
+            first = ad.constant(_first_inputs(exo, np.arange(n), cfg))
+            stacks = toy_model.stacks(ad.constant(x), first)
         assert (core.node is not None) == (stacks.node is not None) == record
         runs.append((core.data, stacks.data))
     for blocked, whole in zip(*runs):
@@ -533,7 +560,8 @@ def test_row_blocks_give_the_outputs_of_one_block(toy_model, n):
     for j in range(n_blocks):
         rows = slice(n * j // n_blocks, n * (j + 1) // n_blocks)
         with ad.no_record():
-            block = toy_model.stacks(ad.constant(x[rows]), ad.constant(exo[rows]))
+            first = _first_inputs(exo, np.arange(n)[rows], cfg)
+            block = toy_model.stacks(ad.constant(x[rows]), ad.constant(first))
         assert np.array_equal(block.data, runs[0][1][rows])
 
 
