@@ -3,11 +3,11 @@
 The generator is a dilated causal TCN (Bai et al., arXiv:1803.01271) fed noise
 concatenated with a real (min-max scaled) log-return interval as the
 condition.  ``TcnGenerator.forward`` records the whole network as one graph
-node, kind ``tcn_generator``, with a numpy forward over time-major rows (one
-GEMM per tap, bias and leaky ReLU fused in) and a hand-written vjp that
-computes only what ``need`` asks for.  Noise and condition come in as numpy
-arrays, not tensors, so the op has no input gradient; a critic step, run under
-``no_record``, keeps nothing for the vjp.  The
+node, kind ``tcn_generator``: a numpy forward over time-major rows, each layer
+an ``autodiff.causal_conv`` with bias and leaky ReLU fused in, and a
+hand-written vjp that computes only what ``need`` asks for.  Noise and
+condition come in as numpy arrays, not tensors, so the op has no input
+gradient; a critic step, run under ``no_record``, keeps nothing for the vjp.  The
 critic is a tanh MLP over the flattened (interval, condition) pair so that the
 gradient penalty's second-order pass stays inside the supported operation
 subset.  A frozen forecaster acts as a second critic: the whole batch of
@@ -174,9 +174,8 @@ class TcnGenerator:
 
         Recorded as ``tcn_generator`` with the parameters as parents.  Rows are
         time-major, row t*B + b with the noise and condition as its two
-        channels, so a causal tap that looks d steps back is the row block
-        shifted by d*B: each layer is one GEMM per tap added into the output in
-        place, with no padding and no im2col copy.
+        channels, and each layer is ``autodiff.causal_conv`` over them: one
+        GEMM per tap added into the output in place.
         """
         cfg = self.config
         L = cfg.interval_length
@@ -185,21 +184,15 @@ class TcnGenerator:
                                 f"got {z.shape} and {cond.shape}")
         B = z.shape[0]
         n = L * B
-        names = [f"tcn{i}.{p}" for i in range(len(cfg.gen_kernels)) for p in "wb"]
-        weights = tuple(self.params[k] for k in names + ["head.w", "head.b"])
+        weights = tuple(self.params.values())  # tcn0.w, tcn0.b, ..., head.w, head.b
         keep = ad.records(weights)  # without a node nothing is kept for the vjp
-        layers = [_tap_shifts(k, d, B, L) for k, d in zip(cfg.gen_kernels, cfg.gen_dilations)]
-        layers.append(_tap_shifts(1, 1, B, L))  # the 1x1 head
+        layers = [ad.tap_shifts(k, d, B, L) for k, d in zip(cfg.gen_kernels, cfg.gen_dilations)]
+        layers.append(ad.tap_shifts(1, 1, B, L))  # the 1x1 head
         slope = cfg.leaky_slope
         h = np.stack([z.T, cond.T], axis=-1).reshape(n, 2)
         inputs, factors = [], []
         for i, taps in enumerate(layers):
-            w, b = weights[2 * i].data, weights[2 * i + 1].data
-            wt = np.ascontiguousarray(w.transpose(2, 1, 0))  # (K, Cin, Cout)
-            z = np.zeros((n, w.shape[0]))
-            for k, s in taps:
-                z[s:] += h[:n - s] @ wt[k]
-            z += b
+            z = ad.causal_conv(h, weights[2 * i].data, weights[2 * i + 1].data, taps)
             if keep:
                 inputs.append(h)
             if i < len(layers) - 1:
@@ -212,34 +205,17 @@ class TcnGenerator:
             grads = [None] * len(weights)
             gz = np.ascontiguousarray(g.data.T).reshape(n, 1)
             for i in reversed(range(len(layers))):
-                w, x = weights[2 * i].data, inputs[i]
-                if need[2 * i]:
-                    gw = np.zeros(w.shape)
-                    for k, s in layers[i]:
-                        gw[:, :, k] = gz[s:].T @ x[:n - s]
-                    grads[2 * i] = Tensor(gw)
-                if need[1 + 2 * i]:
-                    grads[1 + 2 * i] = Tensor(gz.sum(axis=0))
-                if not any(need[:2 * i]):
-                    break  # nothing below this layer is asked for
-                wk = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, Cout, Cin)
-                gx = np.zeros(x.shape)
-                for k, s in layers[i]:
-                    gx[:n - s] += gz[s:] @ wk[k]
+                below = any(need[:2 * i])  # a layer below this one is asked for
+                *gwb, gx = ad.causal_conv_vjp(gz, inputs[i], weights[2 * i].data, layers[i],
+                                              (*need[2 * i:2 * i + 2], below))
+                grads[2 * i:2 * i + 2] = [None if a is None else Tensor(a) for a in gwb]
+                if not below:
+                    break
                 gz = gx * factors[i - 1]
             return tuple(grads)
 
         out = np.ascontiguousarray(h.reshape(L, B).T)
         return ad.custom_op("tcn_generator", out, weights, vjp)
-
-
-def _tap_shifts(K: int, dilation: int, B: int, L: int) -> list[tuple[int, int]]:
-    """(k, s) for each tap k of a causal kernel over L time-major rows of B series.
-
-    Tap k looks (K-1-k)*dilation steps back, s rows; a tap that looks L or more
-    steps back reads only the zero history before the first step and is left out.
-    """
-    return [(k, (K - 1 - k) * dilation * B) for k in range(K) if (K - 1 - k) * dilation < L]
 
 
 class MlpCritic:

@@ -11,12 +11,14 @@ product.  Tensors carry no gradient slot: a gradient is only ever a return
 value.  A restricted subset of operations additionally supports building the
 backward pass itself as a differentiable graph (``create_graph=True``), which
 is what the Wasserstein gradient penalty needs.  Ops that only the test oracles
-build (``div``, ``unfold``, ``fold``, ``ema``, ``sort_last``) live in
-``tests/graph_ops.py``.
+build (``div``, ``unfold``, ``fold``, ``ema``, ``sort_last``, ``conv1d``,
+``channel_bias``, ``maxpool1d``) live in ``tests/graph_ops.py``.  The fused ops
+of other modules are written from the numpy kernels here: sliding windows, a
+causal convolution and first-max pooling, each with its adjoint.
 
 Subgradient conventions (fixed for deterministic replay):
   * ``clamp``          -> pass-through inside [lo, hi], bounds count as inside
-  * ``maxpool1d``      -> gradient routed to the first (lowest-index) maximum
+  * ``pool_taps_vjp``  -> gradient routed to the first (lowest-index) maximum
   * ``sqrt`` at 0      -> derivative 0 (stabilising convention)
   * ``abs`` at 0       -> derivative 0
 """
@@ -472,7 +474,70 @@ def cumsum(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra and convolution
+# causal convolution and first-max pooling kernels
+# ---------------------------------------------------------------------------
+
+def tap_shifts(K: int, dilation: int, B: int, L: int) -> list[tuple[int, int]]:
+    """(k, s) for each tap k of a causal kernel over L time-major rows of B series:
+    row t*B + b holds step t of series b, so tap k, (K-1-k)*dilation steps back, is
+    the row block shifted by s rows.  A tap L or more steps back reads only the
+    zero history and is left out."""
+    return [(k, (K - 1 - k) * dilation * B) for k in range(K) if (K - 1 - k) * dilation < L]
+
+
+def causal_conv(h: np.ndarray, w: np.ndarray, b: np.ndarray, taps) -> np.ndarray:
+    """Causal cross-correlation of time-major rows h (n, C_in) with w (C_out, C_in, K)
+    at the ``tap_shifts`` taps, plus the bias b: (n, C_out), one GEMM per tap, in place."""
+    n = h.shape[0]
+    wt = np.ascontiguousarray(w.transpose(2, 1, 0))  # (K, C_in, C_out)
+    z = np.zeros((n, w.shape[0]))
+    for k, s in taps:
+        z[s:] += h[:n - s] @ wt[k]
+    z += b
+    return z
+
+
+def causal_conv_vjp(gz: np.ndarray, h: np.ndarray, w: np.ndarray, taps, need):
+    """The gradients of w, b and h of ``causal_conv(h, w, b, taps)`` for the output
+    gradient gz (n, C_out), where ``need`` (three flags) asks for them; else None."""
+    n = h.shape[0]
+    gw = gh = None
+    if need[0]:
+        gw = np.zeros(w.shape)
+        for k, s in taps:
+            gw[:, :, k] = gz[s:].T @ h[:n - s]
+    gb = gz.sum(axis=0) if need[1] else None
+    if need[2]:
+        wk = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, C_out, C_in)
+        gh = np.zeros(h.shape)
+        for k, s in taps:
+            gh[:n - s] += gz[s:] @ wk[k]
+    return gw, gb, gh
+
+
+def pool_taps(win: np.ndarray, index: bool):
+    """Max over the short last axis of ``win`` and, with ``index``, where its first
+    maximum is; a loop over the taps beats ``np.max``/``np.argmax`` there."""
+    best = win[..., 0]
+    arg = np.zeros(best.shape, dtype=np.intp) if index else None
+    for j in range(1, win.shape[-1]):
+        tap = win[..., j]
+        if index:
+            arg += (tap > best) * (j - arg)  # strictly greater: a tie keeps the earlier tap
+        best = np.maximum(best, tap)
+    return best, arg
+
+
+def pool_taps_vjp(g: np.ndarray, arg: np.ndarray, k: int) -> np.ndarray:
+    """Adjoint of ``pool_taps`` over k taps: each window's gradient g goes to its
+    first maximum, the subgradient convention of max pooling.  (..., k) out."""
+    routed = np.zeros((arg.size, k))
+    routed[np.arange(arg.size), arg.ravel()] = g.ravel()
+    return routed.reshape(arg.shape + (k,))
+
+
+# ---------------------------------------------------------------------------
+# linear algebra
 # ---------------------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
@@ -495,75 +560,6 @@ def matmul(a, b) -> Tensor:
 def affine(x, w, b) -> Tensor:
     """Linear layer x @ w + b (recorded as matmul + add)."""
     return add(matmul(x, w), b)
-
-
-def channel_bias(x, b) -> Tensor:
-    """Add a per-channel bias (C,) to a channels-first (B, C, T) tensor."""
-    x, b = as_tensor(x), as_tensor(b)
-    if x.ndim != 3:
-        raise ShapeError(f"channel_bias: expected 3-D input, got {x.shape}")
-    # (C, T) suffices: add broadcasts it over the batch, _reduce_to sums it back
-    return add(x, expand(b, x.shape[1:], 1))
-
-
-def conv1d(x, w, dilation: int = 1) -> Tensor:
-    """Causal 1-D convolution (cross-correlation), channels-first.
-
-    x: (B, C_in, T); w: (C_out, C_in, K).  The input is left-padded with
-    (K-1)*dilation zeros, so the output keeps length T.  First-order only.
-    """
-    x, w = as_tensor(x), as_tensor(w)
-    if x.ndim != 3 or w.ndim != 3 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
-    B, Cin, T = x.shape
-    Cout, _, K = w.shape
-    pad = (K - 1) * dilation
-    # time-major, so window_view takes the windows along axis 0
-    xp = np.pad(np.moveaxis(x.data, 2, 0), ((pad, 0), (0, 0), (0, 0)))  # (T+pad, B, Cin)
-    taps = window_view(xp, K, dilation)  # (T, K, B, Cin)
-    # contract via BLAS: (B*T, Cin*K) @ (Cin*K, Cout)
-    pmat = taps.transpose(2, 0, 3, 1).reshape(B * T, Cin * K)
-    wmat = w.data.reshape(Cout, Cin * K).T
-    out_data = (pmat @ wmat).reshape(B, T, Cout).transpose(0, 2, 1)
-
-    def vjp(g, need):
-        gmat = g.data.transpose(0, 2, 1).reshape(B * T, Cout)
-        gx = gw = None
-        if need[0]:
-            gtaps = (gmat @ wmat.T).reshape(B, T, Cin, K).transpose(1, 3, 0, 2)
-            gx = Tensor(np.moveaxis(overlap_add(gtaps, T + pad, dilation)[pad:], 0, 2))
-        if need[1]:
-            gw = Tensor((gmat.T @ pmat).reshape(Cout, Cin, K))
-        return (gx, gw)
-
-    return custom_op("conv1d", out_data, (x, w), vjp)
-
-
-def maxpool1d(x, kernel: int) -> Tensor:
-    """Max pooling over non-overlapping windows along the last axis.
-
-    A trailing remainder shorter than the kernel is dropped.  Gradient goes to
-    the first maximum inside each window.
-    """
-    x = as_tensor(x)
-    if kernel < 1:
-        raise ShapeError(f"maxpool1d: kernel {kernel} < 1")
-    T = x.shape[-1]
-    if T < kernel:
-        raise ShapeError(f"maxpool1d: length {T} shorter than kernel {kernel}")
-    kept = T // kernel * kernel
-    windows = x.data[..., :kept].reshape(x.shape[:-1] + (T // kernel, kernel))
-    arg = np.argmax(windows, axis=-1)[..., None]  # first max
-    out_data = np.take_along_axis(windows, arg, axis=-1)[..., 0]
-
-    def vjp(g):
-        routed = np.zeros(windows.shape)
-        np.put_along_axis(routed, arg, g.data[..., None], axis=-1)
-        buf = np.zeros(x.shape)
-        buf[..., :kept] = routed.reshape(x.shape[:-1] + (kept,))
-        return (Tensor(buf),)
-
-    return custom_op("maxpool1d", out_data, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -280,10 +280,11 @@ def cmd_defend_train(settings) -> int:
         raise DataError(f"holdout {settings['holdout']} leaves no training series "
                         f"of the {len(series)}")
     n_in = d_cfg.input_length
-    real, attacked = [], []
-    for s in series:
+    for s in series:  # before the first attack, so a short series fails fast
         if len(s) < n_in:
             raise DataError(f"{s.ticker}: need {n_in} days for the discriminator input")
+    real, attacked = [], []
+    for s in series:
         result = run_attack(s, model, acfg)
         real.append(s.adjprc[:n_in])
         attacked.append(result.x_adv.adjprc)
@@ -322,6 +323,9 @@ def cmd_defend_classify(settings) -> int:
 
 def cmd_defend_build_manifest(settings) -> int:
     """hash a deployment directory"""
+    out = Path(settings["out"]).resolve()
+    if out.is_relative_to(Path(settings["directory"]).resolve()):
+        raise UsageError(f"--out {settings['out']} lies inside the directory it hashes")
     manifest = defense.build_manifest(settings["directory"])
     defense.write_manifest(manifest, _out(settings))
     print(f"hashed {len(manifest.entries)} files; root {manifest.root_digest}")

@@ -3,16 +3,17 @@
 The discriminator is a small CNN over per-series standardised 300-day price
 windows, the windows the attacks perturb; it outputs the probability that the
 window was tampered with.  Its architecture is fixed: only the learning rate
-and the epoch count are settings.  The manifest is a sorted list of SHA-256
-file digests plus a root digest, used to detect any modification of a
-deployed model directory before inference.
+and the epoch count are settings.  It is one recorded op over the generator's
+causal conv and the forecaster's first-max pool (``Discriminator.logits``).
+The manifest is a sorted list of SHA-256 file digests plus a root digest, used
+to detect any modification of a deployed model directory before inference.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import ClassVar
 
@@ -70,21 +71,18 @@ class Discriminator:
         chans = (1,) + config.conv_channels
         k = config.kernel
         self.params: dict[str, Tensor] = {}
-        length = config.input_length
         for i in range(3):
             fan_in = chans[i] * k
             s = 1.0 / np.sqrt(fan_in)
             self.params[f"conv{i}.w"] = ad.Tensor(rng.uniform(-s, s, (chans[i + 1], chans[i], k)),
                                                   requires_grad=True)
             self.params[f"conv{i}.b"] = ad.Tensor(np.zeros(chans[i + 1]), requires_grad=True)
-            length //= 2  # maxpool(2) after each conv (causal padding keeps length)
-        self._flat_dim = chans[-1] * length
-        s = 1.0 / np.sqrt(self._flat_dim)
-        self.params["head.w"] = ad.Tensor(rng.uniform(-s, s, (self._flat_dim, 1)), requires_grad=True)
+        flat_dim = chans[-1] * (config.input_length // 8)  # each block halves the length
+        s = 1.0 / np.sqrt(flat_dim)
+        self.params["head.w"] = ad.Tensor(rng.uniform(-s, s, (flat_dim, 1)), requires_grad=True)
         self.params["head.b"] = ad.Tensor(np.zeros(1), requires_grad=True)
 
     def arch(self) -> dict:
-        from dataclasses import asdict
         return {"model": "discriminator", "config": asdict(self.config)}
 
     def save(self, path) -> None:
@@ -99,25 +97,63 @@ class Discriminator:
         return load_model_checkpoint(path, "discriminator", "discriminator",
                                      DiscriminatorConfig, build)[0]
 
-    def logits(self, batch: Tensor, dropout_rng=None) -> Tensor:
-        """batch: (B, input_length) standardised series -> (B, 1) raw logits."""
-        B = batch.shape[0]
-        h = ad.reshape(batch, (B, 1, self.config.input_length))
+    def logits(self, batch: np.ndarray, dropout_rng=None) -> Tensor:
+        """(B, input_length) standardised windows -> (B, 1) raw logits, as one op.
+
+        Recorded as ``cnn_discriminator``, the weights its only parents.  Rows
+        are time-major, as in the generator's op.  Each block is a causal conv,
+        bias, ReLU, first-max pool over step pairs (an odd last step is dropped)
+        and, with ``dropout_rng``, dropout, its mask drawn channels-first.
+        """
+        B, T = batch.shape
+        weights = tuple(self.params.values())  # conv0.w, conv0.b, ..., head.w, head.b
+        keep = ad.records(weights)  # without a node nothing is kept for the vjp
+        taps = ad.tap_shifts(self.config.kernel, 1, B, T // 4)  # the last block holds all
+        p = 1.0 - self.config.dropout
+        h, saved = np.ascontiguousarray(batch.T).reshape(T * B, 1), []
         for i in range(3):
-            h = ad.conv1d(h, self.params[f"conv{i}.w"])
-            h = ad.channel_bias(h, self.params[f"conv{i}.b"])
-            h = ad.relu(h)
-            h = ad.maxpool1d(h, 2)
+            z = ad.causal_conv(h, weights[2 * i].data, weights[2 * i + 1].data, taps)
+            relu = z > 0.0
+            z *= relu
+            T, C = T // 2, z.shape[1]
+            pairs = z[:2 * T * B].reshape(T, 2, B * C)  # steps 2t and 2t+1 of each column
+            pooled, arg = ad.pool_taps(pairs.transpose(0, 2, 1), keep)
+            drop = 1.0  # no dropout
             if dropout_rng is not None:
-                keep = 1.0 - self.config.dropout
-                mask = (dropout_rng.random(h.shape) < keep) / keep
-                h = ad.mul(h, ad.constant(mask))
-        h = ad.reshape(h, (B, self._flat_dim))
-        return ad.affine(h, self.params["head.w"], self.params["head.b"])
+                drop = (dropout_rng.random((B, C, T)) < p) / p
+                drop = drop.transpose(2, 0, 1).reshape(T * B, C)
+            if keep:
+                saved.append((h, relu, arg, drop))
+            h = pooled.reshape(T * B, C) * drop
+        flat = h.reshape(T, B, C).transpose(1, 2, 0).reshape(B, C * T)
+        head_w = weights[6].data
+
+        def vjp(g, need):
+            grads = [None] * len(weights)
+            if need[6]:
+                grads[6] = Tensor(flat.T @ g.data)
+            if need[7]:
+                grads[7] = Tensor(g.data.sum(axis=0))
+            gh = (g.data @ head_w.T).reshape(B, C, T).transpose(2, 0, 1).reshape(T * B, C)
+            for i in reversed(range(3)):
+                if not any(need[:2 * i + 2]):
+                    break  # nothing at or below this block is asked for
+                x, relu, arg, drop = saved[i]
+                routed = ad.pool_taps_vjp((gh * drop).reshape(arg.shape), arg, 2)
+                gz = np.zeros(relu.shape)  # an odd last step gets no gradient
+                pairs = gz[:2 * len(arg) * B].reshape(len(arg), 2, -1)  # a view of gz
+                pairs.transpose(0, 2, 1)[...] = routed
+                gz *= relu
+                *gwb, gh = ad.causal_conv_vjp(gz, x, weights[2 * i].data, taps,
+                                              (*need[2 * i:2 * i + 2], any(need[:2 * i])))
+                grads[2 * i:2 * i + 2] = [None if a is None else Tensor(a) for a in gwb]
+            return tuple(grads)
+
+        return ad.custom_op("cnn_discriminator", flat @ head_w + weights[7].data, weights, vjp)
 
     def probabilities(self, batch: np.ndarray) -> np.ndarray:
         with ad.no_record():
-            p = ad.sigmoid(self.logits(ad.constant(batch)))
+            p = ad.sigmoid(self.logits(batch))
         return p.data.reshape(-1).copy()
 
 
@@ -157,7 +193,7 @@ def train_discriminator(real: list[np.ndarray], attacked: list[np.ndarray],
         total, count = 0.0, 0
         for i in range(0, len(order), config.batch_size):
             idx = order[i:i + config.batch_size]
-            logits = clf.logits(ad.constant(X[idx]), dropout_rng=rng)
+            logits = clf.logits(X[idx], dropout_rng=rng)
             loss = _bce(logits, y[idx])
             lval = loss.item()
             if not np.isfinite(lval):
@@ -223,7 +259,10 @@ def build_manifest(directory) -> IntegrityManifest:
     entries = []
     for p in sorted(base.rglob("*")):
         if p.is_file() and not p.is_symlink():
-            entries.append((p.relative_to(base).as_posix(), digest_file(p)))
+            rel = p.relative_to(base).as_posix()
+            if "\n" in rel or "\r" in rel:
+                raise ValueError(f"{rel!r}: a manifest line cannot hold a line break")
+            entries.append((rel, digest_file(p)))
     entries.sort()
     return IntegrityManifest(entries, _root_of(entries))
 
@@ -248,22 +287,21 @@ def write_manifest(manifest: IntegrityManifest, path) -> None:
 
 
 def read_manifest(path) -> IntegrityManifest:
-    entries: list[tuple[str, str]] = []
-    root = None
+    """A ``write_manifest`` file: the root is its last line, and each line splits at
+    its last tab, as a file name may hold a tab and a digest holds none."""
+    rows: list[tuple[str, str]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2:
+            rel, tab, dig = line.rpartition("\t")
+            if not tab:
                 raise ValueError(f"{path}:{lineno}: malformed manifest line")
-            if parts[0] == ROOT_KEY:
-                root = parts[1]
-            else:
-                entries.append((parts[0], parts[1]))
-    if root is None:
+            rows.append((rel, dig))
+    if not rows or rows[-1][0] != ROOT_KEY:
         raise ValueError(f"{path}: missing {ROOT_KEY} line")
+    entries, root = rows[:-1], rows[-1][1]
     if _root_of(entries) != root:
         raise ValueError(f"{path}: root digest does not match entries")
     return IntegrityManifest(entries, root)

@@ -160,20 +160,6 @@ def _tc(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T)
 
 
-def _pool_taps(win: np.ndarray, index: bool):
-    """Max over the short last axis of ``win`` and, with ``index``, where its first
-    maximum is: ``maxpool1d``'s routing for finite values.  A loop over the few
-    taps runs far faster than ``np.max``/``np.argmax`` over so short an axis."""
-    best = win[..., 0]
-    arg = np.zeros(best.shape, dtype=np.intp) if index else None
-    for j in range(1, win.shape[-1]):
-        tap = win[..., j]
-        if index:
-            arg += (tap > best) * (j - arg)  # strictly greater: a tie keeps the earlier tap
-        best = np.maximum(best, tap)
-    return best, arg
-
-
 def _relu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ReLU as ``autodiff.relu`` computes it, and its mask: the derivative is 0 at 0."""
     mask = z > 0.0
@@ -249,7 +235,7 @@ class NhitsModel:
             w1, b1, w2, b2, w3, b3 = ws[6 * i:6 * i + 6]
             pooled, arg = residual, None
             if k > 1:
-                pooled, arg = _pool_taps(residual.reshape(N, E // k, k), keep)
+                pooled, arg = ad.pool_taps(residual.reshape(N, E // k, k), keep)
             inp = pooled
             if i == 0:  # drop this name, so a buffer no caller holds is freed after block 0
                 inp, first = first, None
@@ -309,9 +295,7 @@ class NhitsModel:
                 g_exo = gin[:, P:]
             gp = gin[:, :P]
             if arg is not None:  # route to each window's first maximum
-                routed = np.zeros((arg.size, k))
-                routed[np.arange(arg.size), arg.ravel()] = gp.ravel()
-                gp = routed.reshape(N, E)
+                gp = ad.pool_taps_vjp(gp, arg, k).reshape(N, E)
             g_res = gp if g_res is None else g_res + gp
         return (g_res if need_x else None), g_exo, gw
 

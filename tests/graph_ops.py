@@ -1,11 +1,13 @@
 """Graph ops that only the test oracles build: ``div``, ``unfold``, ``fold``, ``ema``,
-``sort_last``.
+``sort_last``, ``conv1d``, ``channel_bias`` and ``maxpool1d``.
 
 The package's commands never record these, so they live beside the oracles
 that use them (the random-graph corpus and the primitive references in
 ``helpers.py``).  Each records through ``autodiff.custom_op`` under its own
-name as kind; none is in the second-order subset, so ``create_graph`` through
-one raises ``SecondOrderError``.
+name as kind (``channel_bias`` is ``add`` over an ``expand``); none of the
+others is in the second-order subset, so ``create_graph`` through one raises
+``SecondOrderError``.  ``maxpool1d`` routes the gradient to the first
+(lowest-index) maximum of each window, as ``autodiff.pool_taps_vjp`` does.
 """
 
 import numpy as np
@@ -84,3 +86,72 @@ def sort_last(a):
         return (ad.Tensor(buf),)
 
     return ad.custom_op("sort", np.take_along_axis(a.data, order, axis=-1), (a,), vjp)
+
+
+def channel_bias(x, b):
+    """Add a per-channel bias (C,) to a channels-first (B, C, T) tensor."""
+    x, b = ad.as_tensor(x), ad.as_tensor(b)
+    if x.ndim != 3:
+        raise ad.ShapeError(f"channel_bias: expected 3-D input, got {x.shape}")
+    # (C, T) suffices: add broadcasts it over the batch, _reduce_to sums it back
+    return ad.add(x, ad.expand(b, x.shape[1:], 1))
+
+
+def conv1d(x, w, dilation: int = 1):
+    """Causal 1-D convolution (cross-correlation), channels-first.
+
+    x: (B, C_in, T); w: (C_out, C_in, K).  The input is left-padded with
+    (K-1)*dilation zeros, so the output keeps length T.  First-order only.
+    """
+    x, w = ad.as_tensor(x), ad.as_tensor(w)
+    if x.ndim != 3 or w.ndim != 3 or x.shape[1] != w.shape[1]:
+        raise ad.ShapeError(f"conv1d: incompatible shapes {x.shape} and {w.shape}")
+    B, Cin, T = x.shape
+    Cout, _, K = w.shape
+    pad = (K - 1) * dilation
+    # time-major, so window_view takes the windows along axis 0
+    xp = np.pad(np.moveaxis(x.data, 2, 0), ((pad, 0), (0, 0), (0, 0)))  # (T+pad, B, Cin)
+    taps = ad.window_view(xp, K, dilation)  # (T, K, B, Cin)
+    # contract via BLAS: (B*T, Cin*K) @ (Cin*K, Cout)
+    pmat = taps.transpose(2, 0, 3, 1).reshape(B * T, Cin * K)
+    wmat = w.data.reshape(Cout, Cin * K).T
+    out_data = (pmat @ wmat).reshape(B, T, Cout).transpose(0, 2, 1)
+
+    def vjp(g, need):
+        gmat = g.data.transpose(0, 2, 1).reshape(B * T, Cout)
+        gx = gw = None
+        if need[0]:
+            gtaps = (gmat @ wmat.T).reshape(B, T, Cin, K).transpose(1, 3, 0, 2)
+            gx = ad.Tensor(np.moveaxis(ad.overlap_add(gtaps, T + pad, dilation)[pad:], 0, 2))
+        if need[1]:
+            gw = ad.Tensor((gmat.T @ pmat).reshape(Cout, Cin, K))
+        return (gx, gw)
+
+    return ad.custom_op("conv1d", out_data, (x, w), vjp)
+
+
+def maxpool1d(x, kernel: int):
+    """Max pooling over non-overlapping windows along the last axis.
+
+    A trailing remainder shorter than the kernel is dropped.  Gradient goes to
+    the first maximum inside each window.
+    """
+    x = ad.as_tensor(x)
+    if kernel < 1:
+        raise ad.ShapeError(f"maxpool1d: kernel {kernel} < 1")
+    T = x.shape[-1]
+    if T < kernel:
+        raise ad.ShapeError(f"maxpool1d: length {T} shorter than kernel {kernel}")
+    kept = T // kernel * kernel
+    windows = x.data[..., :kept].reshape(x.shape[:-1] + (T // kernel, kernel))
+    arg = np.argmax(windows, axis=-1)[..., None]  # first max
+    out_data = np.take_along_axis(windows, arg, axis=-1)[..., 0]
+
+    def vjp(g):
+        routed = np.zeros(windows.shape)
+        np.put_along_axis(routed, arg, g.data[..., None], axis=-1)
+        buf = np.zeros(x.shape)
+        buf[..., :kept] = routed.reshape(x.shape[:-1] + (kept,))
+        return (ad.Tensor(buf),)
+
+    return ad.custom_op("maxpool1d", out_data, (x,), vjp)

@@ -12,7 +12,7 @@ import numpy as np
 
 from slopestrike import autodiff as ad
 from slopestrike.attacks import _loss_builder, _predict_path, eps_abs
-from graph_ops import div, ema, fold, sort_last, unfold
+from graph_ops import channel_bias, conv1d, div, ema, fold, maxpool1d, sort_last, unfold
 from slopestrike.dataio import business_days, load_checkpoint, save_checkpoint
 from slopestrike.features import FeatureMatrix, compute_features
 from slopestrike.forecaster import NORM_EPS, NhitsConfig, NhitsModel, _interp_matrix
@@ -83,7 +83,7 @@ def _builders():
 
     def pooled(rng):
         def f(ts):
-            p = ad.maxpool1d(ts[0], 2)
+            p = maxpool1d(ts[0], 2)
             return ad.tsum(ad.sigmoid(p))
 
         return [(8,)], f
@@ -93,7 +93,7 @@ def _builders():
 
         def f(ts):
             x = ad.reshape(ts[0], (1, 1, 10))
-            y = ad.conv1d(x, ad.constant(w), dilation=2)
+            y = conv1d(x, ad.constant(w), dilation=2)
             return ad.tmean(leaky(y, 0.2))
 
         return [(10,)], f
@@ -289,10 +289,25 @@ def tcn_generator_reference(gen, z, cond):
     cfg = gen.config
     h = ad.constant(np.stack([z, cond], axis=1))
     for i, dil in enumerate(cfg.gen_dilations):
-        h = ad.conv1d(h, gen.params[f"tcn{i}.w"], dilation=dil)
-        h = leaky(ad.channel_bias(h, gen.params[f"tcn{i}.b"]), cfg.leaky_slope)
-    h = ad.channel_bias(ad.conv1d(h, gen.params["head.w"]), gen.params["head.b"])
+        h = conv1d(h, gen.params[f"tcn{i}.w"], dilation=dil)
+        h = leaky(channel_bias(h, gen.params[f"tcn{i}.b"]), cfg.leaky_slope)
+    h = channel_bias(conv1d(h, gen.params["head.w"]), gen.params["head.b"])
     return ad.reshape(h, (h.shape[0], cfg.interval_length))
+
+
+def discriminator_reference(clf, batch, dropout_rng):
+    """``Discriminator.logits`` with dropout, built from primitive ops as the
+    discriminator recorded it before its op: per block conv1d, channel_bias,
+    relu, maxpool1d and a dropout mul, then a reshape and the affine head."""
+    B, T = batch.shape
+    keep = 1.0 - clf.config.dropout
+    h = ad.reshape(ad.constant(batch), (B, 1, T))
+    for i in range(3):
+        h = conv1d(h, clf.params[f"conv{i}.w"])
+        h = maxpool1d(ad.relu(channel_bias(h, clf.params[f"conv{i}.b"])), 2)
+        h = ad.mul(h, ad.constant((dropout_rng.random(h.shape) < keep) / keep))
+    h = ad.reshape(h, (B, h.shape[1] * h.shape[2]))
+    return ad.affine(h, clf.params["head.w"], clf.params["head.b"])
 
 
 def nhits_stacks_reference(model, x, first):
@@ -313,7 +328,7 @@ def nhits_stacks_reference(model, x, first):
         iff = ad.constant(np.kron(_interp_matrix(hf_knots, cfg.horizon),
                                   np.eye(cfg.n_quantiles)).T)
         p = {name: model.params[f"b{i}.{name}"] for name in ("w1", "b1", "w2", "b2", "w3", "b3")}
-        pooled = ad.maxpool1d(residual, k) if k > 1 else residual
+        pooled = maxpool1d(residual, k) if k > 1 else residual
         if i == 0:
             pooled = ad.concat([pooled, first[:, cfg.pooled_dim:]], axis=1)
         h = ad.relu(ad.affine(pooled, p["w1"], p["b1"]))

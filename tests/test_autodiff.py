@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopestrike import autodiff as ad
-from graph_ops import div, fold, sort_last, unfold
+from graph_ops import channel_bias, conv1d, div, fold, maxpool1d, sort_last, unfold
 from helpers import (finite_diff, max_rel_err, random_graph_cases, graph_gradients, eval_scalar,
                      _builders)
 
@@ -17,7 +17,7 @@ def test_add_elementwise():
 
 
 def test_maxpool_pairs():
-    out = ad.maxpool1d(ad.constant([1.0, 3.0, 2.0, 5.0]), 2)
+    out = maxpool1d(ad.constant([1.0, 3.0, 2.0, 5.0]), 2)
     assert np.array_equal(out.data, [3.0, 5.0])
 
 
@@ -38,8 +38,8 @@ def brute_conv1d(x, w, stride=1, dilation=1, causal=False):
 def test_conv1d_dilated_impulse_matches_brute_force():
     x = np.array([1.0, 0.0, 0.0, 0.0])
     w = np.array([1.0, 2.0])
-    got = ad.conv1d(ad.constant(x.reshape(1, 1, 4)),
-                    ad.constant(w.reshape(1, 1, 2)), dilation=2)
+    got = conv1d(ad.constant(x.reshape(1, 1, 4)),
+                 ad.constant(w.reshape(1, 1, 2)), dilation=2)
     expect = brute_conv1d(x, w, dilation=2, causal=True)
     assert got.data.shape == (1, 1, 4)
     assert np.allclose(got.data[0, 0], expect, atol=1e-15)
@@ -111,7 +111,7 @@ def test_clamp_gradient_zero_outside_pass_inside():
 
 def test_maxpool_routes_to_first_argmax_and_conserves_gradient():
     x = ad.Tensor([2.0, 2.0, 1.0, 0.0, 3.0, 3.0], requires_grad=True)
-    out = ad.maxpool1d(x, 3)
+    out = maxpool1d(x, 3)
     gx = ad.gradient(ad.tsum(ad.mul(out, ad.constant([5.0, 11.0]))), x).data
     assert np.array_equal(gx, [5.0, 0.0, 0.0, 0.0, 11.0, 0.0])
     assert gx.sum() == 16.0
@@ -197,7 +197,7 @@ def test_shape_mismatch_names_operation():
     with pytest.raises(ad.ShapeError, match="matmul"):
         ad.matmul(ad.constant(np.ones((3, 4))), ad.constant(np.ones(4)))
     with pytest.raises(ad.ShapeError, match="channel_bias"):
-        ad.channel_bias(ad.constant(np.ones((2, 5))), ad.constant(np.ones(2)))  # (C, T)
+        channel_bias(ad.constant(np.ones((2, 5))), ad.constant(np.ones(2)))  # (C, T)
 
 
 def test_scalar_operand_gets_the_summed_gradient():

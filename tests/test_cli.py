@@ -207,11 +207,30 @@ def test_defend_manifest_cycle(tmp_path, workspace):
     deploy.mkdir()
     shutil.copy(ckpt, deploy / "model.ckpt")
     (deploy / "config.ini").write_text("[train]\nepochs=2\n")
+    # names the manifest's own format uses: the root line's key and its separator
+    (deploy / "ROOT").write_text("root\n")
+    (deploy / "tab\tname.txt").write_text("tab\n")
     mf = tmp_path / "deploy.manifest"
     assert run("defend", "build-manifest", deploy, "--out", mf) == 0
     assert run("defend", "verify", deploy, mf) == 0
     (deploy / "config.ini").write_text("[train]\nepochs=3\n")
     assert run("defend", "verify", deploy, mf) == 3
+    # a name with a line break cannot be written to a manifest line
+    (deploy / "new\nline.txt").write_text("x\n")
+    assert run("defend", "build-manifest", deploy, "--out", tmp_path / "nl.manifest") == 3
+    assert not (tmp_path / "nl.manifest").exists()
+
+
+def test_build_manifest_out_inside_the_hashed_directory_is_usage_error(tmp_path, capsys):
+    deploy = tmp_path / "deploy"
+    deploy.mkdir()
+    (deploy / "config.ini").write_text("[train]\nepochs=2\n")
+    for out in (deploy / "manifest.txt", deploy / "sub" / ".." / "sub" / "m.txt",
+                tmp_path / "." / "deploy" / "m.txt"):
+        assert run("defend", "build-manifest", deploy, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "inside the directory" in err
+    assert sorted(p.name for p in deploy.iterdir()) == ["config.ini"]
 
 
 def test_defend_train_and_classify(tmp_path, workspace):
@@ -405,6 +424,27 @@ def test_split_without_training_series_is_data_error(tmp_path, workspace, capsys
     assert code == 3
     assert err.startswith("data error:") and "no training series" in err
     assert not (tmp_path / "d" / "discriminator.ckpt").exists()
+
+
+def test_defend_train_checks_every_length_before_the_first_attack(tmp_path, workspace,
+                                                                  capsys, monkeypatch):
+    from slopestrike import dataio
+    _, _, ckpt = workspace
+    long_ones = dataio.synth_gbm(3, 320, 80.0, 4e-4, 0.01, seed=3)
+    short = dataio.synth_gbm(1, 200, 80.0, 4e-4, 0.01, seed=4)[0]
+    data = tmp_path / "short_last.csv"
+    dataio.write_series_csv(long_ones + [dataio.PriceSeries("ZZZ", short.dates, short.adjprc)],
+                            data)
+
+    def no_attack(*args, **kwargs):
+        raise AssertionError("a series was attacked before every length was checked")
+
+    monkeypatch.setattr(cli, "run_attack", no_attack)
+    code = run("defend", "train", "--data", data, "--checkpoint", ckpt,
+               "--outdir", tmp_path / "d")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and "ZZZ: need 300 days" in err
 
 
 def test_corrupt_inputs_exit_3_with_one_line_message(tmp_path, workspace, capsys):

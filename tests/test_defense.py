@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from slopestrike import autodiff as ad
 from slopestrike.dataio import CheckpointError
 from slopestrike.defense import (
     Discriminator, DiscriminatorConfig, build_manifest, classify,
@@ -9,7 +12,7 @@ from slopestrike.defense import (
 )
 from slopestrike.forecaster import NhitsConfig, NhitsModel
 from slopestrike.metrics import confusion
-from helpers import max_rel_err, resaved_with
+from helpers import discriminator_reference, max_rel_err, resaved_with
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +69,30 @@ def test_added_and_removed_files_detected(tmp_path):
 
 
 def test_manifest_serialisation_roundtrip(tmp_path):
+    # beside the plain tree: a top-level file named as the root line's key, and
+    # a file name with a tab, the manifest's separator
+    for i, extra in enumerate((None, "ROOT", "tab\tname.bin")):
+        tree = tmp_path / f"tree{i}"
+        tree.mkdir()
+        _make_tree(tree)
+        if extra is not None:
+            (tree / extra).write_bytes(b"extra")
+        manifest = build_manifest(tree)
+        out = tmp_path / f"tree{i}.manifest"
+        write_manifest(manifest, out)
+        loaded = read_manifest(out)
+        assert loaded == manifest
+        assert verify_manifest(tree, loaded).ok
+
+
+def test_manifest_rejects_a_file_name_with_a_line_break(tmp_path):
     _make_tree(tmp_path)
-    manifest = build_manifest(tmp_path)
-    out = tmp_path.parent / "tree.manifest"
-    write_manifest(manifest, out)
-    loaded = read_manifest(out)
-    assert loaded == manifest
+    for name in ("new\nline.bin", "carriage\rreturn.bin"):
+        odd = tmp_path / "pkg1" / name
+        odd.write_bytes(b"x")
+        with pytest.raises(ValueError, match=re.escape(repr(f"pkg1/{name}"))):
+            build_manifest(tmp_path)
+        odd.unlink()
 
 
 def test_manifest_root_mismatch_rejected(tmp_path):
@@ -221,6 +242,101 @@ def test_checkpoint_naming_the_fixed_settings_loads(tmp_path, toy_classifier, se
     with pytest.raises(CheckpointError,
                        match=r"conv_channels=\[16, 32, 8\], kernel=3 are not supported"):
         Discriminator.load(other)
+
+
+def _discriminator_inputs(B, seed):
+    """A discriminator with every parameter random (biases included), (B, 300)
+    windows and (B, 1) loss weights."""
+    clf = Discriminator(DiscriminatorConfig(), seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in clf.params.values():
+        p.data = rng.uniform(-0.6, 0.6, p.shape)
+    return clf, rng.standard_normal((B, 300)), rng.normal(size=(B, 1))
+
+
+def _discriminator_run(logits, clf, weights):
+    """Logits and the gradients of sum(logits * weights) for every parameter."""
+    out = logits()
+    grads = ad.gradients(ad.tsum(ad.mul(out, ad.constant(weights))), list(clf.params.values()))
+    return out, [g.data for g in grads]
+
+
+def test_discriminator_op_matches_primitive_reference():
+    clf, X, weights = _discriminator_inputs(12, seed=51)
+    out, grads = _discriminator_run(lambda: clf.logits(X, np.random.default_rng(3)),
+                                    clf, weights)
+    ref, ref_grads = _discriminator_run(
+        lambda: discriminator_reference(clf, X, np.random.default_rng(3)), clf, weights)
+    assert out.node.kind == "cnn_discriminator" and out.shape == (12, 1)
+    # relative to the largest entry: single entries may nearly cancel
+    assert np.max(np.abs(out.data - ref.data)) < 1e-12 * np.max(np.abs(ref.data))
+    assert len(grads) == 8
+    for got, want in zip(grads, ref_grads):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_discriminator_op_matches_directional_finite_differences():
+    # a few random directions per parameter; the dropout masks are the same in
+    # every evaluation, and the network is piecewise linear, so the central
+    # difference is exact up to rounding wherever no ReLU or max flips
+    clf, X, weights = _discriminator_inputs(3, seed=52)
+    _, grads = _discriminator_run(lambda: clf.logits(X, np.random.default_rng(4)), clf, weights)
+    rng = np.random.default_rng(53)
+
+    def loss():
+        with ad.no_record():
+            return float(np.sum(clf.logits(X, np.random.default_rng(4)).data * weights))
+
+    h = 1e-6
+    for p, g in zip(clf.params.values(), grads):
+        base = p.data
+        for _ in range(3):
+            v = rng.standard_normal(p.shape)
+            p.data = base + h * v
+            up = loss()
+            p.data = base - h * v
+            down = loss()
+            p.data = base
+            fd, want = (up - down) / (2 * h), float(np.sum(g * v))
+            assert abs(fd - want) < 1e-6 * max(abs(want), 1.0)
+
+
+def test_classify_records_nothing_and_a_training_step_one_op(toy_classifier, separable_task, monkeypatch):
+    clf, _ = toy_classifier
+    real, adv = separable_task
+    kinds = []
+
+    class CountingNode(ad.Node):
+        __slots__ = ()
+
+        def __init__(self, kind, *rest):
+            kinds.append(kind)
+            super().__init__(kind, *rest)
+
+    monkeypatch.setattr(ad, "Node", CountingNode)
+    classify(clf, real[:3] + adv[:3])
+    clf.probabilities(np.ones((2, 300)))
+    assert kinds == []
+    # a training step records the discriminator as one node, 11 with the loss
+    train_discriminator(real[:3], adv[:3], DiscriminatorConfig(epochs=1, lr=0.01), seed=0)
+    assert kinds.count("cnn_discriminator") == 1 and len(kinds) == 11
+
+
+def test_discriminator_head_gradient_stops_at_the_head():
+    # the op has no input gradient, and asking for the head alone stops the
+    # sweep at the head: no block below it forms a gradient
+    clf, X, weights = _discriminator_inputs(4, seed=54)
+    _, full = _discriminator_run(lambda: clf.logits(X), clf, weights)
+    out = clf.logits(X)
+    assert len(out.node.parents) == len(clf.params)
+    results, vjp = [], out.node.vjp
+    out.node.vjp = lambda g, need: results.append(vjp(g, need)) or results[-1]
+    head = [clf.params["head.w"], clf.params["head.b"]]
+    grads = ad.gradients(ad.tsum(ad.mul(out, ad.constant(weights))), head)
+    assert all(g is None for g in results[0][:-2])
+    for got, want in zip(grads, full[-2:]):
+        assert np.array_equal(got.data, want)
 
 
 @pytest.mark.parametrize("field, value", [("epochs", 0), ("epochs", -3)])
