@@ -11,10 +11,11 @@ gradient; a critic step, run under ``no_record``, keeps nothing for the vjp.  Th
 critic is a tanh MLP over the flattened (interval, condition) pair so that the
 gradient penalty's second-order pass stays inside the supported operation
 subset.  A frozen forecaster acts as a second critic: the whole batch of
-generated returns is converted back to prices and forecast in one graph, and
-each forecast's least-squares slope is pushed positive, through the attacks'
-slope loss and its constants.  Training runs in transfer-learning blocks with a
-rising adversarial scale.
+generated returns is converted back to prices and the forecast op takes one
+encoder window of each, so an interval's L + 1 prices must fill the
+forecaster's encoder; each forecast's least-squares slope is pushed positive,
+through the attacks' slope loss and its constants.  Training runs in
+transfer-learning blocks with a rising adversarial scale.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .dataio import (PriceSeries, business_days, save_checkpoint, load_model_checkpoint,
                      CheckpointError)
-from .features import compute_features
 from .forecaster import NhitsModel, NumericalError
 from .attacks import AttackConfig, general_slope_value, ls_slope, ls_slope_value, slope_loss
 
@@ -296,7 +296,7 @@ def _forecaster_slope_loss(model: NhitsModel, fake: Tensor, p0s: np.ndarray,
     """Mean slope objective of the forecaster's median path on generated prices.
 
     The whole batch is one graph: (B, L) returns -> (B, L+1) prices -> one
-    feature batch -> one forecast -> (B,) least-squares slopes.
+    forecast of one window each -> (B,) least-squares slopes.
     """
     lo, hi = bounds
     B, L = fake.shape
@@ -304,8 +304,16 @@ def _forecaster_slope_loss(model: NhitsModel, fake: Tensor, p0s: np.ndarray,
     r = ad.add(ad.mul(fake, hi - lo), lo)   # unscale
     prices = ad.mul(ad.texp(ad.cumsum(r)), ad.constant(np.broadcast_to(p0, (B, L))))
     prices = ad.concat([ad.constant(p0), prices], axis=1)
-    med = model.forward(compute_features(prices, _PRICE_DATES[:L + 1]))
+    med = model.core(prices, _PRICE_DATES[:L + 1], 1)
     return ad.tmean(slope_loss(ls_slope(med), 1, cfg.c, cfg.d))
+
+
+def _check_forecast_window(cfg: GanConfig, model: NhitsModel) -> None:
+    """An interval's L + 1 prices must be exactly one encoder window of the forecaster."""
+    E = model.config.encoder_length
+    if cfg.interval_length + 1 != E:
+        raise ValueError(f"interval_length {cfg.interval_length} + 1 must equal the "
+                         f"forecaster's encoder_length {E}")
 
 
 def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: int = 0):
@@ -315,6 +323,7 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
     adv_loss).  The forecaster's parameters are bit-identical afterwards.
     """
     cfg = config
+    _check_forecast_window(cfg, model)
     if len(series) < cfg.interval_length + 1:
         raise ValueError(f"{series.ticker}: too short for {cfg.interval_length}-return windows")
     bounds = scale_bounds(series)
@@ -387,13 +396,12 @@ def forecast_slopes(model: NhitsModel, scaled: np.ndarray, p0s: np.ndarray,
                     bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Forecaster general and LS slopes on prices rebuilt from scaled intervals.
 
-    All n intervals go through one feature batch and one forecast; returns two
+    All n intervals go through one forecast of one window each; returns two
     (n,) arrays.
     """
     prices = to_prices(unscale(scaled, bounds), p0s)
     with ad.no_record():
-        fm = compute_features(ad.constant(prices), _PRICE_DATES[:prices.shape[1]])
-        med = model.forward(fm).data
+        med = model.core(ad.constant(prices), _PRICE_DATES[:prices.shape[1]], 1).data
     return general_slope_value(med), ls_slope_value(med)
 
 
@@ -418,6 +426,8 @@ def evaluate_gan(bundle: GanBundle, series: PriceSeries, model: NhitsModel | Non
             return MomentReport(mu=float(np.mean(sample)), sigma=0.0, iqr=0.0,
                                 skew=float("nan"), kurtosis=float("nan"))
 
+    if model is not None:
+        _check_forecast_window(bundle.config, model)
     conditions = sample_intervals(series, n, seed, length=bundle.config.interval_length)
     real_scaled = np.stack([iv.log_returns for iv in conditions])
     fake_scaled = generate(bundle, conditions, seed + 1)

@@ -1,15 +1,15 @@
 """White-box attacks on the forecaster.
 
-All ten methods share one loop: recompute the features from the current
-prices (so gradients reach the raw series), run the rolling forecast, take a
-loss on the averaged median path and its gradient with respect to the loop's
-leaf alone: the prices, or the C&W noise.  The sign methods step the prices by
-``step * sign(gradient)`` and clamp them into the epsilon ball around the
-original series; the C&W variants take plain gradient steps on an additive
-noise vector under an L2-norm penalty, with no clamp.  The L1 methods measure
-the distance to a target path and the slope methods (GSA, LSSA, CW_GSA,
-CW_LSSA) take an objective on the forecast's slope.  The first iteration runs
-on the clean prices: its forecast is the unattacked path.
+All ten methods share one loop: forecast every window of the current prices
+with the forecast op, which derives the features itself (so gradients reach
+the raw series), take a loss on the averaged median path and its gradient
+with respect to the loop's leaf alone: the prices, or the C&W noise.  The sign
+methods step the prices by ``step * sign(gradient)`` and clamp them into the
+epsilon ball around the original series; the C&W variants take plain gradient
+steps on an additive noise vector under an L2-norm penalty, with no clamp.
+The L1 methods measure the distance to a target path and the slope methods
+(GSA, LSSA, CW_GSA, CW_LSSA) take an objective on the forecast's slope.  The
+first iteration runs on the clean prices: its forecast is the unattacked path.
 
 Methods: FGSM, BIM, MIFGSM, SIM, TIM, GSA, LSSA, CW, CW_GSA, CW_LSSA.
 """
@@ -25,7 +25,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataio import PriceSeries
-from .features import compute_features
 from .forecaster import NhitsModel, NumericalError
 from .metrics import error_metrics
 
@@ -184,8 +183,7 @@ def _attack_window(series: PriceSeries, model: NhitsModel) -> PriceSeries:
 
 
 def _predict_path(model: NhitsModel, prices: Tensor, dates) -> Tensor:
-    fm = compute_features(prices, dates)
-    return model.rolling_median_path(fm)
+    return model.core(prices, dates, len(dates) - model.config.min_series_length + 1)
 
 
 def _loss_builder(cfg: AttackConfig, window: PriceSeries, eps: float, encoder: int):

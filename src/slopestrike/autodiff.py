@@ -441,22 +441,21 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # sliding windows
 # ---------------------------------------------------------------------------
 
-def window_view(a: np.ndarray, size: int, dilation: int = 1, axis: int = 0) -> np.ndarray:
+def window_view(a: np.ndarray, size: int, axis: int = 0) -> np.ndarray:
     """Read-only view of every window of ``size`` taps along ``axis``: (..., n, size, ...)."""
-    span = (size - 1) * dilation + 1
-    view = np.lib.stride_tricks.sliding_window_view(a, span, axis=axis)[..., ::dilation]
+    view = np.lib.stride_tricks.sliding_window_view(a, size, axis=axis)
     return np.moveaxis(view, -1, axis + 1)
 
 
-def overlap_add(w: np.ndarray, length: int, dilation: int = 1, axis: int = 0) -> np.ndarray:
-    """Adjoint of ``window_view``: add tap k of window i back at i + k*dilation along ``axis``."""
+def overlap_add(w: np.ndarray, length: int, axis: int = 0) -> np.ndarray:
+    """Adjoint of ``window_view``: add tap k of window i back at i + k along ``axis``."""
     n = w.shape[axis]
     out = np.zeros(w.shape[:axis] + (length,) + w.shape[axis + 2:])
     # views with the window and tap axes first, so the adds land in out
     out_t, w_t = np.moveaxis(out, axis, 0), np.moveaxis(w, (axis, axis + 1), (0, 1))
     # highest tap first, so every row sums its windows in window order
     for k in reversed(range(w.shape[axis + 1])):
-        out_t[k * dilation:k * dilation + n] += w_t[:, k]
+        out_t[k:k + n] += w_t[:, k]
     return out
 
 

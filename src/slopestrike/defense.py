@@ -252,13 +252,17 @@ def _root_of(entries: list[tuple[str, str]]) -> str:
 
 
 def build_manifest(directory) -> IntegrityManifest:
-    """Hash every regular file under the directory, sorted by relative path."""
+    """Hash every regular file under the directory, sorted by relative path; a
+    symbolic link raises, as its target can change outside the tree."""
     base = Path(directory)
     if not base.is_dir():
         raise OSError(f"not a directory: {base}")
     entries = []
     for p in sorted(base.rglob("*")):
-        if p.is_file() and not p.is_symlink():
+        if p.is_symlink():
+            raise ValueError(f"{p.relative_to(base).as_posix()!r}: a manifest cannot "
+                             "hold a symbolic link")
+        if p.is_file():
             rel = p.relative_to(base).as_posix()
             if "\n" in rel or "\r" in rel:
                 raise ValueError(f"{rel!r}: a manifest line cannot hold a line break")

@@ -1,21 +1,22 @@
-"""Differentiable per-day features derived from the adjusted price.
+"""Per-day features derived from the adjusted price, as numpy kernels.
 
 The prices are one series (T,) or a batch of series (B, T) that share their
-dates; both shapes run the same code, along the last axis.  The continuous
-channels are one recorded op (kind ``price_features``) whose only parent is
-the prices, with a forward and vjp written in numpy, so a loss on the forecast
-differentiates all the way back to the raw prices through one node.  Rolling
-means and standard deviations zero-pad each series with 19 days in front, take
-every 20-day window as a view, sum each window's last w days with one product
-and divide by the number of real days among them.  So the first w-1 days
-average over however many days exist, and the feature matrix stays aligned
-with the price series.  The stds take the raw-moment form E[y^2] - E[y]^2 on
-prices recentred per series, clamped at 0.  The EMAs scan e_t = beta p_t +
-(1-beta) e_{t-1} from e_0 = p_0 (beta = 2 / (w + 1)) in Python.  The op repeats
-the arithmetic of the per-op graph it replaced, including the order in which
-the engine added its gradients, so values and gradients are bit-identical to
-it; unrecorded, it keeps nothing for its vjp.  Time and memory are linear in
-the series length.
+dates; both shapes run the same code, along the last axis.  ``price_features``
+computes the continuous channels and ``price_features_vjp`` takes a gradient on
+them back to the prices.  The forecast op (``NhitsModel.core``) runs both
+inside its own node, so a loss on the forecast differentiates all the way back
+to the raw prices; ``weekday_one_hot`` checks the prices and dates for it and
+encodes the weekdays.  Rolling means and standard deviations zero-pad each
+series with 19 days in front, take every 20-day window as a view, sum each
+window's last w days with one product and divide by the number of real days
+among them.  So the first w-1 days average over however many days exist, and
+the feature matrix stays aligned with the price series.  The stds take the
+raw-moment form E[y^2] - E[y]^2 on prices recentred per series, clamped at 0.
+The EMAs scan e_t = beta p_t + (1-beta) e_{t-1} from e_0 = p_0
+(beta = 2 / (w + 1)) in Python.  The kernels repeat the arithmetic of the
+per-op graph they replaced, including the order in which the engine added its
+gradients, so values and gradients are bit-identical to it; without ``keep``
+nothing is saved for the vjp.  Time and memory are linear in the series length.
 
 Channels, in order:
     adjprc,
@@ -23,18 +24,16 @@ Channels, in order:
     rolling_std_5, rolling_std_10, rolling_std_20,
     log_return, roc_5,
     ema_5, ema_10, ema_20
-plus a categorical day-of-week (Monday=0) carried separately.
+plus a categorical day-of-week (Monday=0), one-hot over the five weekdays.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 
 CHANNELS = (
     "adjprc",
@@ -45,31 +44,6 @@ CHANNELS = (
 )
 
 MIN_LENGTH = 21  # largest rolling window (20) + the roc delta warm-up
-
-
-@dataclass
-class FeatureMatrix:
-    """Continuous channels (T, 12), or (B, T, 12) for a batch, plus the day-of-week column."""
-
-    continuous: Tensor
-    day_of_week: np.ndarray
-
-    def __post_init__(self):
-        if self.continuous.shape[-1] != len(CHANNELS):
-            raise ValueError(f"expected {len(CHANNELS)} channels, got {self.continuous.shape[-1]}")
-        if self.continuous.shape[-2] != len(self.day_of_week):
-            raise ValueError("continuous rows and day_of_week length differ")
-
-    def __len__(self) -> int:
-        """Number of days."""
-        return self.continuous.shape[-2]
-
-    def day_one_hot(self) -> Tensor:
-        """Constant one-hot encoding of the weekday, (T, 5) or (B, T, 5) like continuous."""
-        onehot = np.zeros((len(self.day_of_week), 5))
-        onehot[np.arange(len(self.day_of_week)), self.day_of_week] = 1.0
-        return ad.constant(np.broadcast_to(onehot, self.continuous.shape[:-1] + (5,)))
-
 
 _WINDOWS = (5, 10, 20)
 _SPAN = max(_WINDOWS)
@@ -101,9 +75,9 @@ def _ema_adjoint(g: np.ndarray, beta: float) -> np.ndarray:
     return a
 
 
-def _price_features(p: np.ndarray, keep: bool):
+def price_features(p: np.ndarray, keep: bool):
     """The continuous channels (..., T, 12) of prices p (..., T) and, with
-    ``keep``, what ``_price_features_vjp`` needs (else None)."""
+    ``keep``, what ``price_features_vjp`` needs (else None)."""
     lead, T = p.shape[:-1], p.shape[-1]
     counts = np.minimum(np.arange(1.0, T + 1.0)[:, None], _WINDOWS)
     # leading zeros give every day a full 20-day window
@@ -137,7 +111,7 @@ def _price_features(p: np.ndarray, keep: bool):
     return out, ((p, counts, y, m1, var, std) if keep else None)
 
 
-def _price_features_vjp(g: np.ndarray, saved) -> np.ndarray:
+def price_features_vjp(g: np.ndarray, saved) -> np.ndarray:
     """Gradient of the prices for g on the channels.
 
     Each step repeats the arithmetic of the vjps of the graph ops that computed
@@ -184,15 +158,10 @@ def _price_features_vjp(g: np.ndarray, saved) -> np.ndarray:
     return g_p
 
 
-def compute_features(adjprc: Tensor, dates: list[dt.date]) -> FeatureMatrix:
-    """Derive the per-day feature matrix from prices (T,) or a batch (B, T).
-
-    Every row shares ``dates``; the continuous channels come back as (T, 12)
-    or (B, T, 12), recorded as one op (``price_features``) whose only parent
-    is ``adjprc``.  Raises on series shorter than 21 days, prices that are not
-    finite and strictly positive, or dates that fall on a weekend (the
-    categorical channel is 5-way).
-    """
+def weekday_one_hot(adjprc: np.ndarray, dates: list[dt.date]) -> np.ndarray:
+    """The weekday one-hot (T, 5), Monday first, of prices (T,) or (B, T) that
+    share ``dates``.  Raises on series shorter than 21 days, prices that are
+    not finite and strictly positive, or dates that fall on a weekend."""
     if adjprc.ndim not in (1, 2):
         raise ValueError(f"adjprc must be (T,) or (B, T), got shape {adjprc.shape}")
     T = adjprc.shape[-1]
@@ -200,17 +169,11 @@ def compute_features(adjprc: Tensor, dates: list[dt.date]) -> FeatureMatrix:
         raise ValueError(f"need at least {MIN_LENGTH} days of prices, got {T}")
     if len(dates) != T:
         raise ValueError(f"{len(dates)} dates for {T} prices")
-    if not np.all(np.isfinite(adjprc.data) & (adjprc.data > 0.0)):
+    if not np.all(np.isfinite(adjprc) & (adjprc > 0.0)):
         raise ad.DomainError("adjprc must be finite and strictly positive")
 
     day_of_week = np.array([d.weekday() for d in dates], dtype=int)
     if np.any(day_of_week > 4):
         bad = dates[int(np.argmax(day_of_week > 4))]
         raise ValueError(f"weekend date {bad} in price series")
-
-    out, saved = _price_features(adjprc.data, ad.records((adjprc,)))
-
-    def vjp(g):
-        return (Tensor(_price_features_vjp(g.data, saved)),)
-
-    return FeatureMatrix(ad.custom_op("price_features", out, (adjprc,), vjp), day_of_week)
+    return np.eye(5)[day_of_week]

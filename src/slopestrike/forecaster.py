@@ -9,30 +9,29 @@ skips the interpolation, which would multiply by the identity.  Each stack is
 one block.  The input is always the price window plus the 17-channel exogenous
 feature window, which enters the first stack as a flattened side input.
 
-Features reach a forecast through one recorded op with a hand-written numpy
-vjp.  ``NhitsModel.core`` (kind ``nhits_forecast``, parents: the continuous
-features and the 18 block weights) reads the price windows as views of the
-days, standardises each series' exogenous days, normalises each price window,
-runs the stacks, denormalises, sorts each day's quantiles to pick the median
-path and overlap-averages the windows' median paths onto the days.
-``forward`` is the same op over one window per series, whose median path
-covers each day once.  The op repeats the arithmetic of the per-op graph
-it replaced, including the order in which the engine added its gradients, so
-values and gradients are bit-identical to it.  The vjp follows the engine's
-conventions (first-max pooling routes to the lowest-index maximum, the ReLU
-and sqrt derivatives are 0 at 0) and computes only what ``need`` asks for: an
-attack or the GAN's second critic gets no weight products.  Training runs the
-same window normalisation and the stacks alone (``NhitsModel.stacks``, kind
-``nhits_stacks``, parents: the price windows, the first stack's input and
-the weights) on its gathered windows, which are constants, so it gets only
-the weight products.  Training and ``core`` build the first stack's input
-one way: one gather copies each window's exogenous days, behind room for the
-pooled prices, which the stacks write there.  Each window is forecast on its
-own, so ``core`` runs one block loop: one block of every window when a vjp
-will run, and near-equal row blocks when none will, from window
-normalisation to the median pick.  A long
-series' forecast then never builds the first stack's input, or its
-(windows, horizon*quantiles) forecasts, for every window at once.
+Prices reach a forecast through one recorded op with a hand-written numpy
+vjp.  ``NhitsModel.core`` (kind ``nhits_forecast``, parents: the prices and
+the 18 block weights) derives the features with the ``features`` kernels,
+reads the price windows as views of the days, standardises each series'
+exogenous days, normalises each price window, runs the stacks, denormalises,
+sorts each day's quantiles to pick the median path and overlap-averages the
+windows' median paths onto the days.  The op repeats the arithmetic of the
+per-op graph it replaced, including the order in which the engine added its
+gradients, so values and gradients are bit-identical to it.  The vjp follows
+the engine's conventions (first-max pooling routes to the lowest-index
+maximum, the ReLU and sqrt derivatives are 0 at 0) and computes only what
+``need`` asks for: an attack or the GAN's second critic gets no weight
+products.  Training runs the same window normalisation and the stacks alone
+(``NhitsModel.stacks``, kind ``nhits_stacks``, parents: the price windows,
+the first stack's input and the weights) on its gathered windows, which are
+constants, so it gets only the weight products.  Training and ``core`` build
+the first stack's input one way: one gather copies each window's exogenous
+days, behind room for the pooled prices, which the stacks write there.  Each
+window is forecast on its own, so ``core`` runs one block loop: one block of
+every window when a vjp will run, and near-equal row blocks when none will,
+from window normalisation to the median pick.  A long series' forecast then
+never builds the first stack's input, or its (windows, horizon*quantiles)
+forecasts, for every window at once.
 
 Quantile outputs are trained unsorted; ``core`` sorts each day's quantiles
 only to pick their median, which is all a forecast reports.
@@ -47,9 +46,9 @@ from typing import ClassVar
 import numpy as np
 
 from . import autodiff as ad
+from . import features
 from .autodiff import Tensor
 from .dataio import PriceSeries, save_checkpoint, load_model_checkpoint
-from .features import FeatureMatrix, compute_features
 
 logger = logging.getLogger(__name__)
 
@@ -322,39 +321,39 @@ class NhitsModel:
 
         return ad.custom_op("nhits_stacks", fore, parents, vjp)
 
-    def core(self, cont: Tensor, one_hot: np.ndarray, n_windows: int) -> Tensor:
-        """Features in, overlap-averaged median path out, recorded as one op
-        (``nhits_forecast``).
+    def core(self, prices: Tensor, dates, n_windows: int) -> Tensor:
+        """Prices in, overlap-averaged median path out, recorded as one op
+        (``nhits_forecast``, parents: the prices and the weights).
 
-        ``cont`` holds the continuous channels (..., T, 12) of one series or a
-        batch, ``one_hot`` the weekday columns (..., T, 5).  The first n_windows
-        encoder windows of every series are forecast, each day's quantiles are
-        sorted stably to pick the median, and each series' median paths are
-        averaged onto its days: (..., n_windows + horizon - 1).  The parents are
-        ``cont`` and the weights: the price windows come from channel 0 of
-        ``cont``, not from the prices, so their gradient meets the exogenous one
-        there, added in the order the per-op graph added them, and the prices'
-        gradient stays bit-identical.
+        ``prices`` holds one series (T,) or a batch (B, T) that shares
+        ``dates``.  The first n_windows encoder windows of every series are
+        forecast, each day's quantiles are sorted stably to pick the median, and
+        each series' median paths are averaged onto its days:
+        (..., n_windows + horizon - 1).  The attacks and ``rolling_forecast``
+        take every window, the GAN one window per series.  The price windows'
+        gradient meets the exogenous one on the price channel of the features,
+        in the order the per-op graph added them, before the features vjp.
         """
         cfg = self.config
         E, H, Q = cfg.encoder_length, cfg.horizon, cfg.n_quantiles
         span = n_windows + E - 1
-        c = cont.data
-        lead, days = c.shape[:-2], c.ndim - 2  # batch shape, axis of the days
-        if not 1 <= n_windows <= c.shape[-2] - E + 1:
-            raise ValueError(f"{c.shape[-2]} days do not hold {n_windows} windows of {E}")
+        p = prices.data
+        one_hot = features.weekday_one_hot(p, dates)
+        lead, T, days = p.shape[:-1], p.shape[-1], p.ndim - 1  # batch shape, days, their axis
+        if not 1 <= n_windows <= T - E + 1:
+            raise ValueError(f"{T} days do not hold {n_windows} windows of {E}")
         weights = self._weights()
-        parents = (cont,) + tuple(weights)
+        parents = (prices,) + tuple(weights)
         ws = [w.data for w in weights]
-        # the price channel copied out, so the window means sum as the graph's did
-        adj = ad.window_view(np.array(c[..., :span, 0]), E, axis=days).reshape(-1, E)
+        record = ad.records(parents)
+        c, feats = features.price_features(p, record)
+        # contiguous windows, so the window means sum as the graph's did
+        adj = ad.window_view(np.ascontiguousarray(p[..., :span]), E, axis=days).reshape(-1, E)
         exo, ex = _exo_days(c, one_hot, cfg.pooled_dim)
-        T = c.shape[-2]
-        starts = (T * np.arange(c[..., 0, 0].size)[:, None] + np.arange(n_windows)).ravel()
+        starts = (T * np.arange(p[..., 0].size)[:, None] + np.arange(n_windows)).ravel()
         # with no vjp to run, the windows go through in near-equal row blocks:
         # only one block of the first stack's input is ever built, and only the
         # median paths outlive a block
-        record = ad.records(parents)
         N = adj.shape[0]
         n_blocks = 1 if record else max(1, N // ROW_BLOCK)
         med = np.empty((N, H))
@@ -394,7 +393,8 @@ class NhitsModel:
             g_z, g_price = np.zeros(c.shape), np.zeros(c.shape)
             g_z[..., :span, :] = folded[..., :12]
             g_price[..., :span, 0] = folded[..., 12]
-            grads[0] = Tensor(_standardise_vjp(g_z, ex, -2) + g_price)
+            g_cont = _standardise_vjp(g_z, ex, -2) + g_price
+            grads[0] = Tensor(features.price_features_vjp(g_cont, feats))
             return tuple(grads)
 
         return ad.custom_op("nhits_forecast", path, parents, vjp)
@@ -416,25 +416,6 @@ class NhitsModel:
         src = np.argsort(q, axis=-1, kind="stable")[..., m:m + 1]  # where each median is
         med[:] = np.take_along_axis(q, src, axis=-1)[..., 0]
         return saved, win, denom, fore, src
-
-    def forward(self, window: FeatureMatrix) -> Tensor:
-        """The median path from exactly one encoder window of features, or one per
-        series of a batch: (horizon,) or (B, horizon)."""
-        if len(window) != self.config.encoder_length:
-            raise ValueError(f"window has {len(window)} days, need {self.config.encoder_length}")
-        return self.core(window.continuous, window.day_one_hot().data, 1)
-
-    def rolling_median_path(self, fm: FeatureMatrix) -> Tensor:
-        """Overlap-averaged median-quantile path for every day after the encoder.
-
-        Windows slide by one day; day d's prediction is the mean of every
-        20-day median path covering it.  Output length is len(fm) - encoder.
-        """
-        cfg = self.config
-        T = len(fm)
-        if T < cfg.min_series_length:
-            raise ValueError(f"need at least {cfg.min_series_length} days, got {T}")
-        return self.core(fm.continuous, fm.day_one_hot().data, T - cfg.min_series_length + 1)
 
 
 def _tensor(a: np.ndarray | None) -> Tensor | None:
@@ -547,10 +528,10 @@ def _series_days(model: NhitsModel, pools: list[list[PriceSeries]]):
     lookup = {s.ticker: s for pool in pools for s in pool}
     offsets = dict(zip(lookup, np.cumsum([0] + [len(s) for s in lookup.values()])))
     prices = np.concatenate([s.adjprc for s in lookup.values()])
-    fms = [compute_features(ad.constant(s.adjprc), s.dates) for s in lookup.values()]
     exo = np.concatenate([np.zeros(cfg.pooled_dim)]
-                         + [_exo_days(fm.continuous.data, fm.day_one_hot().data, 0)[0]
-                            for fm in fms])
+                         + [_exo_days(features.price_features(s.adjprc, False)[0],
+                                      features.weekday_one_hot(s.adjprc, s.dates), 0)[0]
+                            for s in lookup.values()])
     starts = [np.array([offsets[s.ticker] + w for s in pool
                         for w in range(min(len(s), len(lookup[s.ticker]))
                                        - cfg.min_series_length + 1)], dtype=np.intp)
@@ -638,6 +619,6 @@ def rolling_forecast(series: PriceSeries, model: NhitsModel) -> np.ndarray:
     cfg = model.config
     if len(series) < cfg.min_series_length:
         raise ValueError(f"{series.ticker}: need at least {cfg.min_series_length} days")
+    n_windows = len(series) - cfg.min_series_length + 1
     with ad.no_record():
-        fm = compute_features(ad.constant(series.adjprc), series.dates)
-        return model.rolling_median_path(fm).data.copy()
+        return model.core(ad.constant(series.adjprc), series.dates, n_windows).data.copy()

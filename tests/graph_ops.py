@@ -1,5 +1,5 @@
 """Graph ops that only the test oracles build: ``div``, ``unfold``, ``fold``, ``ema``,
-``sort_last``, ``conv1d``, ``channel_bias`` and ``maxpool1d``.
+``sort_last``, ``conv1d``, ``channel_bias``, ``maxpool1d`` and ``price_features``.
 
 The package's commands never record these, so they live beside the oracles
 that use them (the random-graph corpus and the primitive references in
@@ -8,11 +8,14 @@ name as kind (``channel_bias`` is ``add`` over an ``expand``); none of the
 others is in the second-order subset, so ``create_graph`` through one raises
 ``SecondOrderError``.  ``maxpool1d`` routes the gradient to the first
 (lowest-index) maximum of each window, as ``autodiff.pool_taps_vjp`` does.
+``price_features`` records the features kernels as their own node, as the
+package did before the forecast op took the prices.
 """
 
 import numpy as np
 
 from slopestrike import autodiff as ad
+from slopestrike import features
 from slopestrike.features import _decay_scan, _ema_adjoint
 
 
@@ -109,9 +112,10 @@ def conv1d(x, w, dilation: int = 1):
     B, Cin, T = x.shape
     Cout, _, K = w.shape
     pad = (K - 1) * dilation
-    # time-major, so window_view takes the windows along axis 0
+    # time-major, so window_view takes the windows along axis 0; a dilated tap
+    # is every dilation-th tap of an undilated window of span pad + 1
     xp = np.pad(np.moveaxis(x.data, 2, 0), ((pad, 0), (0, 0), (0, 0)))  # (T+pad, B, Cin)
-    taps = ad.window_view(xp, K, dilation)  # (T, K, B, Cin)
+    taps = ad.window_view(xp, pad + 1)[:, ::dilation]  # (T, K, B, Cin)
     # contract via BLAS: (B*T, Cin*K) @ (Cin*K, Cout)
     pmat = taps.transpose(2, 0, 3, 1).reshape(B * T, Cin * K)
     wmat = w.data.reshape(Cout, Cin * K).T
@@ -121,8 +125,9 @@ def conv1d(x, w, dilation: int = 1):
         gmat = g.data.transpose(0, 2, 1).reshape(B * T, Cout)
         gx = gw = None
         if need[0]:
-            gtaps = (gmat @ wmat.T).reshape(B, T, Cin, K).transpose(1, 3, 0, 2)
-            gx = ad.Tensor(np.moveaxis(ad.overlap_add(gtaps, T + pad, dilation)[pad:], 0, 2))
+            gtaps = np.zeros((T, pad + 1, B, Cin))  # the taps between the dilated ones get 0
+            gtaps[:, ::dilation] = (gmat @ wmat.T).reshape(B, T, Cin, K).transpose(1, 3, 0, 2)
+            gx = ad.Tensor(np.moveaxis(ad.overlap_add(gtaps, T + pad)[pad:], 0, 2))
         if need[1]:
             gw = ad.Tensor((gmat.T @ pmat).reshape(Cout, Cin, K))
         return (gx, gw)
@@ -155,3 +160,15 @@ def maxpool1d(x, kernel: int):
         return (ad.Tensor(buf),)
 
     return ad.custom_op("maxpool1d", out_data, (x,), vjp)
+
+
+def price_features(adjprc):
+    """The 12 continuous feature channels (..., T, 12) of prices (T,) or (B, T),
+    one node of kind ``price_features`` whose only parent is the prices."""
+    adjprc = ad.as_tensor(adjprc)
+    out, saved = features.price_features(adjprc.data, ad.records((adjprc,)))
+
+    def vjp(g):
+        return (ad.Tensor(features.price_features_vjp(g.data, saved)),)
+
+    return ad.custom_op("price_features", out, (adjprc,), vjp)

@@ -12,9 +12,9 @@ import numpy as np
 
 from slopestrike import autodiff as ad
 from slopestrike.attacks import _loss_builder, _predict_path, eps_abs
-from graph_ops import channel_bias, conv1d, div, ema, fold, maxpool1d, sort_last, unfold
+from graph_ops import (channel_bias, conv1d, div, ema, fold, maxpool1d, price_features, sort_last,
+                       unfold)
 from slopestrike.dataio import business_days, load_checkpoint, save_checkpoint
-from slopestrike.features import FeatureMatrix, compute_features
 from slopestrike.forecaster import NORM_EPS, NhitsConfig, NhitsModel, _interp_matrix
 
 
@@ -213,35 +213,35 @@ def _builders():
                 + [model.params[n].shape for n in names], f)
 
     def nhits_forecast(rng):
-        # the same forecaster's forecast op: the features of two 10-day series
-        # (three windows each) and all 18 parameters are inputs
+        # the same forecaster's forecast op: two 22-day series (three windows
+        # each) and all 18 parameters are inputs; exp keeps the prices positive
         model = NhitsModel(NhitsConfig(encoder_length=8, horizon=4, hidden_size=4,
                                        quantiles=(0.1, 0.5, 0.9)))
         names = list(model.params)
-        one_hot = np.broadcast_to(np.eye(5)[np.arange(10) % 5], (2, 10, 5))
+        dates = business_days(dt.date(2021, 3, 1), 22)
         w = rng.uniform(-1, 1, (2, 6))  # each series' median path covers 6 days
 
         def f(ts):
             model.params = dict(zip(names, ts[1:]))
-            return ad.tmean(ad.tanh(ad.mul(model.core(ts[0], one_hot, 3), ad.constant(w))))
+            path = model.core(ad.texp(ad.mul(ts[0], 0.3)), dates, 3)
+            return ad.tmean(ad.tanh(ad.mul(path, ad.constant(w))))
 
-        return [(2, 10, 12)] + [model.params[n].shape for n in names], f
+        return [(2, 22)] + [model.params[n].shape for n in names], f
 
-    def price_features(rng):
+    def price_features_case(rng):
         # the features op on two 22-day series; exp keeps the prices positive
-        dates = business_days(dt.date(2021, 3, 1), 22)
         w = rng.uniform(-1, 1, (2, 22, 12))
 
         def f(ts):
-            fm = compute_features(ad.texp(ad.mul(ts[0], 0.3)), dates)
-            return ad.tmean(ad.tanh(ad.mul(fm.continuous, ad.constant(w))))
+            cont = price_features(ad.texp(ad.mul(ts[0], 0.3)))
+            return ad.tmean(ad.tanh(ad.mul(cont, ad.constant(w))))
 
         return [(2, 22)], f
 
     return [mlp, elementwise_chain, log_sqrt, pooled, convnet, sliced,
             pooled_matmul, clamped, unfolded, folded, smoothed, accumulated,
             unfolded_rows, folded_rows, smoothed_rows, accumulated_rows, batched_matmul,
-            nhits_stacks, nhits_forecast, price_features]
+            nhits_stacks, nhits_forecast, price_features_case]
 
 
 def random_graph_cases(n, seed=20240501):
@@ -342,8 +342,9 @@ def nhits_stacks_reference(model, x, first):
     return fore, blocks, residual
 
 
-def nhits_forecast_reference(model, fm, n_windows):
-    """The forecasts of ``NhitsModel.core`` built from primitive ops, as the
+def nhits_forecast_reference(model, cont, dates, n_windows):
+    """The forecasts of ``NhitsModel.core`` built from primitive ops on the
+    continuous features ``cont`` (..., T, 12) of prices on ``dates``, as the
     forecaster recorded them before the forecast op: the exo standardisation,
     the window views, the window normalisation, the stacks op and the
     denormalisation, (rows, horizon*n_quantiles).  ``rolling_median_reference``
@@ -351,8 +352,8 @@ def nhits_forecast_reference(model, fm, n_windows):
     cfg = model.config
     E = cfg.encoder_length
     span = n_windows + E - 1
-    cont = fm.continuous
     days = cont.ndim - 2
+    one_hot = np.eye(5)[[d.weekday() for d in dates]]
 
     def standardise(a, axis):
         mean = ad.tmean(a, axis=axis)
@@ -362,7 +363,8 @@ def nhits_forecast_reference(model, fm, n_windows):
 
     adj_w = ad.reshape(unfold(cont[..., :span, 0], E, days), (-1, E))
     z = standardise(cont, -2)[0]
-    exo_days = ad.concat([z, fm.day_one_hot()], axis=-1)[..., :span, :]
+    exo_days = ad.concat([z, ad.constant(np.broadcast_to(one_hot, cont.shape[:-1] + (5,)))],
+                         axis=-1)[..., :span, :]
     exo = ad.reshape(unfold(exo_days, E, days), (-1, cfg.exo_dim))
     x, wmean, denom = standardise(adj_w, 1)
     fore = model.stacks(x, ad.concat([ad.constant(np.zeros((exo.shape[0], cfg.pooled_dim))),
@@ -371,10 +373,11 @@ def nhits_forecast_reference(model, fm, n_windows):
     return ad.add(ad.mul(fore, ad.expand(denom, shape, 1)), ad.expand(wmean, shape, 1))
 
 
-def compute_features_reference(adjprc, dates):
-    """``compute_features`` built from primitive ops, as it recorded the features
-    before the price-features op: zero padding, ``unfold @ last_w`` window sums,
-    raw-moment stds on recentred prices, the log return, ``roc_5`` and the EMAs."""
+def price_features_reference(adjprc):
+    """The ``price_features`` op built from primitive ops, as the package
+    recorded the features before that op: zero padding, ``unfold @ last_w``
+    window sums, raw-moment stds on recentred prices, the log return, ``roc_5``
+    and the EMAs."""
     T = adjprc.shape[-1]
     lead, days = adjprc.shape[:-1], adjprc.ndim - 1
     last_w = ad.constant(np.array([[k >= 20 - w for w in (5, 10, 20)] for k in range(20)],
@@ -403,8 +406,7 @@ def compute_features_reference(adjprc, dates):
     cols.append(channel(ad.concat([zeros(5), roc], axis=days)))
     for w in (5, 10, 20):
         cols.append(channel(ema(adjprc, 2.0 / (w + 1.0))))
-    return FeatureMatrix(ad.concat(cols, axis=days + 1),
-                         np.array([d.weekday() for d in dates], dtype=int))
+    return ad.concat(cols, axis=days + 1)
 
 
 def rolling_median_reference(out, cfg, lead=()):

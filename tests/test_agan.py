@@ -4,12 +4,11 @@ import pytest
 from slopestrike import autodiff as ad
 from slopestrike import dataio
 from slopestrike.agan import (
-    GanBundle, GanConfig, TcnGenerator, evaluate_gan, forecast_slopes, generate,
+    GanBundle, GanConfig, MlpCritic, TcnGenerator, evaluate_gan, forecast_slopes, generate,
     gradient_penalty, sample_intervals, scale, scale_bounds, series_log_returns, to_prices,
     train_agan, unscale, _PRICE_DATES, _forecaster_slope_loss,
 )
 from slopestrike.attacks import general_slope_value, ls_slope, ls_slope_value, slope_loss
-from slopestrike.features import compute_features
 from helpers import finite_diff, max_rel_err, resaved_with, tcn_generator_reference
 
 
@@ -188,6 +187,23 @@ def test_evaluate_gan_finite_report(tiny_bundle, cond_stock, toy_model):
     assert np.isfinite(rep["fake_ls_slope"])
 
 
+def test_interval_that_is_not_one_encoder_window_fails_before_training(cond_stock, toy_model,
+                                                                       monkeypatch):
+    # the second critic forecasts one encoder window of L + 1 prices; 151
+    # prices would quietly forecast from the first 100 alone
+    steps = []
+    monkeypatch.setattr(ad, "sgd_step", lambda *args, **kw: steps.append(args))
+    cfg = GanConfig(interval_length=150, samples_per_epoch=32, batch_size=16,
+                    epochs_per_block=(1,), adv_scale_schedule=(0.25,))
+    with pytest.raises(ValueError, match="interval_length 150 .* encoder_length 100"):
+        train_agan(cond_stock, toy_model, cfg, seed=0)
+    assert steps == []
+    bundle = GanBundle(TcnGenerator(cfg), MlpCritic(cfg), cfg, scale_bounds(cond_stock))
+    with pytest.raises(ValueError, match="interval_length 150 .* encoder_length 100"):
+        evaluate_gan(bundle, cond_stock, toy_model, 4, seed=0)
+    assert np.isfinite(evaluate_gan(bundle, cond_stock, None, 4, seed=0)["mmd"])
+
+
 def test_bundle_checkpoint_roundtrip(tmp_path, tiny_bundle, cond_stock):
     bundle, _, _ = tiny_bundle
     path = tmp_path / "gan.ckpt"
@@ -349,7 +365,7 @@ def test_second_critic_batch_matches_per_sample_reference(cond_stock, toy_model)
     for i in range(len(fake)):
         r = ad.add(ad.mul(ref_leaf[i, :], hi - lo), lo)
         prices = ad.concat([ad.constant([p0s[i]]), ad.mul(ad.texp(ad.cumsum(r)), p0s[i])])
-        med = toy_model.forward(compute_features(prices, dates))
+        med = toy_model.core(prices, dates, 1)
         per_sample.append(ad.reshape(slope_loss(ls_slope(med), 1, cfg.c, cfg.d), (1,)))
     ref = ad.tmean(ad.concat(per_sample))
     ref_grad = ad.gradient(ref, ref_leaf).data
@@ -366,8 +382,7 @@ def test_forecast_slopes_match_per_sample_reference(cond_stock, toy_model):
     for i in range(7):
         prices = to_prices(unscale(fake[i], bounds), p0s[i])
         with ad.no_record():
-            fm = compute_features(ad.constant(prices), _PRICE_DATES[:len(prices)])
-            med = toy_model.forward(fm).data
+            med = toy_model.core(ad.constant(prices), _PRICE_DATES[:len(prices)], 1).data
         assert max_rel_err([gen[i]], [general_slope_value(med)], floor=1e-300) < 1e-12
         assert max_rel_err([ls[i]], [ls_slope_value(med)], floor=1e-300) < 1e-12
 

@@ -9,7 +9,6 @@ from slopestrike.attacks import (
     _loss_builder, _cosine,
 )
 from slopestrike.dataio import PriceSeries
-from slopestrike.features import compute_features
 from slopestrike.forecaster import NhitsConfig, NhitsModel
 from helpers import attack_path_gradient
 
@@ -202,7 +201,8 @@ def test_path_before_is_the_unrecorded_clean_forecast(toy_model, eval_series, me
     s = _short(eval_series[9])
     r = run_attack(s, toy_model, AttackConfig(method, eps_pct=2.0, iters=2, target_dir=1))
     with ad.no_record():
-        clean = toy_model.rolling_median_path(compute_features(ad.constant(s.adjprc), s.dates))
+        clean = toy_model.core(ad.constant(s.adjprc), s.dates,
+                               len(s) - toy_model.config.min_series_length + 1)
     assert np.array_equal(r.path_before, clean.data)
 
 
@@ -293,37 +293,28 @@ def test_tim_up_raises_mean_prediction(trend_results):
 
 
 def test_attack_iteration_records_few_nodes(monkeypatch):
-    # one GSA iteration: the features, the forecaster and its head record one
-    # op each (71 graph nodes before they became ops), the whole iteration at most 11
-    counts = {"all": 0, "features": 0, "forecaster": 0}
-    inside = []
+    # one iteration records the forecast op, prices to median path (71 graph
+    # nodes before the features and the forecaster became ops, then two ops),
+    # and the method's objective on the path
+    kinds = []
 
     class CountingNode(ad.Node):
         __slots__ = ()
 
-        def __init__(self, *args):
-            counts["all"] += 1
-            if inside:
-                counts[inside[-1]] += 1
-            super().__init__(*args)
-
-    def counted(name, fn):
-        def wrapper(*args):
-            inside.append(name)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
-        return wrapper
+        def __init__(self, kind, *rest):
+            kinds.append(kind)
+            super().__init__(kind, *rest)
 
     model = NhitsModel(NhitsConfig(), seed=0)
     series = dataio.synth_gbm(1, 300, 90.0, 7e-4, 0.009, seed=12)[0]
     monkeypatch.setattr(ad, "Node", CountingNode)
-    monkeypatch.setattr(attacks, "compute_features",
-                        counted("features", attacks.compute_features))
-    monkeypatch.setattr(NhitsModel, "rolling_median_path",
-                        counted("forecaster", NhitsModel.rolling_median_path))
-    run_attack(series, model, AttackConfig("GSA", eps_pct=2.0, iters=1))
-    assert counts["features"] <= 1
-    assert counts["forecaster"] <= 2
-    assert counts["all"] <= 11
+    objectives = {
+        "GSA": ["slice", "slice", "sub", "mul", "mul", "exp", "mul", "mean"],
+        "LSSA": ["mean", "expand", "sub", "mul", "sum", "mul", "mul", "exp", "mul", "mean"],
+        "BIM": ["sub", "abs", "mean"],
+    }
+    for method, objective in objectives.items():
+        kinds.clear()
+        run_attack(series, model, AttackConfig(method, eps_pct=2.0, iters=1))
+        assert kinds == ["nhits_forecast"] + objective, method
+    assert [len(o) + 1 for o in objectives.values()] == [9, 11, 4]

@@ -221,6 +221,37 @@ def test_defend_manifest_cycle(tmp_path, workspace):
     assert not (tmp_path / "nl.manifest").exists()
 
 
+def _tree_with_outside_target(tmp_path):
+    deploy, outside = tmp_path / "deploy", tmp_path / "outside"
+    deploy.mkdir()
+    outside.mkdir()
+    (deploy / "config.ini").write_text("[train]\nepochs=2\n")
+    (outside / "f.txt").write_text("v1\n")
+    return deploy, outside
+
+
+def test_build_manifest_rejects_symlinks(tmp_path, capsys):
+    # a link's target can be rewritten outside the tree, so a manifest that
+    # skipped links would still verify afterwards
+    deploy, outside = _tree_with_outside_target(tmp_path)
+    (deploy / "flink").symlink_to(outside / "f.txt")
+    (deploy / "link").symlink_to(outside, target_is_directory=True)
+    mf = tmp_path / "deploy.manifest"
+    assert run("defend", "build-manifest", deploy, "--out", mf) == 3
+    assert "'flink'" in capsys.readouterr().err and not mf.exists()
+
+
+def test_verify_fails_on_a_symlink_added_after_the_manifest(tmp_path, capsys):
+    deploy, outside = _tree_with_outside_target(tmp_path)
+    mf = tmp_path / "deploy.manifest"
+    assert run("defend", "build-manifest", deploy, "--out", mf) == 0
+    assert run("defend", "verify", deploy, mf) == 0
+    (deploy / "link").symlink_to(outside, target_is_directory=True)
+    capsys.readouterr()
+    assert run("defend", "verify", deploy, mf) == 3
+    assert "'link'" in capsys.readouterr().err
+
+
 def test_build_manifest_out_inside_the_hashed_directory_is_usage_error(tmp_path, capsys):
     deploy = tmp_path / "deploy"
     deploy.mkdir()

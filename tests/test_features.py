@@ -6,8 +6,9 @@ import pytest
 
 from slopestrike import autodiff as ad
 from slopestrike import dataio
-from slopestrike.features import CHANNELS, _price_features, compute_features
-from helpers import compute_features_reference, finite_diff, max_rel_err
+from slopestrike.features import CHANNELS, price_features as price_kernel, weekday_one_hot
+from graph_ops import price_features
+from helpers import finite_diff, max_rel_err, price_features_reference
 
 
 def _dates(n):
@@ -47,8 +48,8 @@ def brute_features(prices):
 
 
 def test_constant_series_channels():
-    fm = compute_features(ad.constant(np.full(30, 7.5)), _dates(30))
-    vals = fm.continuous.data
+    cont = price_features(ad.constant(np.full(30, 7.5)))
+    vals = cont.data
     by_name = {name: vals[:, i] for i, name in enumerate(CHANNELS)}
     for w in (5, 10, 20):
         assert np.allclose(by_name[f"rolling_mean_{w}"], 7.5, atol=1e-9)
@@ -60,8 +61,8 @@ def test_constant_series_channels():
 
 def test_log_return_closed_form():
     prices = np.concatenate([[1.0, 2.0], np.full(20, 2.0)])
-    fm = compute_features(ad.constant(prices), _dates(22))
-    lr = fm.continuous.data[:, CHANNELS.index("log_return")]
+    cont = price_features(ad.constant(prices))
+    lr = cont.data[:, CHANNELS.index("log_return")]
     assert abs(lr[1] - math.log(2.0)) < 1e-15
     assert abs(lr[1] - 0.6931472) < 1e-7
     assert lr[0] == 0.0
@@ -70,27 +71,27 @@ def test_log_return_closed_form():
 def test_all_channels_match_brute_force_oracle():
     rng = np.random.default_rng(42)
     prices = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.02, 40)))
-    fm = compute_features(ad.constant(prices), _dates(40))
+    cont = price_features(ad.constant(prices))
     oracle = brute_features(list(prices))
     for i, name in enumerate(CHANNELS):
-        got = fm.continuous.data[:, i]
+        got = cont.data[:, i]
         assert np.max(np.abs(got - oracle[name])) < 1e-12, name
 
 
 def test_ema_beta_is_one_third_for_w5():
     # e_1 = (1/3) p_1 + (2/3) p_0 exactly
     prices = np.concatenate([[3.0, 9.0], np.full(20, 9.0)])
-    fm = compute_features(ad.constant(prices), _dates(22))
-    ema5 = fm.continuous.data[:, CHANNELS.index("ema_5")]
+    cont = price_features(ad.constant(prices))
+    ema5 = cont.data[:, CHANNELS.index("ema_5")]
     assert abs(ema5[1] - (9.0 / 3.0 + 2.0 * 3.0 / 3.0)) < 1e-12
 
 
 def test_day_of_week_monday_zero():
     dates = _dates(25)
-    fm = compute_features(ad.constant(np.full(25, 4.0)), dates)
-    assert fm.day_of_week[0] == 0  # 2021-03-01 is a Monday
-    onehot = fm.day_one_hot().data
+    onehot = weekday_one_hot(np.full(25, 4.0), dates)
     assert onehot.shape == (25, 5)
+    assert onehot[0, 0] == 1.0  # 2021-03-01 is a Monday
+    assert np.array_equal(onehot.argmax(axis=1), [d.weekday() for d in dates])
     assert np.array_equal(onehot.sum(axis=1), np.ones(25))
 
 
@@ -98,14 +99,13 @@ def test_weekend_date_rejected():
     dates = _dates(24) + [dt.date(2021, 4, 3)]  # a Saturday
     dates.sort()
     with pytest.raises(ValueError, match="weekend"):
-        compute_features(ad.constant(np.full(25, 4.0)), dates)
+        weekday_one_hot(np.full(25, 4.0), dates)
 
 
 def test_rolling_mean_gradient_is_window_count_over_lengths():
     T = 30
     x = ad.Tensor(np.linspace(10, 12, T), requires_grad=True)
-    fm = compute_features(x, _dates(T))
-    rm5 = fm.continuous[:, CHANNELS.index("rolling_mean_5")]
+    rm5 = price_features(x)[:, CHANNELS.index("rolling_mean_5")]
     gx = ad.gradient(ad.tsum(rm5), x).data
     expected = np.zeros(T)
     for t in range(T):
@@ -119,15 +119,12 @@ def test_rolling_mean_gradient_is_window_count_over_lengths():
 def test_feature_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     base = 20.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 25)))
-    dates = _dates(25)
 
     def scalar_of(prices):
-        fm = compute_features(ad.constant(prices), dates)
-        return float(np.sum(fm.continuous.data))
+        return float(np.sum(price_features(ad.constant(prices)).data))
 
     x = ad.Tensor(base.copy(), requires_grad=True)
-    fm = compute_features(x, dates)
-    gx = ad.gradient(ad.tsum(fm.continuous), x).data
+    gx = ad.gradient(ad.tsum(price_features(x)), x).data
     h = 1e-6
     for i in (0, 7, 13, 24):
         p = base.copy(); p[i] += h
@@ -138,14 +135,14 @@ def test_feature_gradient_matches_finite_differences():
 
 def test_short_series_rejected():
     with pytest.raises(ValueError, match="21"):
-        compute_features(ad.constant(np.full(20, 3.0)), _dates(20))
+        weekday_one_hot(np.full(20, 3.0), _dates(20))
 
 
 def test_non_positive_price_rejected():
     prices = np.full(25, 3.0)
     prices[10] = 0.0
     with pytest.raises(ad.DomainError):
-        compute_features(ad.constant(prices), _dates(25))
+        weekday_one_hot(prices, _dates(25))
 
 
 def test_batch_matches_single_series_values_and_gradients():
@@ -156,27 +153,27 @@ def test_batch_matches_single_series_values_and_gradients():
     dates = _dates(T)
 
     batch = ad.Tensor(prices.copy(), requires_grad=True)
-    fm = compute_features(batch, dates)
-    assert fm.continuous.shape == (3, T, len(CHANNELS))
-    assert len(fm) == T and fm.day_one_hot().shape == (3, T, 5)
-    grad = ad.gradient(ad.tsum(ad.mul(fm.continuous, ad.constant(weights))), batch).data
+    cont = price_features(batch)
+    assert cont.shape == (3, T, len(CHANNELS))
+    assert weekday_one_hot(prices, dates).shape == (T, 5)  # shared by every series
+    grad = ad.gradient(ad.tsum(ad.mul(cont, ad.constant(weights))), batch).data
     for i in range(3):
         row = ad.Tensor(prices[i].copy(), requires_grad=True)
-        single = compute_features(row, dates)
-        assert max_rel_err(fm.continuous.data[i], single.continuous.data, floor=1e-300) < 1e-12
-        row_grad = ad.gradient(ad.tsum(ad.mul(single.continuous, ad.constant(weights[i]))), row)
+        single = price_features(row)
+        assert max_rel_err(cont.data[i], single.data, floor=1e-300) < 1e-12
+        row_grad = ad.gradient(ad.tsum(ad.mul(single, ad.constant(weights[i]))), row)
         assert max_rel_err(grad[i], row_grad.data, floor=1e-300) < 1e-12
 
 
 def test_batch_rejects_what_a_single_series_rejects():
     prices = np.full((2, 25), 3.0)
     with pytest.raises(ValueError, match="24 dates for 25 prices"):
-        compute_features(ad.constant(prices), _dates(24))
+        weekday_one_hot(prices, _dates(24))
     prices[1, 10] = -1.0
     with pytest.raises(ad.DomainError):
-        compute_features(ad.constant(prices), _dates(25))
+        weekday_one_hot(prices, _dates(25))
     with pytest.raises(ValueError, match="shape"):
-        compute_features(ad.constant(np.full((2, 2, 25), 3.0)), _dates(25))
+        weekday_one_hot(np.full((2, 2, 25), 3.0), _dates(25))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -184,11 +181,11 @@ def test_non_finite_price_rejected(bad):
     prices = np.full(150, 3.0)
     prices[70] = bad
     with pytest.raises(ad.DomainError, match="finite"):
-        compute_features(ad.constant(prices), _dates(150))
+        weekday_one_hot(prices, _dates(150))
     batch = np.full((3, 150), 3.0)
     batch[2, 149] = bad
     with pytest.raises(ad.DomainError, match="finite"):
-        compute_features(ad.constant(batch), _dates(150))
+        weekday_one_hot(batch, _dates(150))
 
 
 @pytest.mark.parametrize("shape", [(300,), (2400,), (3, 60)])
@@ -200,15 +197,15 @@ def test_features_op_matches_primitive_reference(shape):
     # below 0, so both the clamp's bound and the sqrt's 0 are exercised
     prices[..., 10:30] = 2.0 * prices[..., 10:11]
     prices[..., 35:58] = 1.6 * prices[..., 35:36]
-    var = _price_features(prices, keep=True)[1][4]
+    var = price_kernel(prices, keep=True)[1][4]
     assert np.any(var < 0.0) and np.any(var[..., 1:, :] == 0.0)  # day 0 is always 0
     w = rng.normal(size=shape + (len(CHANNELS),))
     runs = []
-    for build in (compute_features, compute_features_reference):
+    for build in (price_features, price_features_reference):
         x = ad.Tensor(prices.copy(), requires_grad=True)
-        fm = build(x, _dates(shape[-1]))
-        grad = ad.gradient(ad.tsum(ad.tanh(ad.mul(fm.continuous, ad.constant(w)))), x)
-        runs.append((fm.continuous.data, grad.data))
+        cont = build(x)
+        grad = ad.gradient(ad.tsum(ad.tanh(ad.mul(cont, ad.constant(w)))), x)
+        runs.append((cont.data, grad.data))
     (values, grad), (ref_values, ref_grad) = runs
     assert np.array_equal(values, ref_values)
     assert np.array_equal(grad, ref_grad)
@@ -219,14 +216,12 @@ def test_features_op_finite_differences():
     rng = np.random.default_rng(12)
     base = 25.0 * np.exp(np.cumsum(rng.normal(0, 0.02, (2, 24)), axis=-1))
     w = rng.normal(size=(2, 24, len(CHANNELS)))
-    dates = _dates(24)
 
     def f(ts):
-        fm = compute_features(ts[0], dates)
-        return ad.tsum(ad.tanh(ad.mul(fm.continuous, ad.constant(w * 0.05))))
+        return ad.tsum(ad.tanh(ad.mul(price_features(ts[0]), ad.constant(w * 0.05))))
 
     x = ad.Tensor(base.copy(), requires_grad=True)
-    node = compute_features(x, dates).continuous.node
+    node = price_features(x).node
     assert node.kind == "price_features" and node.parents == (x,)
     analytic = ad.gradient(f([x]), x).data
     fd = finite_diff(lambda arrs: f([ad.constant(a) for a in arrs]).item(), [base.copy()])[0]
@@ -236,10 +231,10 @@ def test_features_op_finite_differences():
 def test_features_op_keeps_nothing_without_recording():
     prices = 30.0 * np.exp(np.cumsum(np.random.default_rng(13).normal(0, 0.01, (2, 50)), axis=-1))
     x = ad.Tensor(prices, requires_grad=True)
-    recorded = compute_features(x, _dates(50)).continuous
+    recorded = price_features(x)
     with ad.no_record():
-        plain = compute_features(x, _dates(50)).continuous
+        plain = price_features(x)
     assert recorded.node.kind == "price_features" and plain.node is None
     assert np.array_equal(plain.data, recorded.data)
-    values, saved = _price_features(prices, keep=False)
+    values, saved = price_kernel(prices, keep=False)
     assert saved is None and np.array_equal(values, recorded.data)

@@ -6,23 +6,22 @@ import numpy as np
 import pytest
 
 from slopestrike import autodiff as ad
-from slopestrike import dataio, forecaster
+from slopestrike import dataio, features, forecaster
 from slopestrike.attacks import AttackConfig, run_attack
-from slopestrike.features import compute_features
 from slopestrike.forecaster import (
     ROW_BLOCK, EarlyStopper, NhitsConfig, NhitsModel, _assemble_batch, _batch_loss, _exo_days,
     _first_inputs, _interp_matrix, _mean_loss, _pinball, _series_days, rolling_forecast,
     standardise, train,
 )
-from graph_ops import sort_last
+from graph_ops import price_features, sort_last
 from helpers import (finite_diff, max_rel_err, nhits_forecast_reference, nhits_stacks_reference,
                      resaved_with, rolling_median_reference)
 
 
-def _fm(prices, start=dt.date(2021, 3, 1), grad=False):
-    dates = dataio.business_days(start, len(prices))
+def _prices(prices, start=dt.date(2021, 3, 1), grad=False):
+    """A prices tensor and its business days."""
     x = ad.Tensor(np.asarray(prices, dtype=float), requires_grad=grad)
-    return compute_features(x, dates), x
+    return x, dataio.business_days(start, len(prices))
 
 
 def _val_loss(model, series):
@@ -31,11 +30,11 @@ def _val_loss(model, series):
     return _mean_loss(model, starts, prices, exo)
 
 
-def _window_forecasts(model, fm, n):
+def _window_forecasts(model, x, dates, n):
     """The unsorted (n, horizon, n_quantiles) forecasts of the first n windows,
     from the per-op graph that ``core``'s forecasts are bit-identical to."""
     with ad.no_record():
-        out = nhits_forecast_reference(model, fm, n)
+        out = nhits_forecast_reference(model, price_features(x), dates, n)
     return out.data.reshape(n, model.config.horizon, model.config.n_quantiles)
 
 
@@ -44,8 +43,8 @@ def test_zero_final_layers_forecast_equals_window_mean():
     model = NhitsModel(cfg, seed=0)
     rng = np.random.default_rng(1)
     prices = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 100)))
-    fm, _ = _fm(prices)
-    quantiles, median = _window_forecasts(model, fm, 1)[0], model.forward(fm)
+    x, dates = _prices(prices)
+    quantiles, median = _window_forecasts(model, x, dates, 1)[0], model.core(x, dates, 1)
     assert quantiles.shape == (20, 7) and median.shape == (20,)
     assert np.allclose(quantiles, prices.mean(), atol=1e-9)
     assert np.allclose(median.data, prices.mean(), atol=1e-9)
@@ -59,9 +58,9 @@ def test_degenerate_rates_interpolation_is_identity():
     _randomise_heads(model, seed=3)
     rng = np.random.default_rng(2)
     prices = 40.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 100)))
-    fm, _ = _fm(prices)
-    assert model.forward(fm).shape == (20,)
-    assert _window_forecasts(model, fm, 1).shape == (1, 20, 7)
+    x, dates = _prices(prices)
+    assert model.core(x, dates, 1).shape == (20,)
+    assert _window_forecasts(model, x, dates, 1).shape == (1, 20, 7)
 
 
 def _randomise_heads(model, seed=0, scale=0.05):
@@ -77,15 +76,15 @@ def test_quantile_axis_is_sorted_and_median_is_column_three():
     _randomise_heads(model, seed=5, scale=0.3)
     rng = np.random.default_rng(6)
     prices = 90.0 * np.exp(np.cumsum(rng.normal(0, 0.02, 100)))
-    fm, _ = _fm(prices)
-    # the forecast quantiles are trained unsorted and cross here; forward
+    x, dates = _prices(prices)
+    # the forecast quantiles are trained unsorted and cross here; core
     # reports the median of each day's sorted quantiles
-    unsorted = _window_forecasts(model, fm, 1)[0]
+    unsorted = _window_forecasts(model, x, dates, 1)[0]
     assert np.any(np.diff(unsorted, axis=1) < 0.0)
     qp = np.sort(unsorted, axis=1)
     assert cfg.median_index == 3
     assert not np.array_equal(unsorted[:, 3], qp[:, 3])
-    assert np.array_equal(model.forward(fm).data, qp[:, 3])
+    assert np.array_equal(model.core(x, dates, 1).data, qp[:, 3])
 
 
 def test_quantile_loss_perfect_prediction_zero():
@@ -257,17 +256,15 @@ def test_forecast_op_matches_primitive_reference(batch):
     runs = []
     for reference in (False, True):
         x = ad.Tensor(prices.copy(), requires_grad=True)
-        fm = compute_features(x, dates)
-        if reference:  # the per-op forecast, sort, median pick and overlap average
-            out = rolling_median_reference(nhits_forecast_reference(model, fm, n), cfg,
-                                           prices.shape[:-1])
-        elif batch:  # three series through the op at once
-            out = model.core(fm.continuous, fm.day_one_hot().data, n)
-        else:  # the rolling path
-            out = model.rolling_median_path(fm)
+        if reference:  # the features op, per-op forecast, sort, median pick and overlap average
+            out = rolling_median_reference(nhits_forecast_reference(model, price_features(x),
+                                                                    dates, n),
+                                           cfg, prices.shape[:-1])
+        else:  # the rolling path of one series, or of three through the op at once
+            out = model.core(x, dates, n)
         w = np.random.default_rng(5).normal(size=out.shape)
         grads = ad.gradients(ad.tsum(ad.tanh(ad.mul(out, ad.constant(w * 0.01)))),
-                             [x, fm.continuous] + weights)
+                             [x] + weights)
         runs.append([out.data] + [g.data for g in grads])
     for got, want in zip(*runs):
         assert np.array_equal(got, want)
@@ -284,31 +281,34 @@ def _check_op_gradients(f, arrays, tol=1e-5):
 
 
 def test_forecast_op_finite_differences_every_parent():
-    # features of two series and all 18 parameters at once, on a small forecaster
+    # the prices of two series and all 18 parameters at once, on a small
+    # forecaster; exp keeps the prices positive
     cfg = NhitsConfig(encoder_length=8, horizon=4, hidden_size=5, quantiles=(0.1, 0.5, 0.9))
     model = NhitsModel(cfg, seed=2)
     rng = np.random.default_rng(3)
     names = list(model.params)
-    arrays = [rng.normal(size=(2, 11, 12))] + [rng.normal(0, 0.5, model.params[k].shape)
-                                              for k in names]
-    one_hot = np.broadcast_to(np.eye(5)[np.arange(11) % 5], (2, 11, 5))
+    arrays = [rng.normal(size=(2, 21))] + [rng.normal(0, 0.5, model.params[k].shape)
+                                           for k in names]
+    dates = dataio.business_days(dt.date(2021, 3, 1), 21)
     w = rng.normal(size=(2, 7))  # 4 windows of a 4-day horizon cover 7 days
 
     def f(ts):
         model.params = dict(zip(names, ts[1:]))
-        return ad.tsum(ad.tanh(ad.mul(model.core(ts[0], one_hot, 4), ad.constant(w))))
+        path = model.core(ad.texp(ad.mul(ts[0], 0.3)), dates, 4)
+        return ad.tsum(ad.tanh(ad.mul(path, ad.constant(w))))
 
     _check_op_gradients(f, arrays)
     # the batch axis comes first: each series' path is the one it gets alone
     model.params = {k: ad.Tensor(a, requires_grad=True) for k, a in zip(names, arrays[1:])}
-    paths = model.core(ad.constant(arrays[0]), one_hot, 4).data
+    prices = np.exp(0.3 * arrays[0])
+    paths = model.core(ad.constant(prices), dates, 4).data
     for i in range(2):
-        assert np.array_equal(paths[i], model.core(ad.constant(arrays[0][i]), one_hot[i], 4).data)
+        assert np.array_equal(paths[i], model.core(ad.constant(prices[i]), dates, 4).data)
 
 
 def test_rolling_median_op_finite_differences():
     # the median head of core over six overlapping windows: wide random heads
-    # make the quantile sort permute, and the gradient flows to the features
+    # make the quantile sort permute, and the gradient flows to the prices
     # and to the head weights through the picked median and the overlap average
     cfg = NhitsConfig(encoder_length=8, horizon=4, hidden_size=5, quantiles=(0.1, 0.5, 0.9))
     model = NhitsModel(cfg, seed=4)
@@ -316,37 +316,38 @@ def test_rolling_median_op_finite_differences():
     rng = np.random.default_rng(4)
     heads = [k for k in model.params if k.endswith("w3") or k.endswith("b3")]
     head_arrays = [model.params[k].data.copy() for k in heads]
-    one_hot = np.eye(5)[np.arange(13) % 5]
+    dates = dataio.business_days(dt.date(2021, 3, 1), 21)
     w = rng.normal(size=9)  # 6 windows of a 4-day horizon cover 9 days
 
     def f(ts):
         model.params.update(zip(heads, ts[1:]))
-        return ad.tsum(ad.mul(model.core(ts[0], one_hot, 6), ad.constant(w)))
+        path = model.core(ad.texp(ad.mul(ts[0], 0.3)), dates, 6)
+        return ad.tsum(ad.mul(path, ad.constant(w)))
 
-    cont = rng.normal(size=(13, 12))
-    _check_op_gradients(f, [cont] + head_arrays)
+    _check_op_gradients(f, [rng.normal(size=21)] + head_arrays)
 
     # a batch of two series: lead (2,) puts the windows on axis 1
     w2 = rng.normal(size=(2, 9))
-    one_hot2 = np.broadcast_to(one_hot, (2, 13, 5))
 
     def f2(ts):
         model.params.update(zip(heads, ts[1:]))
-        return ad.tsum(ad.mul(model.core(ts[0], one_hot2, 6), ad.constant(w2)))
+        path = model.core(ad.texp(ad.mul(ts[0], 0.3)), dates, 6)
+        return ad.tsum(ad.mul(path, ad.constant(w2)))
 
-    batch = rng.normal(size=(2, 13, 12))
+    batch = rng.normal(size=(2, 21))
     _check_op_gradients(f2, [batch] + head_arrays)
     model.params.update((k, ad.Tensor(a, requires_grad=True)) for k, a in zip(heads, head_arrays))
-    paths = model.core(ad.constant(batch), one_hot2, 6).data
+    prices = np.exp(0.3 * batch)
+    paths = model.core(ad.constant(prices), dates, 6).data
     assert paths.shape == (2, 9)
     for i in range(2):
-        assert np.array_equal(paths[i], model.core(ad.constant(batch[i]), one_hot, 6).data)
+        assert np.array_equal(paths[i], model.core(ad.constant(prices[i]), dates, 6).data)
 
 
 @pytest.mark.parametrize("shape", [(6, 100), (100,)], ids=["6-series", "1-series"])
 def test_forward_equals_the_sorted_quantile_graph(shape):
-    # forward, against the graph it replaced: the per-op forecast, reshape, sort,
-    # median slice
+    # one window per series, as the GAN forecasts, against the graph it
+    # replaced: the features op, the per-op forecast, reshape, sort, median slice
     model = NhitsModel(NhitsConfig(), seed=41)
     _randomise_heads(model, seed=41, scale=0.3)
     cfg = model.config
@@ -358,13 +359,12 @@ def test_forward_equals_the_sorted_quantile_graph(shape):
     runs = []
     for old in (False, True):
         x = ad.Tensor(prices.copy(), requires_grad=True)
-        fm = compute_features(x, dates)
         if old:
-            out = nhits_forecast_reference(model, fm, 1)
+            out = nhits_forecast_reference(model, price_features(x), dates, 1)
             q = sort_last(ad.reshape(out, shape[:-1] + (cfg.horizon, cfg.n_quantiles)))
             med = q[..., cfg.median_index]
         else:
-            med = model.forward(fm)
+            med = model.core(x, dates, 1)
         assert med.shape == shape[:-1] + (cfg.horizon,)
         grads = ad.gradients(ad.tsum(ad.tanh(ad.mul(med, ad.constant(w)))), [x] + weights)
         runs.append([med.data] + [g.data for g in grads])
@@ -374,20 +374,37 @@ def test_forward_equals_the_sorted_quantile_graph(shape):
     assert np.count_nonzero(runs[0][1]) > prices.size // 2  # not trivially equal
 
 
-def test_forecast_op_keeps_nothing_without_recording():
-    # a rolling path records two nodes, the features and the forecast; without
-    # recording the forecast op keeps nothing and gives the same path
+def test_forecast_op_keeps_nothing_without_recording(monkeypatch):
+    # a rolling path records one node, from the prices; without recording the
+    # op keeps nothing for a vjp, of the features or of the forecast, and gives
+    # the same path
     model = NhitsModel(NhitsConfig(), seed=6)
     _randomise_heads(model, seed=6, scale=0.3)
-    fm, x = _fm(60.0 * np.exp(np.cumsum(np.random.default_rng(6).normal(0, 0.01, 140))),
-                grad=True)
-    recorded = model.rolling_median_path(fm)
+    x, dates = _prices(60.0 * np.exp(np.cumsum(np.random.default_rng(6).normal(0, 0.01, 140))),
+                       grad=True)
+    kept = []  # whether the features kernel, then the forecast block, saved anything
+    price_kernel, block = features.price_features, model._forecast_block
+
+    def kernel(p, keep):
+        out, saved = price_kernel(p, keep)
+        kept.append(saved is not None)
+        return out, saved
+
+    def forecast_block(*args):
+        saved = block(*args)
+        kept.append(saved is not None)
+        return saved
+
+    monkeypatch.setattr(features, "price_features", kernel)
+    monkeypatch.setattr(model, "_forecast_block", forecast_block)
+    recorded = model.core(x, dates, 21)
+    assert kept == [True, True]
     with ad.no_record():
-        plain = model.rolling_median_path(fm)
+        plain = model.core(x, dates, 21)
+    assert kept == [True, True, False, False]
     assert recorded.shape == (40,)
     assert recorded.node.kind == "nhits_forecast" and plain.node is None
-    assert recorded.node.parents == (fm.continuous,) + tuple(model._weights())
-    assert fm.continuous.node.kind == "price_features" and fm.continuous.node.parents == (x,)
+    assert recorded.node.parents == (x,) + tuple(model._weights())
     assert np.array_equal(plain.data, recorded.data)
 
 
@@ -424,9 +441,10 @@ def test_training_batch_rows_equal_inference_windows():
     E, n = cfg.encoder_length, len(s) - cfg.min_series_length + 1
     first = len(pool[0]) - cfg.min_series_length + 1  # the windows of pool[0] come first
     prices, exo, (starts,) = _series_days(model, [pool])
-    fm = compute_features(ad.constant(s.adjprc), s.dates)
-    exo_days = _exo_days(fm.continuous.data, fm.day_one_hot().data, 0)[0].reshape(-1, 17)
-    inference = _window_forecasts(model, fm, n).reshape(n, -1)
+    x = ad.constant(s.adjprc)
+    one_hot = features.weekday_one_hot(s.adjprc, s.dates)
+    exo_days = _exo_days(price_features(x).data, one_hot, 0)[0].reshape(-1, 17)
+    inference = _window_forecasts(model, x, s.dates, n).reshape(n, -1)
     for w in (0, 7, n - 1):
         adj, truth, exo_b = _assemble_batch(starts[[first + w]], prices, exo, cfg)
         assert np.array_equal(adj[0], s.adjprc[w:w + E])
@@ -497,8 +515,7 @@ def test_rolling_forecast_overlap_averaging_counts():
     # manual: run the two windows separately through the public single-window
     # forward is not comparable (feature standardisation span differs), so
     # replicate the rolling computation by hand from the same feature matrix
-    fm, _ = _fm(series.adjprc)
-    med = np.sort(_window_forecasts(model, fm, 2), axis=2)[:, :, 3]
+    med = np.sort(_window_forecasts(model, *_prices(series.adjprc), 2), axis=2)[:, :, 3]
     expected = np.zeros(21)
     counts = np.zeros(21)
     for w in range(2):
@@ -539,7 +556,8 @@ def test_row_blocks_give_the_outputs_of_one_block(toy_model, n):
     # block.  The stacks never block, with or without a vjp.  The path compare
     # alone is weak: adding the window means rounds most GEMM bit differences away
     cfg = toy_model.config
-    fm, _ = _fm(60.0 * np.exp(np.cumsum(np.random.default_rng(n).normal(0, 0.01, n + 119))))
+    prices, dates = _prices(60.0 * np.exp(np.cumsum(np.random.default_rng(n).normal(0, 0.01,
+                                                                                  n + 119))))
     rng = np.random.default_rng(n + 1)
     x = rng.normal(size=(n, cfg.encoder_length))
     # first stack inputs gathered as core gathers them
@@ -547,7 +565,7 @@ def test_row_blocks_give_the_outputs_of_one_block(toy_model, n):
     runs = []
     for record in (False, True):
         with contextlib.nullcontext() if record else ad.no_record():
-            core = toy_model.core(fm.continuous, fm.day_one_hot().data, n)
+            core = toy_model.core(prices, dates, n)
             first = ad.constant(_first_inputs(exo, np.arange(n), cfg))
             stacks = toy_model.stacks(ad.constant(x), first)
         assert (core.node is not None) == (stacks.node is not None) == record
@@ -592,8 +610,7 @@ def test_rolling_average_beats_mean_single_window_mae(toy_model):
     # mean of the individual 20-day windows' errors; both values recorded
     series = dataio.synth_gbm(1, 300, 90.0, 7e-4, 0.009, seed=77)[0]
     n = 300 - 119
-    fm, _ = _fm(series.adjprc, start=series.dates[0])
-    out = _window_forecasts(toy_model, fm, n)
+    out = _window_forecasts(toy_model, ad.constant(series.adjprc), series.dates, n)
     med = np.sort(out, axis=2)[:, :, toy_model.config.median_index]
     single = float(np.mean([np.mean(np.abs(med[w] - series.adjprc[w + 100:w + 120]))
                             for w in range(n)]))
@@ -613,9 +630,8 @@ def test_end_to_end_gradient_matches_finite_differences():
     dates = dataio.business_days(dt.date(2021, 3, 1), 100)
 
     def loss(prices):
-        # prices -> features -> core -> head, scored at the median quantile
-        fm = compute_features(prices, dates)
-        return _pinball(model.forward(fm), truth, np.full(20, 0.5))
+        # prices -> features, core and head in one op, scored at the median quantile
+        return _pinball(model.core(prices, dates, 1), truth, np.full(20, 0.5))
 
     def loss_value(prices):
         with ad.no_record():
@@ -650,10 +666,9 @@ def test_config_validation():
 
 def test_forward_rejects_wrong_window_length():
     model = NhitsModel(NhitsConfig(), seed=0)
-    prices = np.full(90, 10.0)
-    fm, _ = _fm(prices)
+    x, dates = _prices(np.full(90, 10.0))
     with pytest.raises(ValueError, match="window"):
-        model.forward(fm)
+        model.core(x, dates, 1)
 
 
 def test_load_rejects_foreign_checkpoint(tmp_path):

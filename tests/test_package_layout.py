@@ -185,11 +185,10 @@ def _unpassed_defaults(package: list[Path], callers: list[Path]) -> list[str]:
 
 
 def test_every_defaulted_parameter_is_passed_by_some_caller():
+    # the test oracles do not count: a default only they pass is one no command uses
     package = sorted(PACKAGE.glob("*.py"))
-    tests = Path(__file__).parent
-    callers = package + sorted(PERFBENCH.glob("*.py")) + [tests / "helpers.py",
-                                                          tests / "graph_ops.py"]
-    assert len(package) > 5 and all(path.exists() for path in callers)
+    callers = package + sorted(PERFBENCH.glob("*.py"))
+    assert len(package) > 5 and len(callers) > len(package)
     unpassed = _unpassed_defaults(package, callers)
     assert not unpassed, unpassed
 
