@@ -308,11 +308,11 @@ def _forecaster_slope_loss(model: NhitsModel, fake: Tensor, p0s: np.ndarray,
     return ad.tmean(slope_loss(ls_slope(med), 1, cfg.c, cfg.d))
 
 
-def _check_forecast_window(cfg: GanConfig, model: NhitsModel) -> None:
+def _check_forecast_window(length: int, model: NhitsModel) -> None:
     """An interval's L + 1 prices must be exactly one encoder window of the forecaster."""
     E = model.config.encoder_length
-    if cfg.interval_length + 1 != E:
-        raise ValueError(f"interval_length {cfg.interval_length} + 1 must equal the "
+    if length + 1 != E:
+        raise ValueError(f"interval_length {length} + 1 must equal the "
                          f"forecaster's encoder_length {E}")
 
 
@@ -323,7 +323,7 @@ def train_agan(series: PriceSeries, model: NhitsModel, config: GanConfig, seed: 
     adv_loss).  The forecaster's parameters are bit-identical afterwards.
     """
     cfg = config
-    _check_forecast_window(cfg, model)
+    _check_forecast_window(cfg.interval_length, model)
     if len(series) < cfg.interval_length + 1:
         raise ValueError(f"{series.ticker}: too short for {cfg.interval_length}-return windows")
     bounds = scale_bounds(series)
@@ -396,9 +396,10 @@ def forecast_slopes(model: NhitsModel, scaled: np.ndarray, p0s: np.ndarray,
                     bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Forecaster general and LS slopes on prices rebuilt from scaled intervals.
 
-    All n intervals go through one forecast of one window each; returns two
-    (n,) arrays.
+    All n intervals go through one forecast of one window each, so each must
+    hold encoder_length - 1 returns; returns two (n,) arrays.
     """
+    _check_forecast_window(scaled.shape[1], model)
     prices = to_prices(unscale(scaled, bounds), p0s)
     with ad.no_record():
         med = model.core(ad.constant(prices), _PRICE_DATES[:prices.shape[1]], 1).data
@@ -427,7 +428,7 @@ def evaluate_gan(bundle: GanBundle, series: PriceSeries, model: NhitsModel | Non
                                 skew=float("nan"), kurtosis=float("nan"))
 
     if model is not None:
-        _check_forecast_window(bundle.config, model)
+        _check_forecast_window(bundle.config.interval_length, model)
     conditions = sample_intervals(series, n, seed, length=bundle.config.interval_length)
     real_scaled = np.stack([iv.log_returns for iv in conditions])
     fake_scaled = generate(bundle, conditions, seed + 1)

@@ -1,15 +1,20 @@
 """White-box attacks on the forecaster.
 
-All ten methods share one loop: forecast every window of the current prices
-with the forecast op, which derives the features itself (so gradients reach
-the raw series), take a loss on the averaged median path and its gradient
-with respect to the loop's leaf alone: the prices, or the C&W noise.  The sign
-methods step the prices by ``step * sign(gradient)`` and clamp them into the
-epsilon ball around the original series; the C&W variants take plain gradient
-steps on an additive noise vector under an L2-norm penalty, with no clamp.
+All ten methods share one loop: forecast the windows of the current prices
+that the objective reads with the forecast op, which derives the features
+itself (so gradients reach the raw series), take a loss on the averaged median
+path and its gradient with respect to the loop's leaf alone: the prices, or
+the C&W noise.  The sign methods step the prices by ``step * sign(gradient)``
+and clamp them into the epsilon ball around the original series; the C&W
+variants take plain gradient steps on an additive noise vector under an
+L2-norm penalty, with no clamp.
 The L1 methods measure the distance to a target path and the slope methods
-(GSA, LSSA, CW_GSA, CW_LSSA) take an objective on the forecast's slope.  The
-first iteration runs on the clean prices: its forecast is the unattacked path.
+(GSA, LSSA, CW_GSA, CW_LSSA) take an objective on the forecast's slope.  GSA's
+endpoint slope reads only the path's first and last day, which windows 0 and
+N - 1 alone cover, so GSA and CW_GSA forecast only those two windows in each
+iteration and take the unattacked path from one unrecorded full forecast.  For
+every other method the first iteration runs on the clean prices, and its
+forecast is the unattacked path.
 
 Methods: FGSM, BIM, MIFGSM, SIM, TIM, GSA, LSSA, CW, CW_GSA, CW_LSSA.
 """
@@ -94,10 +99,15 @@ def _check_series(kind: str, pred) -> int:
     return pred.shape[-1]
 
 
-def general_slope(pred: Tensor) -> Tensor:
-    """Endpoint slope (y_last - y_first) / (N - 1) with the day index as x; (B, N) -> (B,)."""
+def general_slope(pred: Tensor, days: int | None = None) -> Tensor:
+    """Endpoint slope (y_last - y_first) / (days - 1) with the day index as x;
+    (B, N) -> (B,).  ``days`` defaults to N; a path of more days may come as
+    its first and last day alone, which is all the slope reads."""
     n = _check_series("general_slope", pred)
-    return ad.mul(ad.sub(pred[..., n - 1], pred[..., 0]), 1.0 / (n - 1))
+    days = n if days is None else days
+    if days < n:
+        raise ValueError(f"general_slope: a path of {days} days has no {n} entries")
+    return ad.mul(ad.sub(pred[..., -1], pred[..., 0]), 1.0 / (days - 1))
 
 
 def ls_slope(pred: Tensor) -> Tensor:
@@ -182,24 +192,39 @@ def _attack_window(series: PriceSeries, model: NhitsModel) -> PriceSeries:
     return series.head(min(ATTACK_WINDOW, len(series)))
 
 
-def _predict_path(model: NhitsModel, prices: Tensor, dates) -> Tensor:
-    return model.core(prices, dates, len(dates) - model.config.min_series_length + 1)
+def _predict_path(model: NhitsModel, prices: Tensor, dates, ends: bool = False) -> Tensor:
+    """The median path over every window of the prices, or its two end days."""
+    return model.core(prices, dates, len(dates) - model.config.min_series_length + 1, ends)
+
+
+def _clean_path(model: NhitsModel, prices: np.ndarray, dates) -> np.ndarray:
+    """The full median path of fixed prices, with no graph."""
+    with ad.no_record():
+        return _predict_path(model, ad.constant(prices), dates).data.copy()
+
+
+def _reads_ends(cfg: AttackConfig) -> bool:
+    """Whether the method's objective reads only the path's first and last day:
+    GSA's endpoint slope, so its iterations forecast only the two end windows."""
+    return cfg.method.removeprefix("CW_") == "GSA"
 
 
 def _loss_builder(cfg: AttackConfig, window: PriceSeries, eps: float, encoder: int):
     """loss_fn(path) -> (loss, slope_value) for every method.
 
-    GSA, LSSA and their C&W variants take the slope objective.  The others
+    GSA, LSSA and their C&W variants take the slope objective.  GSA's reads
+    the path's first and last entry and its day count, len(window) - encoder,
+    so it gives one value on the full path and on its two end days.  The others
     take the mean L1 distance to a target path: the truth, shifted by
     ``target_dir * gamma`` for TIM and by ``-gamma`` for CW (gamma defaults
     to eps).
     """
     objective = cfg.method.removeprefix("CW_")
     if objective in ("GSA", "LSSA"):
-        measure = general_slope if objective == "GSA" else ls_slope
+        n_days = len(window) - encoder
 
         def slope_objective(path: Tensor):
-            m = measure(path)
+            m = general_slope(path, n_days) if objective == "GSA" else ls_slope(path)
             loss = slope_loss(m, cfg.target_dir, cfg.c, cfg.d)
             return ad.tmean(loss), float(m.data.reshape(-1)[0])
 
@@ -221,8 +246,14 @@ def _loss_builder(cfg: AttackConfig, window: PriceSeries, eps: float, encoder: i
 def _run_iterative(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
                    loss_fn, eps: float, iters: int):
     """Returns (x_adv, trace, path_before, l2_norm); the C&W leaf is the noise
-    eta (prices = adj + eta) and its loss ||eta||_2 + lambda * loss_fn."""
+    eta (prices = adj + eta) and its loss ||eta||_2 + lambda * loss_fn.
+
+    A method whose objective reads only the path's end days (``_reads_ends``)
+    forecasts only those in its iterations and takes its clean path from one
+    unrecorded forecast; the others take it from the first iteration's."""
     adj = window.adjprc
+    ends = _reads_ends(cfg)
+    path_before = _clean_path(model, adj, window.dates) if ends else None
     cw = cfg.method.startswith("CW")
     ascend = cfg.method in UNTARGETED
     alpha = eps if cfg.method == "FGSM" else attack_step(eps, iters)
@@ -240,8 +271,8 @@ def _run_iterative(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
             leaf = x_t = ad.Tensor(x, requires_grad=True)
         if np.any(x_t.data <= 0.0):
             raise NumericalError(f"{cfg.method}: prices became non-positive at iteration {i}")
-        path = _predict_path(model, x_t, window.dates)
-        if i == 0:
+        path = _predict_path(model, x_t, window.dates, ends)
+        if path_before is None:
             path_before = path.data.copy()
         loss, slope = loss_fn(path)
         if cw:
@@ -284,8 +315,7 @@ def run_attack(series: PriceSeries, model: NhitsModel, config: AttackConfig) -> 
     loss_fn = _loss_builder(config, window, eps, encoder)
     x_adv, trace, path_before, l2 = _run_iterative(window, model, config, loss_fn, eps,
                                                    config.resolved_iters())
-    with ad.no_record():
-        path_after = _predict_path(model, ad.constant(x_adv), window.dates).data.copy()
+    path_after = _clean_path(model, x_adv, window.dates)
     truth = window.adjprc[encoder:]
     return AttackResult(
         x_adv=PriceSeries(window.ticker, window.dates, x_adv),

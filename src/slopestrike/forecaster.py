@@ -15,7 +15,9 @@ the 18 block weights) derives the features with the ``features`` kernels,
 reads the price windows as views of the days, standardises each series'
 exogenous days, normalises each price window, runs the stacks, denormalises,
 sorts each day's quantiles to pick the median path and overlap-averages the
-windows' median paths onto the days.  The op repeats the arithmetic of the
+windows' median paths onto the days.  In its ends mode, which the GSA attack
+takes, it forecasts only the first and last window, forward and back, and
+returns the path's first and last day.  The op repeats the arithmetic of the
 per-op graph it replaced, including the order in which the engine added its
 gradients, so values and gradients are bit-identical to it.  The vjp follows
 the engine's conventions (first-max pooling routes to the lowest-index
@@ -321,7 +323,7 @@ class NhitsModel:
 
         return ad.custom_op("nhits_stacks", fore, parents, vjp)
 
-    def core(self, prices: Tensor, dates, n_windows: int) -> Tensor:
+    def core(self, prices: Tensor, dates, n_windows: int, ends: bool = False) -> Tensor:
         """Prices in, overlap-averaged median path out, recorded as one op
         (``nhits_forecast``, parents: the prices and the weights).
 
@@ -330,9 +332,16 @@ class NhitsModel:
         forecast, each day's quantiles are sorted stably to pick the median, and
         each series' median paths are averaged onto its days:
         (..., n_windows + horizon - 1).  The attacks and ``rolling_forecast``
-        take every window, the GAN one window per series.  The price windows'
-        gradient meets the exogenous one on the price channel of the features,
-        in the order the per-op graph added them, before the features vjp.
+        take every window, the GAN one window per series.  With ``ends`` the op
+        returns only the path's first and last day, (..., 2): window 0 alone
+        covers the first and window n_windows - 1 alone the last, so only those
+        windows (one when n_windows == 1) go through the stacks, forward and
+        back.  The features and the exogenous standardisation still read every
+        day.  Those rows share smaller GEMMs than in a full pass, so their values
+        can differ from the full path's ends in the last bit.  The price
+        windows' gradient meets the exogenous one on the price channel of the
+        features, in the order the per-op graph added them, before the
+        features vjp.
         """
         cfg = self.config
         E, H, Q = cfg.encoder_length, cfg.horizon, cfg.n_quantiles
@@ -347,10 +356,12 @@ class NhitsModel:
         ws = [w.data for w in weights]
         record = ad.records(parents)
         c, feats = features.price_features(p, record)
+        wins = np.unique([0, n_windows - 1]) if ends else np.arange(n_windows)  # window starts
         # contiguous windows, so the window means sum as the graph's did
-        adj = ad.window_view(np.ascontiguousarray(p[..., :span]), E, axis=days).reshape(-1, E)
+        adj = ad.window_view(np.ascontiguousarray(p[..., :span]), E, axis=days)
+        adj = (adj[..., wins, :] if ends else adj).reshape(-1, E)
         exo, ex = _exo_days(c, one_hot, cfg.pooled_dim)
-        starts = (T * np.arange(p[..., 0].size)[:, None] + np.arange(n_windows)).ravel()
+        starts = (T * np.arange(p[..., 0].size)[:, None] + wins).ravel()
         # with no vjp to run, the windows go through in near-equal row blocks:
         # only one block of the first stack's input is ever built, and only the
         # median paths outlive a block
@@ -360,9 +371,13 @@ class NhitsModel:
         for j in range(n_blocks):
             rows = slice(N * j // n_blocks, N * (j + 1) // n_blocks)
             kept = self._forecast_block(ws, adj[rows], exo, starts[rows], med[rows], record)
-        n_days = n_windows + H - 1
-        counts = ad.overlap_add(np.ones((n_windows, H)), n_days)  # forecasts per day
-        path = ad.overlap_add(med.reshape(lead + (n_windows, H)), n_days, axis=days) / counts
+        med = med.reshape(lead + (len(wins), H))
+        if ends:  # each end day is covered by one window, so its average is that forecast
+            path = np.stack([med[..., 0, 0], med[..., -1, -1]], axis=-1)
+        else:
+            n_days = n_windows + H - 1
+            counts = ad.overlap_add(np.ones((n_windows, H)), n_days)  # forecasts per day
+            path = ad.overlap_add(med, n_days, axis=days) / counts
         if not record:
             return Tensor(path)
         saved, win, denom, fore, src = kept
@@ -370,9 +385,14 @@ class NhitsModel:
         def vjp(g, need):
             # each day's gradient, divided by the forecasts covering it, goes to
             # the quantile that sorted into the median
+            if ends:
+                g_med = np.zeros(lead + (len(wins), H))
+                g_med[..., 0, 0] = g.data[..., 0]
+                g_med[..., -1, -1] += g.data[..., 1]
+            else:
+                g_med = ad.window_view(g.data / counts, H, axis=days)
             gq = np.zeros((N, H, Q))
-            np.put_along_axis(gq, src, ad.window_view(g.data / counts, H, axis=days)
-                              .reshape(src.shape), axis=-1)
+            np.put_along_axis(gq, src, g_med.reshape(src.shape), axis=-1)
             g = gq.reshape(N, H * Q)
             need_in = need[0]
             gx, gexo, gw = self._stacks_vjp(ws, saved, g * denom[:, None], need_in, need_in,
@@ -382,14 +402,19 @@ class NhitsModel:
                 return tuple(grads)
             # the denormalisation sends g to the window means and g * fore to the denominators
             g_adj = _standardise_vjp(gx, win, 1, np.sum(g, axis=1), np.sum(g * fore, axis=1))
-            # one overlap-add folds the price windows and the 12 continuous exo
-            # channels back onto the days.  The one-hot channels are constants, so
-            # the price gradient takes the place of the first one in the stacks'
-            # exo gradient, a buffer of this vjp's own, and nothing is copied.
-            windows = lead + (n_windows, E)
+            # one fold takes the price windows and the 12 continuous exo channels
+            # back onto the days.  The one-hot channels are constants, so the
+            # price gradient takes the place of the first one in the stacks' exo
+            # gradient, a buffer of this vjp's own, and nothing is copied.
+            windows = lead + (len(wins), E)
             taps = gexo.reshape(windows + (17,))[..., :13]
             taps[..., 12] = g_adj.reshape(windows)
-            folded = ad.overlap_add(taps, span, axis=days)
+            if ends:  # the end windows' taps, added at their starts in window order
+                folded = np.zeros(lead + (span, 13))
+                for j, s in enumerate(wins):
+                    folded[..., s:s + E, :] += taps[..., j, :, :]
+            else:
+                folded = ad.overlap_add(taps, span, axis=days)
             g_z, g_price = np.zeros(c.shape), np.zeros(c.shape)
             g_z[..., :span, :] = folded[..., :12]
             g_price[..., :span, 0] = folded[..., 12]

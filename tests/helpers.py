@@ -228,6 +228,23 @@ def _builders():
 
         return [(2, 22)] + [model.params[n].shape for n in names], f
 
+    def nhits_forecast_ends(rng):
+        # the op's ends mode, each path's first and last day alone, with the
+        # prices as the only inputs: the weights are random constants, so the
+        # stacks, the window normalisation and the fold all carry a gradient
+        model = NhitsModel(NhitsConfig(encoder_length=8, horizon=4, hidden_size=4,
+                                       quantiles=(0.1, 0.5, 0.9)))
+        for p in model.params.values():
+            p.data = rng.uniform(-1, 1, p.shape)
+        dates = business_days(dt.date(2021, 3, 1), 22)
+        w = rng.uniform(-1, 1, (2, 2))
+
+        def f(ts):
+            ends = model.core(ad.texp(ad.mul(ts[0], 0.3)), dates, 3, ends=True)
+            return ad.tmean(ad.tanh(ad.mul(ends, ad.constant(w))))
+
+        return [(2, 22)], f
+
     def price_features_case(rng):
         # the features op on two 22-day series; exp keeps the prices positive
         w = rng.uniform(-1, 1, (2, 22, 12))
@@ -241,7 +258,7 @@ def _builders():
     return [mlp, elementwise_chain, log_sqrt, pooled, convnet, sliced,
             pooled_matmul, clamped, unfolded, folded, smoothed, accumulated,
             unfolded_rows, folded_rows, smoothed_rows, accumulated_rows, batched_matmul,
-            nhits_stacks, nhits_forecast, price_features_case]
+            nhits_stacks, nhits_forecast, price_features_case, nhits_forecast_ends]
 
 
 def random_graph_cases(n, seed=20240501):

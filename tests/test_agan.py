@@ -387,6 +387,15 @@ def test_forecast_slopes_match_per_sample_reference(cond_stock, toy_model):
         assert max_rel_err([ls[i]], [ls_slope_value(med)], floor=1e-300) < 1e-12
 
 
+def test_forecast_slopes_reject_intervals_longer_than_one_encoder_window(cond_stock, toy_model):
+    # 151 prices would quietly give the slopes of the first 100 alone
+    intervals = sample_intervals(cond_stock, 3, seed=0, length=150)
+    scaled = np.stack([iv.log_returns for iv in intervals])
+    p0s = np.array([iv.p0 for iv in intervals])
+    with pytest.raises(ValueError, match="interval_length 150 .* encoder_length 100"):
+        forecast_slopes(toy_model, scaled, p0s, scale_bounds(cond_stock))
+
+
 def test_to_prices_batch_matches_rows_and_rejects_any_bad_row():
     rng = np.random.default_rng(5)
     r = rng.normal(0, 0.01, (3, 99))

@@ -6,11 +6,11 @@ from slopestrike import attacks, dataio
 from slopestrike.attacks import (
     AttackConfig, attack_step, eps_abs, general_slope, general_slope_value,
     ls_slope, ls_slope_value, run_attack, slope_loss, _run_iterative, _sim_guard,
-    _loss_builder, _cosine,
+    _loss_builder, _cosine, _predict_path,
 )
 from slopestrike.dataio import PriceSeries
 from slopestrike.forecaster import NhitsConfig, NhitsModel
-from helpers import attack_path_gradient
+from helpers import attack_path_gradient, max_rel_err
 
 
 def _short(series, n=140):
@@ -41,6 +41,8 @@ def test_even_length_median_convention():
 def test_general_slope_examples():
     assert general_slope(ad.constant([1.0, 2.0, 3.0, 4.0, 5.0])).item() == 1.0
     assert general_slope(ad.constant([3.0, 7.0, 3.0])).item() == 0.0
+    # a five-day path given as its first and last day
+    assert general_slope(ad.constant([1.0, 5.0]), 5).item() == 1.0
 
 
 def test_general_slope_matches_endpoint_formula():
@@ -66,6 +68,8 @@ def test_ls_slope_matches_regression_oracle():
 def test_slope_contract_errors():
     with pytest.raises(ValueError):
         general_slope(ad.constant([1.0]))
+    with pytest.raises(ValueError, match="a path of 2 days has no 3 entries"):
+        general_slope(ad.constant([1.0, 2.0, 3.0]), 2)
     with pytest.raises(ValueError):
         ls_slope(ad.constant([1.0]))
 
@@ -204,6 +208,70 @@ def test_path_before_is_the_unrecorded_clean_forecast(toy_model, eval_series, me
         clean = toy_model.core(ad.constant(s.adjprc), s.dates,
                                len(s) - toy_model.config.min_series_length + 1)
     assert np.array_equal(r.path_before, clean.data)
+
+
+@pytest.mark.parametrize("days", [300, 150, 120], ids=["disjoint", "overlapping", "one-window"])
+@pytest.mark.parametrize("target_dir", [1, -1])
+@pytest.mark.parametrize("method", ["GSA", "CW_GSA"])
+def test_end_days_forecast_matches_the_full_path(toy_model, eval_series, method, target_dir,
+                                                 days):
+    # the end windows of 300 days are disjoint, of 150 days (31 windows of
+    # 100) they overlap, and 120 days hold one window: the slope objective
+    # on the two end days gives the full path's loss, slope and price gradient
+    s = eval_series[10].head(days)
+    cfg = AttackConfig(method, eps_pct=2.0, target_dir=target_dir)
+    loss_fn = _loss_builder(cfg, s, eps_abs(s, cfg.eps_pct), toy_model.config.encoder_length)
+    runs = []
+    for ends in (False, True):
+        x = ad.Tensor(s.adjprc.copy(), requires_grad=True)
+        path = _predict_path(toy_model, x, s.dates, ends)
+        loss, slope = loss_fn(path)
+        runs.append((path.data[[0, -1]], loss.item(), slope, ad.gradient(loss, x).data))
+    (full, loss_f, slope_f, g_f), (two, loss_e, slope_e, g_e) = runs
+    assert two.shape == (2,)
+    assert max_rel_err(two, full, floor=1e-300) < 1e-12
+    assert max_rel_err([loss_e, slope_e], [loss_f, slope_f], floor=1e-300) < 1e-12
+    # relative to the largest entry: most prices reach the loss only through
+    # the exogenous standardisation, which gives them small gradients
+    assert np.max(np.abs(g_e - g_f)) <= 1e-12 * np.max(np.abs(g_f))
+    assert np.count_nonzero(g_f) == days
+
+
+@pytest.mark.parametrize("method", ["GSA", "CW_GSA"])
+def test_end_days_attack_follows_the_full_path_attack(toy_model, eval_series, method,
+                                                      monkeypatch):
+    s = eval_series[11].head(150)
+    cfg = AttackConfig(method, eps_pct=2.0, iters=4, target_dir=-1)
+    ends = run_attack(s, toy_model, cfg)
+    monkeypatch.setattr(attacks, "_reads_ends", lambda cfg: False)
+    full = run_attack(s, toy_model, cfg)
+    assert np.array_equal(ends.path_before, full.path_before)
+    assert max_rel_err(ends.x_adv.adjprc, full.x_adv.adjprc, floor=1e-300) < 1e-12
+    assert max_rel_err(ends.trace, full.trace, floor=1e-300) < 1e-12
+
+
+@pytest.mark.parametrize("days", [300, 120])
+def test_gsa_iterations_forecast_only_the_end_windows(toy_model, eval_series, monkeypatch, days):
+    # the stacks' rows in order: GSA and CW_GSA forecast every window unrecorded
+    # for the clean path, the end windows in each iteration, and every window
+    # for the attacked path; LSSA and BIM every window throughout
+    rows = []
+    forward = NhitsModel._stacks_forward
+
+    def counting(self, ws, x, first, keep):
+        rows.append(x.shape[0])
+        return forward(self, ws, x, first, keep)
+
+    monkeypatch.setattr(NhitsModel, "_stacks_forward", counting)
+    s = eval_series[12].head(days)
+    n = days - toy_model.config.min_series_length + 1
+    two = min(n, 2)
+    expected = {"GSA": [n, two, two, n], "CW_GSA": [n, two, two, n],
+                "LSSA": [n, n, n], "BIM": [n, n, n]}
+    for method, want in expected.items():
+        rows.clear()
+        run_attack(s, toy_model, AttackConfig(method, eps_pct=2.0, iters=2))
+        assert rows == want, method
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,36 @@ def test_forecast_op_finite_differences_every_parent():
         assert np.array_equal(paths[i], model.core(ad.constant(prices[i]), dates, 4).data)
 
 
+@pytest.mark.parametrize("days", [50, 30, 24], ids=["disjoint", "overlapping", "one-window"])
+def test_end_days_forecast_finite_differences_every_parent(days):
+    # the ends mode forecasts windows 0 and n - 1 alone: of a 50-day series'
+    # 27 windows of 20 days those are disjoint, of a 30-day series' 7 they
+    # overlap, and 24 days hold one window, which covers both end days
+    cfg = NhitsConfig(encoder_length=20, horizon=4, hidden_size=3, quantiles=(0.1, 0.5, 0.9))
+    model = NhitsModel(cfg, seed=2)
+    rng = np.random.default_rng(days)
+    names = list(model.params)
+    arrays = [rng.normal(size=(2, days))] + [rng.normal(0, 0.5, model.params[k].shape)
+                                             for k in names]
+    dates = dataio.business_days(dt.date(2021, 3, 1), days)
+    n = days - cfg.min_series_length + 1
+    w = rng.normal(size=(2, 2))
+
+    def f(ts):
+        model.params = dict(zip(names, ts[1:]))
+        ends = model.core(ad.texp(ad.mul(ts[0], 0.3)), dates, n, ends=True)
+        return ad.tsum(ad.tanh(ad.mul(ends, ad.constant(w))))
+
+    _check_op_gradients(f, arrays)
+    # the two values are the whole path's first and last day
+    model.params = {k: ad.Tensor(a, requires_grad=True) for k, a in zip(names, arrays[1:])}
+    prices = ad.constant(np.exp(0.3 * arrays[0]))
+    ends = model.core(prices, dates, n, ends=True).data
+    assert ends.shape == (2, 2)
+    full = model.core(prices, dates, n).data
+    assert max_rel_err(ends, full[:, [0, -1]], floor=1e-300) < 1e-12
+
+
 def test_rolling_median_op_finite_differences():
     # the median head of core over six overlapping windows: wide random heads
     # make the quantile sort permute, and the gradient flows to the prices
