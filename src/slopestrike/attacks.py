@@ -12,9 +12,8 @@ The L1 methods measure the distance to a target path and the slope methods
 (GSA, LSSA, CW_GSA, CW_LSSA) take an objective on the forecast's slope.  GSA's
 endpoint slope reads only the path's first and last day, which windows 0 and
 N - 1 alone cover, so GSA and CW_GSA forecast only those two windows in each
-iteration and take the unattacked path from one unrecorded full forecast.  For
-every other method the first iteration runs on the clean prices, and its
-forecast is the unattacked path.
+iteration.  Every method takes its unattacked and attacked paths from
+``rolling_forecast`` of the clean and the attacked prices.
 
 Methods: FGSM, BIM, MIFGSM, SIM, TIM, GSA, LSSA, CW, CW_GSA, CW_LSSA.
 """
@@ -30,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataio import PriceSeries
-from .forecaster import NhitsModel, NumericalError
+from .forecaster import NhitsModel, NumericalError, rolling_forecast
 from .metrics import error_metrics
 
 logger = logging.getLogger(__name__)
@@ -185,24 +184,6 @@ def _path_metrics(path: np.ndarray, truth: np.ndarray) -> dict[str, float]:
             "ls_slope": ls_slope_value(path)}
 
 
-def _attack_window(series: PriceSeries, model: NhitsModel) -> PriceSeries:
-    need = model.config.min_series_length
-    if len(series) < need:
-        raise ValueError(f"{series.ticker}: {len(series)} days < required {need}")
-    return series.head(min(ATTACK_WINDOW, len(series)))
-
-
-def _predict_path(model: NhitsModel, prices: Tensor, dates, ends: bool = False) -> Tensor:
-    """The median path over every window of the prices, or its two end days."""
-    return model.core(prices, dates, len(dates) - model.config.min_series_length + 1, ends)
-
-
-def _clean_path(model: NhitsModel, prices: np.ndarray, dates) -> np.ndarray:
-    """The full median path of fixed prices, with no graph."""
-    with ad.no_record():
-        return _predict_path(model, ad.constant(prices), dates).data.copy()
-
-
 def _reads_ends(cfg: AttackConfig) -> bool:
     """Whether the method's objective reads only the path's first and last day:
     GSA's endpoint slope, so its iterations forecast only the two end windows."""
@@ -245,15 +226,15 @@ def _loss_builder(cfg: AttackConfig, window: PriceSeries, eps: float, encoder: i
 
 def _run_iterative(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
                    loss_fn, eps: float, iters: int):
-    """Returns (x_adv, trace, path_before, l2_norm); the C&W leaf is the noise
-    eta (prices = adj + eta) and its loss ||eta||_2 + lambda * loss_fn.
+    """Returns (x_adv, trace, l2_norm); the C&W leaf is the noise eta
+    (prices = adj + eta) and its loss ||eta||_2 + lambda * loss_fn.
 
     A method whose objective reads only the path's end days (``_reads_ends``)
-    forecasts only those in its iterations and takes its clean path from one
-    unrecorded forecast; the others take it from the first iteration's."""
+    forecasts only those in its iterations.  Every step's prices must stay
+    positive, the last step's included."""
     adj = window.adjprc
+    n_windows = len(window) - model.config.min_series_length + 1
     ends = _reads_ends(cfg)
-    path_before = _clean_path(model, adj, window.dates) if ends else None
     cw = cfg.method.startswith("CW")
     ascend = cfg.method in UNTARGETED
     alpha = eps if cfg.method == "FGSM" else attack_step(eps, iters)
@@ -269,11 +250,7 @@ def _run_iterative(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
             x_t = ad.add(ad.constant(adj), leaf)
         else:
             leaf = x_t = ad.Tensor(x, requires_grad=True)
-        if np.any(x_t.data <= 0.0):
-            raise NumericalError(f"{cfg.method}: prices became non-positive at iteration {i}")
-        path = _predict_path(model, x_t, window.dates, ends)
-        if path_before is None:
-            path_before = path.data.copy()
+        path = model.core(x_t, window.dates, n_windows, ends)
         loss, slope = loss_fn(path)
         if cw:
             norm = ad.tsqrt(ad.tsum(ad.mul(leaf, leaf)))
@@ -285,20 +262,21 @@ def _run_iterative(window: PriceSeries, model: NhitsModel, cfg: AttackConfig,
         grad = ad.gradient(loss, leaf).data
         if cw:
             eta = eta - cw_step * grad
-            continue
-        if cfg.method == "MIFGSM":
-            norm1 = np.abs(grad).sum()
-            g_accum = cfg.mu * g_accum + grad / norm1 if norm1 > 0.0 else cfg.mu * g_accum
-            step_dir = np.sign(g_accum)
+            x = adj + eta
         else:
-            step_dir = np.sign(grad)
-        x = x + alpha * step_dir if ascend else x - alpha * step_dir
-        x = np.clip(x, lo, hi)
-        if cfg.method == "SIM":
-            x = _sim_guard(x, adj, eps)
-    if cw:
-        return adj + eta, trace, path_before, float(np.linalg.norm(eta))
-    return x, trace, path_before, None
+            if cfg.method == "MIFGSM":
+                norm1 = np.abs(grad).sum()
+                g_accum = cfg.mu * g_accum + grad / norm1 if norm1 > 0.0 else cfg.mu * g_accum
+                step_dir = np.sign(g_accum)
+            else:
+                step_dir = np.sign(grad)
+            x = x + alpha * step_dir if ascend else x - alpha * step_dir
+            x = np.clip(x, lo, hi)
+            if cfg.method == "SIM":
+                x = _sim_guard(x, adj, eps)
+        if np.any(x <= 0.0):
+            raise NumericalError(f"{cfg.method}: prices became non-positive at iteration {i}")
+    return x, trace, float(np.linalg.norm(eta)) if cw else None
 
 
 def run_attack(series: PriceSeries, model: NhitsModel, config: AttackConfig) -> AttackResult:
@@ -307,18 +285,22 @@ def run_attack(series: PriceSeries, model: NhitsModel, config: AttackConfig) -> 
     Every iterative method's output satisfies max|x_adv - adjprc| <= eps; the
     C&W variants are unconstrained and report the L2 norm of their noise.
     Each iteration differentiates only with respect to its leaf (the prices,
-    or the C&W noise), so no product reaches the forecaster's weights.
+    or the C&W noise), so no product reaches the forecaster's weights.  The
+    unattacked and attacked paths are ``rolling_forecast`` of the window and
+    of ``x_adv``; the first also rejects a series too short to forecast.
     """
-    window = _attack_window(series, model)
+    window = series.head(ATTACK_WINDOW)
+    path_before = rolling_forecast(window, model)
     eps = eps_abs(window, config.eps_pct)
     encoder = model.config.encoder_length
     loss_fn = _loss_builder(config, window, eps, encoder)
-    x_adv, trace, path_before, l2 = _run_iterative(window, model, config, loss_fn, eps,
-                                                   config.resolved_iters())
-    path_after = _clean_path(model, x_adv, window.dates)
+    x_adv, trace, l2 = _run_iterative(window, model, config, loss_fn, eps,
+                                      config.resolved_iters())
+    x_adv = PriceSeries(window.ticker, window.dates, x_adv)
+    path_after = rolling_forecast(x_adv, model)
     truth = window.adjprc[encoder:]
     return AttackResult(
-        x_adv=PriceSeries(window.ticker, window.dates, x_adv),
+        x_adv=x_adv,
         eps_abs=eps,
         trace=trace,
         before=_path_metrics(path_before, truth),

@@ -452,7 +452,7 @@ COMMANDS = {
             ("direction", int, 1), ("plots", bool, True))),
     ("defend", "train"): Command(
         cmd_defend_train, "defend", ("--data", "--checkpoint", "--outdir", "--tickers?"), (
-            ("method", str, "GSA"), ("eps-pct", float, 2.0), ("epochs", int, 200, Bounds(1)),
+            ("method", str, "GSA"), ("eps-pct", float, 2.0), ("epochs", int, 200),
             ("lr", float, 1e-4), ("attack-iters", int, 30),
             ("holdout", float, 0.3, Bounds(0.0, 1.0)))),
     ("defend", "classify"): Command(cmd_defend_classify, None,

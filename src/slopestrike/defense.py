@@ -82,11 +82,9 @@ class Discriminator:
         self.params["head.w"] = ad.Tensor(rng.uniform(-s, s, (flat_dim, 1)), requires_grad=True)
         self.params["head.b"] = ad.Tensor(np.zeros(1), requires_grad=True)
 
-    def arch(self) -> dict:
-        return {"model": "discriminator", "config": asdict(self.config)}
-
     def save(self, path) -> None:
-        save_checkpoint({k: v.data for k, v in self.params.items()}, path, self.arch())
+        save_checkpoint({k: v.data for k, v in self.params.items()}, path,
+                        {"model": "discriminator", "config": asdict(self.config)})
 
     @classmethod
     def load(cls, path) -> "Discriminator":

@@ -203,11 +203,9 @@ class NhitsModel:
 
     # -- persistence --------------------------------------------------------
 
-    def arch(self) -> dict:
-        return {"model": "nhits", "config": asdict(self.config)}
-
     def save(self, path) -> None:
-        save_checkpoint({k: v.data for k, v in self.params.items()}, path, self.arch())
+        save_checkpoint({k: v.data for k, v in self.params.items()}, path,
+                        {"model": "nhits", "config": asdict(self.config)})
 
     @classmethod
     def load(cls, path) -> "NhitsModel":
@@ -640,7 +638,8 @@ def train(train_series: list[PriceSeries], val_series: list[PriceSeries],
 
 
 def rolling_forecast(series: PriceSeries, model: NhitsModel) -> np.ndarray:
-    """Overlap-averaged median forecast for days encoder..len-1 (numpy, no graph)."""
+    """Overlap-averaged median forecast for days encoder..len-1 (numpy, no graph):
+    the attacks' unattacked and attacked paths."""
     cfg = model.config
     if len(series) < cfg.min_series_length:
         raise ValueError(f"{series.ticker}: need at least {cfg.min_series_length} days")

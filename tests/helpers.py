@@ -11,7 +11,7 @@ import datetime as dt
 import numpy as np
 
 from slopestrike import autodiff as ad
-from slopestrike.attacks import _loss_builder, _predict_path, eps_abs
+from slopestrike.attacks import _loss_builder, eps_abs
 from graph_ops import (channel_bias, conv1d, div, ema, fold, maxpool1d, price_features, sort_last,
                        unfold)
 from slopestrike.dataio import business_days, load_checkpoint, save_checkpoint
@@ -444,7 +444,7 @@ def attack_path_gradient(model, cfg, window, prices):
     prices leaf, the rolling median path and the method's objective.
     """
     x = ad.Tensor(prices, requires_grad=True)
-    path = _predict_path(model, x, window.dates)
+    path = model.core(x, window.dates, len(window) - model.config.min_series_length + 1)
     loss_fn = _loss_builder(cfg, window, eps_abs(window, cfg.eps_pct),
                             model.config.encoder_length)
     loss, _ = loss_fn(path)

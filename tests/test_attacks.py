@@ -6,10 +6,10 @@ from slopestrike import attacks, dataio
 from slopestrike.attacks import (
     AttackConfig, attack_step, eps_abs, general_slope, general_slope_value,
     ls_slope, ls_slope_value, run_attack, slope_loss, _run_iterative, _sim_guard,
-    _loss_builder, _cosine, _predict_path,
+    _loss_builder, _cosine,
 )
 from slopestrike.dataio import PriceSeries
-from slopestrike.forecaster import NhitsConfig, NhitsModel
+from slopestrike.forecaster import NhitsConfig, NhitsModel, rolling_forecast
 from helpers import attack_path_gradient, max_rel_err
 
 
@@ -221,10 +221,11 @@ def test_end_days_forecast_matches_the_full_path(toy_model, eval_series, method,
     s = eval_series[10].head(days)
     cfg = AttackConfig(method, eps_pct=2.0, target_dir=target_dir)
     loss_fn = _loss_builder(cfg, s, eps_abs(s, cfg.eps_pct), toy_model.config.encoder_length)
+    n_windows = days - toy_model.config.min_series_length + 1
     runs = []
     for ends in (False, True):
         x = ad.Tensor(s.adjprc.copy(), requires_grad=True)
-        path = _predict_path(toy_model, x, s.dates, ends)
+        path = toy_model.core(x, s.dates, n_windows, ends)
         loss, slope = loss_fn(path)
         runs.append((path.data[[0, -1]], loss.item(), slope, ad.gradient(loss, x).data))
     (full, loss_f, slope_f, g_f), (two, loss_e, slope_e, g_e) = runs
@@ -252,9 +253,9 @@ def test_end_days_attack_follows_the_full_path_attack(toy_model, eval_series, me
 
 @pytest.mark.parametrize("days", [300, 120])
 def test_gsa_iterations_forecast_only_the_end_windows(toy_model, eval_series, monkeypatch, days):
-    # the stacks' rows in order: GSA and CW_GSA forecast every window unrecorded
-    # for the clean path, the end windows in each iteration, and every window
-    # for the attacked path; LSSA and BIM every window throughout
+    # the stacks' rows in order: every method forecasts every window unrecorded
+    # for the clean path and for the attacked path; GSA and CW_GSA forecast the
+    # end windows in each iteration, LSSA and BIM every window
     rows = []
     forward = NhitsModel._stacks_forward
 
@@ -267,11 +268,29 @@ def test_gsa_iterations_forecast_only_the_end_windows(toy_model, eval_series, mo
     n = days - toy_model.config.min_series_length + 1
     two = min(n, 2)
     expected = {"GSA": [n, two, two, n], "CW_GSA": [n, two, two, n],
-                "LSSA": [n, n, n], "BIM": [n, n, n]}
+                "LSSA": [n, n, n, n], "BIM": [n, n, n, n]}
     for method, want in expected.items():
         rows.clear()
         run_attack(s, toy_model, AttackConfig(method, eps_pct=2.0, iters=2))
         assert rows == want, method
+
+
+@pytest.mark.parametrize("method", attacks.METHODS)
+def test_both_paths_are_rolling_forecasts(toy_model, eval_series, method, monkeypatch):
+    calls = []
+
+    def recording(series, model):
+        path = rolling_forecast(series, model)
+        calls.append((series.adjprc.copy(), path))
+        return path
+
+    monkeypatch.setattr(attacks, "rolling_forecast", recording)
+    s = _short(eval_series[13])
+    r = run_attack(s, toy_model, AttackConfig(method, eps_pct=2.0, iters=2, target_dir=1))
+    assert len(calls) == 2
+    (clean, before), (attacked, after) = calls
+    assert np.array_equal(clean, s.adjprc) and np.array_equal(attacked, r.x_adv.adjprc)
+    assert r.path_before is before and r.path_after is after
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,30 @@ def test_numerical_failure_maps_to_exit_4(tmp_path, workspace):
                "--tickers", "SYN000", "--no-plots") == 4
 
 
+def test_attack_checks_the_last_step_prices(tmp_path, workspace, capsys):
+    # FGSM's one step of 150 % of the median price leaves the positive range
+    _, data, ckpt = workspace
+    code = run("attack", "--data", data, "--checkpoint", ckpt, "--outdir", tmp_path / "o",
+               "--methods", "fgsm", "--eps-pct", 150, "--tickers", "SYN000", "--no-plots")
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "numerical failure: FGSM: prices became non-positive at iteration 0\n"
+
+
+def test_attack_on_a_short_series_is_one_line_data_error(tmp_path, workspace, capsys):
+    from slopestrike import dataio
+    _, _, ckpt = workspace
+    short = dataio.synth_gbm(1, 120, 80.0, 4e-4, 0.01, seed=4)[0].head(119)
+    data = tmp_path / "short.csv"
+    dataio.write_series_csv([dataio.PriceSeries("SHORT", short.dates, short.adjprc)], data)
+    code = run("attack", "--data", data, "--checkpoint", ckpt, "--outdir", tmp_path / "o",
+               "--methods", "bim", "--iters", 1, "--no-plots")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error: SHORT:") and "120 days" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_attack_reports_and_determinism(tmp_path, workspace):
     _, data, ckpt = workspace
     outs = []
