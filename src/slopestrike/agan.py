@@ -4,10 +4,13 @@ The generator is a dilated causal TCN (Bai et al., arXiv:1803.01271) fed noise
 concatenated with a real (min-max scaled) log-return interval as the
 condition.  ``TcnGenerator.forward`` records the whole network as one graph
 node, kind ``tcn_generator``: a numpy forward over time-major rows, each layer
-an ``autodiff.causal_conv`` with bias and leaky ReLU fused in, and a
-hand-written vjp that computes only what ``need`` asks for.  Noise and
-condition come in as numpy arrays, not tensors, so the op has no input
-gradient; a critic step, run under ``no_record``, keeps nothing for the vjp.  The
+an ``autodiff.causal_conv`` (one GEMM per tap over blocks of rows) with bias
+and leaky ReLU fused in, and a hand-written vjp that computes only what
+``need`` asks for.  A recorded pass keeps each layer's input and a boolean
+mask of its leaky ReLU's sign.  Noise and condition come in as numpy arrays,
+not tensors, so the op has no input gradient; a critic step, run under
+``no_record``, keeps nothing for the vjp, and ``generate`` runs the generator
+``batch_size`` conditions at a time.  The
 critic is a tanh MLP over the flattened (interval, condition) pair so that the
 gradient penalty's second-order pass stays inside the supported operation
 subset.  A frozen forecaster acts as a second critic: the whole batch of
@@ -70,8 +73,9 @@ class GanConfig:
         for name in ("lr_g", "lr_c"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not _positive_int(self.samples_per_epoch):
-            raise ValueError(f"samples_per_epoch must be a positive int, got {self.samples_per_epoch}")
+        for name in ("samples_per_epoch", "batch_size"):
+            if not _positive_int(getattr(self, name)):
+                raise ValueError(f"{name} must be a positive int, got {getattr(self, name)}")
         if not (len(self.gen_hidden) == len(self.gen_kernels) == len(self.gen_dilations)):
             raise ValueError("generator layer specs must have equal lengths")
         for name in ("epochs_per_block", "gen_hidden", "gen_kernels", "gen_dilations"):
@@ -175,7 +179,9 @@ class TcnGenerator:
         Recorded as ``tcn_generator`` with the parameters as parents.  Rows are
         time-major, row t*B + b with the noise and condition as its two
         channels, and each layer is ``autodiff.causal_conv`` over them: one
-        GEMM per tap added into the output in place.
+        GEMM per tap added into the output in place, over blocks of rows.  A
+        recorded pass keeps each layer's input and its leaky ReLU's ``z >= 0``
+        mask; the vjp turns the mask back into the slope factors.
         """
         cfg = self.config
         L = cfg.interval_length
@@ -190,14 +196,14 @@ class TcnGenerator:
         layers.append(ad.tap_shifts(1, 1, B, L))  # the 1x1 head
         slope = cfg.leaky_slope
         h = np.stack([z.T, cond.T], axis=-1).reshape(n, 2)
-        inputs, factors = [], []
+        inputs, masks = [], []
         for i, taps in enumerate(layers):
             z = ad.causal_conv(h, weights[2 * i].data, weights[2 * i + 1].data, taps)
             if keep:
                 inputs.append(h)
             if i < len(layers) - 1:
                 if keep:
-                    factors.append(np.where(z >= 0.0, 1.0, slope))
+                    masks.append(z >= 0.0)
                 np.maximum(z, slope * z, out=z)  # leaky ReLU, as 0 <= slope <= 1
             h = z
 
@@ -211,7 +217,7 @@ class TcnGenerator:
                 grads[2 * i:2 * i + 2] = [None if a is None else Tensor(a) for a in gwb]
                 if not below:
                     break
-                gz = gx * factors[i - 1]
+                gz = gx * np.where(masks[i - 1], 1.0, slope)
             return tuple(grads)
 
         out = np.ascontiguousarray(h.reshape(L, B).T)
@@ -452,13 +458,22 @@ def evaluate_gan(bundle: GanBundle, series: PriceSeries, model: NhitsModel | Non
 
 
 def generate(bundle: GanBundle, conditions: list[ScaledInterval], seed: int) -> np.ndarray:
-    """Seeded synthesis: one scaled 99-return interval per condition, (n, L)."""
+    """Seeded synthesis: one scaled 99-return interval per condition, (n, L).
+
+    The noise is drawn once for all n.  The generator runs on ``batch_size``
+    conditions at a time (``autodiff.row_blocks``), so memory does not grow
+    with n.  With a batch size that is a multiple of 4, as the default 32 is,
+    the output equals one forward over all n: every chunk but the last then
+    has a multiple of 4 rows, the rows that OpenBLAS's matrix-vector kernel
+    (the 1x1 head) sums together."""
     cfg = bundle.config
     cond = np.stack([iv.log_returns for iv in conditions])
     if cond.shape[1] != cfg.interval_length:
         raise ValueError(f"condition length {cond.shape[1]} != {cfg.interval_length}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(cond.shape)
+    out = np.empty(cond.shape)
     with ad.no_record():
-        out = bundle.generator.forward(z, cond)
-    return out.data
+        for i, j in ad.row_blocks(len(cond), cfg.batch_size):
+            out[i:j] = bundle.generator.forward(z[i:j], cond[i:j]).data
+    return out

@@ -484,21 +484,57 @@ def tap_shifts(K: int, dilation: int, B: int, L: int) -> list[tuple[int, int]]:
     return [(k, (K - 1 - k) * dilation * B) for k in range(K) if (K - 1 - k) * dilation < L]
 
 
+# Rows per block of the causal conv kernels.  A tap's product over one block
+# (512 rows of 128 channels are 0.5 MiB) is added into the output while it is
+# still in L2; one product over all n rows writes an (n, C_out) temporary and
+# adds it back, two more passes over megabytes per tap.  The cuts fall at
+# multiples of CONV_ROWS of each tap's own product, as numpy and OpenBLAS
+# round a row by its place in a product (see row_blocks), so the outputs stay
+# bit-identical to one product per tap; near-equal blocks that follow n do not.
+CONV_ROWS = 512
+
+
+def row_blocks(m: int, size: int) -> list[tuple[int, int]]:
+    """[start, stop) blocks of m rows that start at multiples of ``size``.  A last
+    block of one row joins the one before it: a lone row rounds unlike the same
+    row inside a bigger product, as numpy takes a one-row product through a dot
+    and OpenBLAS's matrix-vector kernel sums the last rows of a call apart."""
+    stops = list(range(size, m - 1, size)) + [m]
+    return list(zip([0] + stops[:-1], stops))
+
+
+def _add_tap_products(out: np.ndarray, x: np.ndarray, mats: np.ndarray, taps, shift_out: bool):
+    """For each tap (k, s) and row p < n - s, add x[p] @ mats[k] into out[p + s]
+    (``shift_out``) or x[p + s] @ mats[k] into out[p]: block by block, with the
+    taps in order inside each block, so each row still sums its taps in order."""
+    n = x.shape[0]
+    blocks = [row_blocks(n - s, CONV_ROWS) for _, s in taps]
+    for j in range(max(map(len, blocks))):
+        for (k, s), tap_blocks in zip(taps, blocks):
+            if j < len(tap_blocks):
+                p0, p1 = tap_blocks[j]
+                if shift_out:
+                    out[p0 + s:p1 + s] += x[p0:p1] @ mats[k]
+                else:
+                    out[p0:p1] += x[p0 + s:p1 + s] @ mats[k]
+
+
 def causal_conv(h: np.ndarray, w: np.ndarray, b: np.ndarray, taps) -> np.ndarray:
     """Causal cross-correlation of time-major rows h (n, C_in) with w (C_out, C_in, K)
-    at the ``tap_shifts`` taps, plus the bias b: (n, C_out), one GEMM per tap, in place."""
-    n = h.shape[0]
+    at the ``tap_shifts`` taps, plus the bias b: (n, C_out).  One GEMM per tap and
+    block of ``CONV_ROWS`` rows, added into the output in place, then b."""
     wt = np.ascontiguousarray(w.transpose(2, 1, 0))  # (K, C_in, C_out)
-    z = np.zeros((n, w.shape[0]))
-    for k, s in taps:
-        z[s:] += h[:n - s] @ wt[k]
+    z = np.zeros((h.shape[0], w.shape[0]))
+    _add_tap_products(z, h, wt, taps, True)
     z += b
     return z
 
 
 def causal_conv_vjp(gz: np.ndarray, h: np.ndarray, w: np.ndarray, taps, need):
     """The gradients of w, b and h of ``causal_conv(h, w, b, taps)`` for the output
-    gradient gz (n, C_out), where ``need`` (three flags) asks for them; else None."""
+    gradient gz (n, C_out), where ``need`` (three flags) asks for them; else None.
+    The gradient of h runs in the forward's row blocks.  That of w sums over the
+    rows, so it stays one GEMM per tap: blocks would change the order of its sum."""
     n = h.shape[0]
     gw = gh = None
     if need[0]:
@@ -509,8 +545,7 @@ def causal_conv_vjp(gz: np.ndarray, h: np.ndarray, w: np.ndarray, taps, need):
     if need[2]:
         wk = np.ascontiguousarray(w.transpose(2, 0, 1))  # (K, C_out, C_in)
         gh = np.zeros(h.shape)
-        for k, s in taps:
-            gh[:n - s] += gz[s:] @ wk[k]
+        _add_tap_products(gh, gz, wk, taps, False)
     return gw, gb, gh
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,7 +243,8 @@ def test_gan_config_validation():
                          ("gen_kernels", (3, 0, 5, 3)), ("gen_kernels", (3, 2.0, 5, 3)),
                          ("gen_dilations", (1, 0, 4, 8)), ("gen_dilations", (1, -2, 4, 8)),
                          ("gen_hidden", (64, 0, 64, 32)), ("gen_hidden", (64, True, 64, 32)),
-                         ("interval_length", 1), ("interval_length", 9.0)]:
+                         ("interval_length", 1), ("interval_length", 9.0),
+                         ("batch_size", 0), ("batch_size", 16.0)]:
         with pytest.raises(ValueError, match=field):
             GanConfig(**{field: value})
     GanConfig(interval_length=2, gen_kernels=(1, 1, 1, 1))
@@ -341,6 +344,56 @@ def test_generate_matches_reference_graph(tiny_bundle, cond_stock):
         ref = tcn_generator_reference(bundle.generator, z, cond)
     got = generate(bundle, conds, seed=9)
     assert np.max(np.abs(got - ref.data)) < 1e-12 * np.max(np.abs(ref.data))
+
+
+def _random_bundle(seed):
+    """A bundle with the default config (conditions in chunks of 32) and a random generator."""
+    cfg = GanConfig()
+    gen, _, _ = _generator_inputs(cfg, 1, seed)
+    return GanBundle(gen, MlpCritic(cfg), cfg, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 101])
+def test_generate_in_chunks_equals_one_forward(cond_stock, n):
+    bundle = _random_bundle(seed=45)
+    conds = sample_intervals(cond_stock, n, seed=12)
+    cond = np.stack([iv.log_returns for iv in conds])
+    z = np.random.default_rng(13).standard_normal(cond.shape)
+    with ad.no_record():
+        whole = bundle.generator.forward(z, cond).data
+    assert np.array_equal(generate(bundle, conds, seed=13), whole)
+
+
+def test_generate_memory_does_not_grow_with_n(cond_stock):
+    bundle = _random_bundle(seed=46)
+    conds = sample_intervals(cond_stock, 256, seed=14)
+    tracemalloc.start()
+    try:
+        generate(bundle, conds, seed=15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a forward over 32 conditions peaks near 9 MB, its widest layer's output
+    # being (99 * 32, 128) floats (3.2 MB); one forward over all 256 would
+    # peak near 66 MB
+    assert peak < 16e6
+
+
+def test_recorded_generator_pass_keeps_inputs_and_sign_masks():
+    gen, zc, _ = _generator_inputs(GanConfig(), 32, seed=47)
+    n = 99 * 32
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = gen.forward(*zc)
+        held = tracemalloc.get_traced_memory()[0] - start - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    # the vjp needs each layer's input, 2 + 64 + 128 + 64 + 32 float channels
+    # (7.3 MB), and the sign of each leaky ReLU, 288 one-byte channels
+    # (0.9 MB); the float slope factors in place of the signs would add 6.4 MB
+    inputs, masks = 290 * n * 8, 288 * n
+    assert out.node is not None and held < inputs + 2 * masks
 
 
 def _fake_batch(series, n, seed):

@@ -48,6 +48,52 @@ def test_conv1d_dilated_impulse_matches_brute_force():
     assert expect[0] == w[1] and expect[2] == w[0] and expect[1] == expect[3] == 0.0
 
 
+def _per_tap_conv(h, w, b, taps):
+    # the causal conv as one GEMM over all rows per tap
+    n = h.shape[0]
+    wt = np.ascontiguousarray(w.transpose(2, 1, 0))
+    z = np.zeros((n, w.shape[0]))
+    for k, s in taps:
+        z[s:] += h[:n - s] @ wt[k]
+    return z + b
+
+
+def _per_tap_conv_grads(gz, h, w, taps):
+    # the gradients of w and h, one GEMM over all rows per tap
+    n = h.shape[0]
+    gw, gh = np.zeros(w.shape), np.zeros(h.shape)
+    wk = np.ascontiguousarray(w.transpose(2, 0, 1))
+    for k, s in taps:
+        gw[:, :, k] = gz[s:].T @ h[:n - s]
+        gh[:n - s] += gz[s:] @ wk[k]
+    return gw, gh
+
+
+# (C_in, C_out, K, dilation): the generator's four layers and 1x1 head, then
+# the discriminator's three blocks
+_CONV_LAYERS = [(2, 64, 3, 1), (64, 128, 5, 2), (128, 64, 5, 4), (64, 32, 3, 8), (32, 1, 1, 1),
+                (1, 16, 5, 1), (16, 32, 5, 1), (32, 16, 5, 1)]
+
+
+@pytest.mark.parametrize("layer", _CONV_LAYERS)
+def test_causal_conv_row_blocks_equal_one_product_per_tap(layer):
+    # row counts around the block edges (513 leaves a one-row remainder); with
+    # B = 64 the dilated taps shift by a whole block or more
+    cin, cout, K, d = layer
+    rng = np.random.default_rng(cin * 1000 + cout)
+    w, b = rng.uniform(-0.5, 0.5, (cout, cin, K)), rng.normal(size=cout)
+    first = cin in (1, 2)  # callers ask no input gradient of a first layer
+    for n in (1, ad.CONV_ROWS - 1, ad.CONV_ROWS, ad.CONV_ROWS + 1, 3 * ad.CONV_ROWS + 7):
+        for B in (1, 32, 64):
+            taps = [(k, s) for k, s in ad.tap_shifts(K, d, B, -(-n // B)) if s < n]
+            h, gz = rng.normal(size=(n, cin)), rng.normal(size=(n, cout))
+            assert np.array_equal(ad.causal_conv(h, w, b, taps), _per_tap_conv(h, w, b, taps))
+            gw, gb, gh = ad.causal_conv_vjp(gz, h, w, taps, (True, True, not first))
+            want_gw, want_gh = _per_tap_conv_grads(gz, h, w, taps)
+            assert np.array_equal(gw, want_gw) and np.array_equal(gb, gz.sum(axis=0))
+            assert gh is None if first else np.array_equal(gh, want_gh)
+
+
 def test_backward_sum_of_squares():
     x = ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)
     root = ad.tsum(ad.mul(x, x))
